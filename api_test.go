@@ -90,16 +90,12 @@ func TestPublicAPIExtensions(t *testing.T) {
 		t.Fatalf("smarts points = %d", len(smPlan.Points))
 	}
 
-	ck, err := mlpa.MakeCheckpoints(program, smPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := mlpa.ExecuteFromCheckpoints(program, ck, mlpa.ConfigB())
+	est, err := mlpa.Execute(program, smPlan, mlpa.ConfigB(), mlpa.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.CPI <= 0 {
-		t.Errorf("checkpointed estimate CPI = %v", est.CPI)
+		t.Errorf("smarts estimate CPI = %v", est.CPI)
 	}
 
 	// Phase predictors through the facade.

@@ -566,8 +566,9 @@ func BenchmarkSmartsSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRoundTrip measures checkpoint creation plus
-// replay of a plan's points under configuration A.
+// BenchmarkCheckpointRoundTrip measures building a plan's checkpoint
+// set plus checkpoint-backed execution of its points under
+// configuration A.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	spec, err := bench.ByName("crafty")
 	if err != nil {
@@ -578,13 +579,16 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opts := pipeline.ExecOptions{Warmup: 1 << 16, DetailLeadIn: 512}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ck, err := pipeline.MakeCheckpoints(p, plan)
+		set, err := pipeline.BuildCheckpointSet(p, plan, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pipeline.ExecuteFromCheckpoints(p, ck, config.BaseA()); err != nil {
+		ckptOpts := opts
+		ckptOpts.Checkpoints = set
+		if _, err := pipeline.ExecutePlan(p, plan, config.BaseA(), ckptOpts); err != nil {
 			b.Fatal(err)
 		}
 	}

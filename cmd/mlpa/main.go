@@ -8,7 +8,6 @@
 //	mlpa points [-bench name]       selected simulation points per method
 //	mlpa motivation                 Section III coarse-phase analysis
 //	mlpa ablation [-bench name]     design-choice sweeps (granularity, Kmax, ...)
-//	mlpa checkpoint [-bench -method -dir] checkpointed-point simulation flow
 //	mlpa ckpt save -dir d [-bench -method]  build + persist a portable checkpoint set
 //	mlpa ckpt info -dir d                verify a set's integrity and describe it
 //	mlpa ckpt exec -dir d [-config A,B]  zero-fast-forward estimates from a set
@@ -44,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -129,8 +127,8 @@ func parseFlags(cmd string, args []string) (*flags, error) {
 	fs.StringVar(&f.configs, "config", "A,B", "Table I configurations for table2")
 	fs.StringVar(&f.benchmark, "bench", "lucas", "benchmark for fig1/points")
 	fs.StringVar(&f.rates, "rates", "simplescalar", "time model: simplescalar or measured")
-	fs.StringVar(&f.method, "method", "multilevel", "sampling method for checkpoint: coasts, simpoint or multilevel")
-	fs.StringVar(&f.dir, "dir", "", "directory to persist checkpoint files (checkpoint command)")
+	fs.StringVar(&f.method, "method", "multilevel", "sampling method for ckpt save and loadtest: coasts, simpoint or multilevel")
+	fs.StringVar(&f.dir, "dir", "", "checkpoint set directory (ckpt); output directory for BENCH_<date>.json (bench)")
 	fs.BoolVar(&f.dynamic, "dynamic", false, "analyze: also profile dynamically and cross-check against the static forest")
 	fs.BoolVar(&f.dataflow, "dataflow", false, "analyze: print per-block live sets, statically-dead writes and the predecode cross-check")
 	fs.IntVar(&f.workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
@@ -221,7 +219,7 @@ func (f *flags) cpuConfigs() ([]cpu.Config, error) {
 
 func run(args []string) (err error) {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: mlpa <fig1|fig3|fig4|table2|table3|points|motivation|ablation|checkpoint|ckpt|bench|inspect|analyze|serve|loadtest|all> [flags]")
+		return fmt.Errorf("usage: mlpa <fig1|fig3|fig4|table2|table3|points|motivation|ablation|ckpt|bench|inspect|analyze|serve|loadtest|all> [flags]")
 	}
 	cmd := args[0]
 	fargs := args[1:]
@@ -274,8 +272,6 @@ func run(args []string) (err error) {
 		return runMotivation(f)
 	case "ablation":
 		return runAblations(f)
-	case "checkpoint":
-		return runCheckpoint(f)
 	case "ckpt":
 		return runCkpt(f, ckptSub)
 	case "bench":
@@ -599,74 +595,5 @@ func printVLI(o experiments.Options) error {
 			fmt.Sprintf("%.2fx", r.TimeRatio))
 	}
 	fmt.Print(t.String())
-	return nil
-}
-
-// runCheckpoint demonstrates the checkpointed-simulation flow: select
-// a plan, snapshot the architectural state before every point (one
-// functional pass), optionally persist the snapshots, then replay the
-// points from the snapshots under the chosen configuration.
-func runCheckpoint(f *flags) error {
-	o, err := f.options()
-	if err != nil {
-		return err
-	}
-	o.Benchmarks = []string{f.benchmark}
-	st, err := experiments.NewStudy(o)
-	if err != nil {
-		return err
-	}
-	plan, err := st.Plans[0].ByMethod(f.method)
-	if err != nil {
-		return err
-	}
-	spec := st.Plans[0].Spec
-	p, err := spec.Program(o.Size)
-	if err != nil {
-		return err
-	}
-
-	ck, err := pipeline.MakeCheckpoints(p, plan)
-	if err != nil {
-		return err
-	}
-	var total int
-	for _, s := range ck.States {
-		total += len(s)
-	}
-	fmt.Printf("created %d checkpoints for %s/%s (%.1f KiB total)\n",
-		len(ck.States), f.benchmark, f.method, float64(total)/1024)
-
-	if f.dir != "" {
-		if err := os.MkdirAll(f.dir, 0o755); err != nil {
-			return err
-		}
-		for i, state := range ck.States {
-			name := filepath.Join(f.dir, fmt.Sprintf("%s_%s_point%03d.ckpt", f.benchmark, f.method, i))
-			if err := os.WriteFile(name, state, 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("wrote checkpoint files to %s\n", f.dir)
-	}
-
-	for _, cfgName := range strings.Split(f.configs, ",") {
-		cfg, err := config.ByName(strings.TrimSpace(cfgName))
-		if err != nil {
-			return err
-		}
-		est, err := pipeline.ExecuteFromCheckpoints(p, ck, cfg)
-		if err != nil {
-			return err
-		}
-		truth, _, err := pipeline.FullDetailed(p, cfg)
-		if err != nil {
-			return err
-		}
-		cpiDev, l1Dev, l2Dev := pipeline.Deviations(est, truth)
-		fmt.Printf("config %s: CPI est %.4f (true %.4f, %s off), L1 %s off, L2 %s off, wall %v\n",
-			cfg.Name, est.CPI, truth.CPI(), stats.FormatPct(cpiDev),
-			stats.FormatPct(l1Dev), stats.FormatPct(l2Dev), est.Wall().Round(1e6))
-	}
 	return nil
 }

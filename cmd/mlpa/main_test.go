@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mlpa/internal/obs"
@@ -87,20 +88,26 @@ func TestRunMeasuredRates(t *testing.T) {
 	}
 }
 
+// TestRunCheckpoint drives the checkpoint flow end to end: save a
+// portable set, verify it and estimate from it. The retired
+// `checkpoint` subcommand must fail as an unknown command.
 func TestRunCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"checkpoint", "-size", "tiny", "-bench", "crafty", "-method", "coasts", "-config", "A", "-dir", dir}); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{
+		{"ckpt", "save", "-dir", dir, "-size", "tiny", "-bench", "crafty", "-method", "coasts"},
+		{"ckpt", "info", "-dir", dir},
+		{"ckpt", "exec", "-dir", dir, "-config", "A"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Error("no checkpoint files written")
-	}
-	if err := run([]string{"checkpoint", "-size", "tiny", "-bench", "crafty", "-method", "bogus"}); err == nil {
+	if err := run([]string{"ckpt", "save", "-dir", t.TempDir(), "-size", "tiny", "-bench", "crafty", "-method", "bogus"}); err == nil {
 		t.Error("unknown method accepted")
+	}
+	err := run([]string{"checkpoint", "-size", "tiny", "-bench", "crafty"})
+	if err == nil || !strings.Contains(err.Error(), `unknown command "checkpoint"`) {
+		t.Errorf("checkpoint subcommand: got %v, want an unknown-command error", err)
 	}
 }
 

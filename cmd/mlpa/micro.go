@@ -342,9 +342,8 @@ func runMicro(f *flags) (*microReport, error) {
 			return nil, err
 		}
 		ckptNs := time.Since(t0).Nanoseconds()
-		if sEst.CPI != cEst.CPI {
-			return nil, fmt.Errorf("micro sweep config %s: checkpoint-backed CPI %v differs from scratch %v",
-				cfg.Name, cEst.CPI, sEst.CPI)
+		if d := estimateDiff(cEst, sEst); d != "" {
+			return nil, fmt.Errorf("micro sweep config %s: checkpoint-backed estimate differs from scratch: %s", cfg.Name, d)
 		}
 		rep.SweepSeries = append(rep.SweepSeries, sweepSample{Config: cfg.Name, ScratchNs: scratchNs, CkptNs: ckptNs})
 		scratchTotal += scratchNs
@@ -372,4 +371,29 @@ func runMicro(f *flags) (*microReport, error) {
 		time.Duration(ckptTotal).Round(time.Millisecond),
 		rep.SweepSpeedup)
 	return rep, nil
+}
+
+// estimateDiff describes the first difference between two estimates
+// of one plan — CPI, hit rates, then each point record with its
+// wall-clock fields zeroed — or returns "" when they agree exactly.
+func estimateDiff(got, want *pipeline.Estimate) string {
+	switch {
+	case got.CPI != want.CPI:
+		return fmt.Sprintf("CPI %v, want %v", got.CPI, want.CPI)
+	case got.L1Hit != want.L1Hit:
+		return fmt.Sprintf("L1 hit rate %v, want %v", got.L1Hit, want.L1Hit)
+	case got.L2Hit != want.L2Hit:
+		return fmt.Sprintf("L2 hit rate %v, want %v", got.L2Hit, want.L2Hit)
+	case len(got.PointRecords) != len(want.PointRecords):
+		return fmt.Sprintf("%d point records, want %d", len(got.PointRecords), len(want.PointRecords))
+	}
+	for i := range got.PointRecords {
+		g, w := got.PointRecords[i], want.PointRecords[i]
+		g.WallFunctional, g.WallDetailed = 0, 0
+		w.WallFunctional, w.WallDetailed = 0, 0
+		if g != w {
+			return fmt.Sprintf("point %d: %+v, want %+v", i, g, w)
+		}
+	}
+	return ""
 }

@@ -274,7 +274,8 @@ func TestSetLoadRejectsTampering(t *testing.T) {
 }
 
 // TestSetMatchRejectsMismatches: wrong policy, wrong plan and wrong
-// program all fail Match with ErrMismatch.
+// program all fail Match with ErrMismatch, and so does Capture with a
+// live-in summary recorded at a different PC than the machine's.
 func TestSetMatchRejectsMismatches(t *testing.T) {
 	examples := prog.Examples()
 	p := examples[0]
@@ -290,5 +291,15 @@ func TestSetMatchRejectsMismatches(t *testing.T) {
 	}
 	if err := set.Match(examples[1], set.Plan, set.Policy); !errors.Is(err, ckpt.ErrMismatch) {
 		t.Fatalf("wrong program: %v, want ErrMismatch", err)
+	}
+
+	_, m := captureAt(t, p, 1000, 0)
+	li, err := liveInAt(p, m.PC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	li.PC++
+	if _, err := ckpt.Capture(m, 0, li); !errors.Is(err, ckpt.ErrMismatch) {
+		t.Fatalf("live-in at pc %d for a machine at pc %d: %v, want ErrMismatch", li.PC, m.PC, err)
 	}
 }

@@ -11,10 +11,9 @@ import (
 	"mlpa/internal/sampling"
 )
 
-// stateMagic identifies one serialized point state. It is distinct
-// from the emulator's whole-machine snapshot magic (MLPACKP1): that
-// format is an internal full-memory image, this one is the portable
-// scrubbed-minimal region checkpoint.
+// stateMagic identifies one serialized machine state: the portable
+// region checkpoint, and the repository's only machine-state format
+// (parallel.StateCache holds the same State in memory).
 var stateMagic = [8]byte{'M', 'L', 'P', 'A', 'C', 'K', 'S', '1'}
 
 // Version is the checkpoint wire-format version. Decoders reject

@@ -59,8 +59,8 @@ func (m *Machine) DirtyPages() []int64 {
 }
 
 // markDirty records a write to word index w (not a byte address) on
-// the slow paths (Step, StoreWord, LoadCheckpoint); the batched loops
-// mark inline in execSpan.
+// the slow paths (Step, StoreWord); the batched loops mark inline in
+// execSpan.
 func (m *Machine) markDirty(w int64) {
 	if m.dirty != nil {
 		p := uint64(w) >> pageShift

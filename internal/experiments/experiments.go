@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mlpa/internal/bench"
-	"mlpa/internal/ckpt"
 	"mlpa/internal/coasts"
 	"mlpa/internal/cpu"
 	"mlpa/internal/linalg"
@@ -382,9 +381,9 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 	// (benchmark, configuration) pair; run the benchmarks in parallel
 	// with each worker covering every configuration and method for its
 	// benchmark — one functional-state cache per benchmark then serves
-	// all of them, since architectural state is configuration-
-	// independent — and aggregate in suite order so worst cases and
-	// averages stay deterministic.
+	// every point's warm-start state to all of them, since
+	// architectural state is configuration-independent — and aggregate
+	// in suite order so worst cases and averages stay deterministic.
 	type devs struct{ cpi, l1, l2 [3]float64 }
 	span := st.Opts.Obs.StartSpan("experiments.table2", obs.KV("configs", len(configs)))
 	defer span.End()
@@ -398,24 +397,6 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 			return err
 		}
 		cache := parallel.NewStateCache(p, 0, st.Opts.Obs.Metrics())
-		// Architectural state is configuration-independent, so one
-		// checkpoint set per method serves every sensitivity config in
-		// the sweep: the fast-forward to each point's warm start is paid
-		// once here and each config evaluation below restores in
-		// O(checkpoint size). Results stay bit-identical to from-scratch
-		// execution (pipeline's differential harness proves it).
-		sets := make(map[string]*ckpt.Set, len(Methods()))
-		for _, method := range Methods() {
-			plan, err := pl.ByMethod(method)
-			if err != nil {
-				return err
-			}
-			set, err := pipeline.BuildCheckpointSet(p, plan, st.execOpts(ctx, cache))
-			if err != nil {
-				return fmt.Errorf("experiments: checkpoint set for %s/%s: %w", pl.Spec.Name, method, err)
-			}
-			sets[method] = set
-		}
 		results[i] = make(map[string]devs, len(configs))
 		for _, cfg := range configs {
 			tspan := bspan.StartSpan("experiments.ground_truth", obs.KV("config", cfg.Name))
@@ -430,9 +411,7 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 				if err != nil {
 					return err
 				}
-				opts := st.execOpts(ctx, cache)
-				opts.Checkpoints = sets[method]
-				est, err := pipeline.ExecutePlan(p, plan, cfg, opts)
+				est, err := pipeline.ExecutePlan(p, plan, cfg, st.execOpts(ctx, cache))
 				if err != nil {
 					return fmt.Errorf("experiments: %s/%s under config %s: %w", pl.Spec.Name, method, cfg.Name, err)
 				}

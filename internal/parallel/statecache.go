@@ -1,24 +1,27 @@
 package parallel
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
 	"sync"
 
+	"mlpa/internal/ckpt"
 	"mlpa/internal/emu"
 	"mlpa/internal/obs"
 	"mlpa/internal/prog"
+	"mlpa/internal/sampling"
 )
 
 // StateCache caches functional-machine architectural states at
 // instruction boundaries of one program, so concurrent simulation
 // points fast-forwarding past the same prefix share the work instead
-// of redoing it. Entries are serialized checkpoints (zero words
-// elided), created single-flight: when several workers ask for the
-// same instruction position at once, exactly one executes the
-// fast-forward and the rest wait for its checkpoint.
+// of redoing it. Entries are ckpt.State restore images captured with
+// an all-live live-in mask (every register, every dirty page), so a
+// cached state is exact, not scrubbed. They are created single-flight:
+// when several workers ask for the same instruction position at once,
+// exactly one executes the fast-forward and the rest wait for its
+// state.
 //
 // The cache is keyed by instruction count alone. A machine's
 // architectural state at instruction N is a pure function of (program,
@@ -43,7 +46,7 @@ type StateCache struct {
 	// (waits on an existing entry), counter parallel.state_cache.misses
 	// (builds), counter parallel.state_cache.ff_insts (instructions
 	// actually fast-forwarded by builds) and gauge
-	// parallel.state_cache.bytes (serialized footprint).
+	// parallel.state_cache.bytes (estimated encoded footprint).
 	metrics *obs.Registry
 
 	mu      sync.Mutex
@@ -53,9 +56,8 @@ type StateCache struct {
 }
 
 type stateEntry struct {
-	pos   uint64
 	done  chan struct{}
-	state []byte
+	state *ckpt.State
 	err   error
 }
 
@@ -85,15 +87,12 @@ func NewStateCache(p *prog.Program, memWords int64, reg *obs.Registry) *StateCac
 	}
 }
 
-// MachineAt returns an independent machine positioned exactly at
-// instruction pos (committed-instruction count), materialized from the
-// cache. The machine is the caller's to mutate. Position 0 is the
-// initial state. An error is returned if the program halts before pos
-// or ctx is cancelled while fast-forwarding.
-func (c *StateCache) MachineAt(ctx context.Context, pos uint64) (*emu.Machine, error) {
-	if pos == 0 {
-		return emu.New(c.p, c.memWords), nil
-	}
+// StateAt returns the machine state at instruction pos (committed-
+// instruction count). Position 0 is the initial state. The state is
+// shared by every caller and must not be mutated; materialize it with
+// ckpt.State.NewMachine or RestoreInto. An error is returned if the
+// program halts before pos or ctx is cancelled while fast-forwarding.
+func (c *StateCache) StateAt(ctx context.Context, pos uint64) (*ckpt.State, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[pos]; ok {
 		c.mu.Unlock()
@@ -103,56 +102,50 @@ func (c *StateCache) MachineAt(ctx context.Context, pos uint64) (*emu.Machine, e
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		return c.restore(e.state)
+		return e.state, e.err
 	}
-	e := &stateEntry{pos: pos, done: make(chan struct{})}
+	e := &stateEntry{done: make(chan struct{})}
 	c.entries[pos] = e
 	c.insertKey(pos)
 	base := c.nearestReadyBelowLocked(pos)
 	c.mu.Unlock()
 	c.metrics.Counter("parallel.state_cache.misses").Inc()
 
-	m, err := c.build(ctx, base, pos)
-	if err != nil {
-		e.err = err
-		close(e.done)
+	e.state, e.err = c.build(ctx, base, pos)
+	close(e.done)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.err != nil {
 		// A cancelled or failed build must not poison the position for
 		// future callers (a retry with a live context should succeed):
 		// drop the entry.
-		c.mu.Lock()
 		delete(c.entries, pos)
 		c.removeKey(pos)
-		c.mu.Unlock()
-		return nil, err
+		return nil, e.err
 	}
-	var buf bytes.Buffer
-	if err := m.SaveCheckpoint(&buf); err != nil {
-		e.err = err
-		close(e.done)
-		return nil, err
-	}
-	e.state = buf.Bytes()
-	close(e.done)
-	c.mu.Lock()
-	c.bytes += int64(len(e.state))
+	c.bytes += int64(e.state.EncodedBytes())
 	c.metrics.Gauge("parallel.state_cache.bytes").Set(float64(c.bytes))
-	c.mu.Unlock()
-	return m, nil
+	return e.state, nil
 }
 
-// build fast-forwards from the base entry (nil = initial state) to pos.
-func (c *StateCache) build(ctx context.Context, base *stateEntry, pos uint64) (*emu.Machine, error) {
-	var m *emu.Machine
-	if base != nil && base.err == nil {
-		var err error
-		if m, err = c.restore(base.state); err != nil {
-			return nil, err
-		}
-	} else {
-		m = emu.New(c.p, c.memWords)
+// MachineAt returns an independent machine positioned exactly at
+// instruction pos: the state StateAt returns, restored into a fresh
+// machine that tracks dirty pages. The machine is the caller's to
+// mutate.
+func (c *StateCache) MachineAt(ctx context.Context, pos uint64) (*emu.Machine, error) {
+	st, err := c.StateAt(ctx, pos)
+	if err != nil {
+		return nil, err
+	}
+	return c.restore(st)
+}
+
+// build fast-forwards from base (nil = initial state) to pos and
+// captures the state there.
+func (c *StateCache) build(ctx context.Context, base *ckpt.State, pos uint64) (*ckpt.State, error) {
+	m, err := c.restore(base)
+	if err != nil {
+		return nil, err
 	}
 	var ffed uint64
 	for m.Insts < pos {
@@ -173,24 +166,30 @@ func (c *StateCache) build(ctx context.Context, base *stateEntry, pos uint64) (*
 		}
 	}
 	c.metrics.Counter("parallel.state_cache.ff_insts").Add(int64(ffed))
-	return m, nil
+	return ckpt.Capture(m, 0, sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true})
 }
 
-func (c *StateCache) restore(state []byte) (*emu.Machine, error) {
+// restore returns a fresh dirty-tracking machine positioned at st, or
+// at the initial state when st is nil.
+func (c *StateCache) restore(st *ckpt.State) (*emu.Machine, error) {
 	m := emu.New(c.p, c.memWords)
-	if err := m.LoadCheckpoint(bytes.NewReader(state)); err != nil {
+	m.TrackDirtyPages()
+	if st == nil {
+		return m, nil
+	}
+	if err := st.RestoreInto(m); err != nil {
 		return nil, fmt.Errorf("parallel: restore cached state: %w", err)
 	}
 	return m, nil
 }
 
-// nearestReadyBelowLocked returns the deepest completed entry at or
-// below pos, or nil. Caller holds mu.
-func (c *StateCache) nearestReadyBelowLocked(pos uint64) *stateEntry {
+// nearestReadyBelowLocked returns the state of the deepest completed
+// entry at or below pos, or nil. Caller holds mu.
+func (c *StateCache) nearestReadyBelowLocked(pos uint64) *ckpt.State {
 	i := sort.Search(len(c.keys), func(i int) bool { return c.keys[i] > pos })
 	for i--; i >= 0; i-- {
 		if e := c.entries[c.keys[i]]; e != nil && e.ready() && e.err == nil {
-			return e
+			return e.state
 		}
 	}
 	return nil
@@ -213,7 +212,8 @@ func (c *StateCache) removeKey(pos uint64) {
 // Program returns the program this cache materializes states for.
 func (c *StateCache) Program() *prog.Program { return c.p }
 
-// Bytes returns the serialized footprint of all completed entries.
+// Bytes returns the estimated encoded footprint of all completed
+// entries (ckpt.State.EncodedBytes).
 func (c *StateCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,37 +1,71 @@
 package parallel
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"mlpa/internal/emu"
+	"mlpa/internal/isa"
 	"mlpa/internal/obs"
 	"mlpa/internal/prog"
 )
 
-// testProgram returns an example guest long enough for interesting
-// fast-forward positions.
+// testProgram returns a triple loop nest long enough for interesting
+// fast-forward positions. Its inner body also sets an FP register and
+// stores to a fresh 4 KiB page per iteration, so state comparisons
+// cover both register files and many dirty pages.
 func testProgram() *prog.Program {
-	return prog.ExampleTripleNested(6, 5, 7)
+	b := prog.NewBuilder("statecache_nest")
+	b.CountedLoop("l0", 1, 6, func() {
+		b.Addi(5, 5, 1)
+		b.CountedLoop("l1", 2, 5, func() {
+			b.Addi(6, 6, 1)
+			b.CountedLoop("l2", 3, 7, func() {
+				b.Addi(7, 7, 1)
+				b.CvtIF(isa.F(1), 7)
+				b.Shli(8, 7, 12)
+				b.St(7, 8, 0)
+			})
+		})
+	})
+	b.Halt()
+	return b.MustBuild()
 }
 
-// checkpointBytes serializes m's full architectural state.
-func checkpointBytes(t *testing.T, m *emu.Machine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := m.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
+// stateDiff compares the architectural state of two machines —
+// registers, PC, instruction count, halt flag and every memory word —
+// and describes the first difference, or returns "" when they match.
+func stateDiff(a, b *emu.Machine) string {
+	switch {
+	case a.PC != b.PC:
+		return fmt.Sprintf("pc %d vs %d", a.PC, b.PC)
+	case a.Insts != b.Insts:
+		return fmt.Sprintf("insts %d vs %d", a.Insts, b.Insts)
+	case a.Halted != b.Halted:
+		return fmt.Sprintf("halted %v vs %v", a.Halted, b.Halted)
+	case a.IntRegs != b.IntRegs:
+		return fmt.Sprintf("int regs %v vs %v", a.IntRegs, b.IntRegs)
+	case a.FPRegs != b.FPRegs:
+		return fmt.Sprintf("fp regs %v vs %v", a.FPRegs, b.FPRegs)
+	case a.MemWords() != b.MemWords():
+		return fmt.Sprintf("memory size %d vs %d words", a.MemWords(), b.MemWords())
 	}
-	return buf.Bytes()
+	for w := int64(0); w < a.MemWords(); w++ {
+		if x, y := a.LoadWord(w<<3), b.LoadWord(w<<3); x != y {
+			return fmt.Sprintf("memory word %d: %#x vs %#x", w, x, y)
+		}
+	}
+	return ""
 }
 
 // TestMachineAtMatchesFreshFastForward: a machine restored from the
 // cache must match a fresh fast-forward instruction-for-instruction —
-// identical serialized state at the target position, and identical
-// state after every subsequent step.
+// identical architectural state at the target position, and identical
+// state after every subsequent step. The pipeline's restore path
+// (ckpt.State.NewMachine of StateAt's state) must match too.
 func TestMachineAtMatchesFreshFastForward(t *testing.T) {
 	p := testProgram()
 	c := NewStateCache(p, 0, nil)
@@ -50,8 +84,19 @@ func TestMachineAtMatchesFreshFastForward(t *testing.T) {
 		if got.Insts != pos || want.Insts != pos {
 			t.Fatalf("pos %d: cached at %d, fresh at %d", pos, got.Insts, want.Insts)
 		}
-		if !bytes.Equal(checkpointBytes(t, got), checkpointBytes(t, want)) {
-			t.Fatalf("pos %d: restored state differs from fresh fast-forward", pos)
+		if d := stateDiff(got, want); d != "" {
+			t.Fatalf("pos %d: restored state differs from fresh fast-forward: %s", pos, d)
+		}
+		st, err := c.StateAt(ctx, pos)
+		if err != nil {
+			t.Fatalf("StateAt(%d): %v", pos, err)
+		}
+		viaState, err := st.NewMachine(p)
+		if err != nil {
+			t.Fatalf("NewMachine at %d: %v", pos, err)
+		}
+		if d := stateDiff(viaState, want); d != "" {
+			t.Fatalf("pos %d: NewMachine of the cached state differs from fresh fast-forward: %s", pos, d)
 		}
 		// Step both to the end of the program, comparing committed
 		// state after every instruction.
@@ -67,8 +112,8 @@ func TestMachineAtMatchesFreshFastForward(t *testing.T) {
 					pos, step, got.PC, got.Insts, want.PC, want.Insts)
 			}
 		}
-		if !bytes.Equal(checkpointBytes(t, got), checkpointBytes(t, want)) {
-			t.Fatalf("pos %d: final state differs after stepping to halt", pos)
+		if d := stateDiff(got, want); d != "" {
+			t.Fatalf("pos %d: final state differs after stepping to halt: %s", pos, d)
 		}
 	}
 }
@@ -86,7 +131,7 @@ func TestMachineAtSingleFlight(t *testing.T) {
 		start = make(chan struct{})
 		wg    sync.WaitGroup
 		mu    sync.Mutex
-		state []byte
+		first *emu.Machine
 	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -102,17 +147,12 @@ func TestMachineAtSingleFlight(t *testing.T) {
 				t.Errorf("machine at %d, want %d", m.Insts, pos)
 				return
 			}
-			var buf bytes.Buffer
-			if err := m.SaveCheckpoint(&buf); err != nil {
-				t.Error(err)
-				return
-			}
 			mu.Lock()
 			defer mu.Unlock()
-			if state == nil {
-				state = buf.Bytes()
-			} else if !bytes.Equal(state, buf.Bytes()) {
-				t.Error("goroutines observed different states for the same position")
+			if first == nil {
+				first = m
+			} else if d := stateDiff(first, m); d != "" {
+				t.Errorf("goroutines observed different states for the same position: %s", d)
 			}
 		}()
 	}
@@ -135,7 +175,7 @@ func TestMachineAtSingleFlight(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 1", c.Len())
 	}
 	if c.Bytes() <= 0 {
-		t.Error("cache reports zero serialized bytes")
+		t.Error("cache reports zero encoded bytes")
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,14 +23,27 @@ func ckptExecOpts(workers int) ExecOptions {
 	return ExecOptions{Warmup: 2000, DetailLeadIn: 256, RunAhead: 128, Workers: workers}
 }
 
+// harnessExecOpts is the experiment harness's default warm policy:
+// unbounded warmup pins every warm start to instruction 0, so scratch
+// execution rewinds every point after a chunk's first through the
+// state cache.
+func harnessExecOpts(workers int) ExecOptions {
+	return ExecOptions{Warmup: math.MaxUint64, DetailLeadIn: 512, Workers: workers}
+}
+
 // TestCheckpointBackedBitIdentical is the acceptance harness for
 // checkpoint-backed execution: for every suite benchmark under both
-// Table I configurations at 1 and 4 workers, ExecutePlan restoring
-// from a BuildCheckpointSet set must produce bit-identical estimates,
-// point records and journal streams to from-scratch execution
-// (wall-clock fields excepted). Run with -race in CI.
+// warm policies above, both Table I configurations and 1 and 4
+// workers, ExecutePlan restoring from a BuildCheckpointSet set must
+// produce bit-identical estimates, point records and journal streams
+// to from-scratch execution (wall-clock fields excepted). Run with
+// -race in CI.
 func TestCheckpointBackedBitIdentical(t *testing.T) {
 	configs := []cpu.Config{config.BaseA(), config.SensitivityB()}
+	policies := []struct {
+		name string
+		opts func(workers int) ExecOptions
+	}{{"finite", ckptExecOpts}, {"harness", harnessExecOpts}}
 	for _, spec := range bench.Suite() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -41,36 +55,38 @@ func TestCheckpointBackedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set, err := BuildCheckpointSet(p, plan, ckptExecOpts(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cfg := range configs {
-				for _, workers := range []int{1, 4} {
-					runOne := func(set *ckpt.Set) (*Estimate, []map[string]any) {
-						var buf bytes.Buffer
-						sink := obs.NewJSONLSink(&buf)
-						opts := ckptExecOpts(workers)
-						opts.Obs = obs.New(sink)
-						opts.Checkpoints = set
-						est, err := ExecutePlan(p, plan, cfg, opts)
-						if err != nil {
-							t.Fatalf("config %s workers %d ckpt=%v: %v", cfg.Name, workers, set != nil, err)
+			for _, pol := range policies {
+				set, err := BuildCheckpointSet(p, plan, pol.opts(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cfg := range configs {
+					for _, workers := range []int{1, 4} {
+						runOne := func(set *ckpt.Set) (*Estimate, []map[string]any) {
+							var buf bytes.Buffer
+							sink := obs.NewJSONLSink(&buf)
+							opts := pol.opts(workers)
+							opts.Obs = obs.New(sink)
+							opts.Checkpoints = set
+							est, err := ExecutePlan(p, plan, cfg, opts)
+							if err != nil {
+								t.Fatalf("%s policy, config %s workers %d ckpt=%v: %v", pol.name, cfg.Name, workers, set != nil, err)
+							}
+							if err := sink.Err(); err != nil {
+								t.Fatal(err)
+							}
+							return stripWall(est), journalSkeleton(t, &buf)
 						}
-						if err := sink.Err(); err != nil {
-							t.Fatal(err)
+						wantEst, wantJournal := runOne(nil)
+						gotEst, gotJournal := runOne(set)
+						if !reflect.DeepEqual(gotEst, wantEst) {
+							t.Errorf("%s policy, config %s workers %d: checkpoint-backed estimate differs from scratch:\n got %s\nwant %s",
+								pol.name, cfg.Name, workers, dumpEstimate(gotEst), dumpEstimate(wantEst))
 						}
-						return stripWall(est), journalSkeleton(t, &buf)
-					}
-					wantEst, wantJournal := runOne(nil)
-					gotEst, gotJournal := runOne(set)
-					if !reflect.DeepEqual(gotEst, wantEst) {
-						t.Errorf("config %s workers %d: checkpoint-backed estimate differs from scratch:\n got %s\nwant %s",
-							cfg.Name, workers, dumpEstimate(gotEst), dumpEstimate(wantEst))
-					}
-					if !reflect.DeepEqual(gotJournal, wantJournal) {
-						t.Errorf("config %s workers %d: checkpoint-backed journal stream differs from scratch",
-							cfg.Name, workers)
+						if !reflect.DeepEqual(gotJournal, wantJournal) {
+							t.Errorf("%s policy, config %s workers %d: checkpoint-backed journal stream differs from scratch",
+								pol.name, cfg.Name, workers)
+						}
 					}
 				}
 			}

@@ -2,12 +2,10 @@ package pipeline
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
 	"mlpa/internal/bench"
-	"mlpa/internal/ckpt"
 	"mlpa/internal/config"
 	"mlpa/internal/obs"
 	"mlpa/internal/simpoint"
@@ -123,51 +121,5 @@ func TestStaticLiveinJournaled(t *testing.T) {
 		if want := dataflow.FromMasks(want.LiveIn.Int, want.LiveIn.FP).String(); rec["regs"] != want {
 			t.Errorf("record %d: regs %q, want %q", i, rec["regs"], want)
 		}
-	}
-}
-
-// TestCheckpointLiveIns: MakeCheckpoints records a live-in summary per
-// point and ExecuteFromCheckpoints (which scrubs through it) still
-// reproduces the plain execution's estimates; a checkpoint whose
-// live-in pc disagrees with its state is rejected.
-func TestCheckpointLiveIns(t *testing.T) {
-	p := phasedProgram(t, 20)
-	plan, _, _, err := simpoint.Select(p, simpoint.Config{IntervalLen: 1000, Kmax: 6, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := MakeCheckpoints(p, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ck.LiveIns) != len(plan.Points) {
-		t.Fatalf("%d live-ins for %d points", len(ck.LiveIns), len(plan.Points))
-	}
-	if _, err := ExecuteFromCheckpoints(p, ck, config.BaseA()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt one live-in position: the replay must refuse it.
-	ck.LiveIns[0].PC++
-	if _, err := ExecuteFromCheckpoints(p, ck, config.BaseA()); err == nil {
-		t.Error("mismatched live-in pc not rejected")
-	}
-	ck.LiveIns[0].PC--
-
-	// Checkpoints without one live-in mask per point are malformed: the
-	// scrub is the replay's verification step, so a missing or truncated
-	// LiveIns slice is a hard ErrMismatch, never a silent unscrubbed
-	// replay.
-	ck.LiveIns = nil
-	if _, err := ExecuteFromCheckpoints(p, ck, config.BaseA()); !errors.Is(err, ckpt.ErrMismatch) {
-		t.Errorf("live-in-free checkpoints: got %v, want ckpt.ErrMismatch", err)
-	}
-	ck, err = MakeCheckpoints(p, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.LiveIns = ck.LiveIns[:len(ck.LiveIns)-1]
-	if _, err := ExecuteFromCheckpoints(p, ck, config.BaseA()); !errors.Is(err, ckpt.ErrMismatch) {
-		t.Errorf("truncated live-ins: got %v, want ckpt.ErrMismatch", err)
 	}
 }

@@ -79,10 +79,12 @@ type ExecOptions struct {
 	// Cache, when non-nil, is a shared functional-state cache for this
 	// plan's program: concurrent and repeated executions (for example
 	// the same plan under both Table I configurations) reuse each
-	// other's fast-forward work through it. It must have been created
-	// by parallel.NewStateCache for the same *prog.Program; a
-	// mismatched cache is ignored. Nil gives each ExecutePlan call a
-	// private cache.
+	// other's fast-forward work through it, and every point restores
+	// its warm-start state from it. It must have been created by
+	// parallel.NewStateCache for the same *prog.Program with the
+	// default memory size (memWords 0); a cache for another program
+	// is ignored. Nil gives each ExecutePlan call a private cache. A
+	// non-nil Checkpoints set takes precedence: no cache is consulted.
 	Cache *parallel.StateCache
 
 	// Obs, when non-nil, receives per-point journal records, stage
@@ -567,23 +569,27 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 }
 
 // executePoints runs the points through the cost-aware chunk
-// scheduler. Each chunk materializes one machine at its first point's
-// warm start from the shared state cache, then *chains* it through the
-// chunk's remaining points: after runPoint the machine sits exactly at
-// the next task's fast-forward cursor (planTasks guarantees
-// cursor = pt.End + tail), so within a chunk no checkpoint is ever
-// saved or restored and no fast-forward work is repeated. Chunks are
-// contiguous and cost-balanced, and the chunk count adapts to the work
-// available — one chunk is exactly the sequential workers==1 loop — so
-// parallel execution never regresses below sequential. Functional
-// state remains a pure function of instruction position, which keeps
-// results bit-identical for every worker count and partition.
+// scheduler. Each chunk restores one machine at its first point's warm
+// start, then *chains* it through the chunk's remaining points: after
+// runPoint the machine sits at the next task's fast-forward cursor
+// (planTasks guarantees cursor = pt.End + tail), so a later warm start
+// at or past it needs no restore. A warm start behind the machine —
+// every later point under unbounded warmup, where all warm starts are
+// instruction 0 — restores in place. States come from the checkpoint
+// set when one is given, else from the shared state cache, and
+// RestoreInto costs O(touched pages) because NewMachine leaves
+// dirty-page tracking on. Chunks are contiguous and cost-balanced, and
+// the chunk count adapts to the work available — one chunk is exactly
+// the sequential workers==1 loop — so parallel execution never
+// regresses below sequential. Functional state remains a pure function
+// of instruction position, which keeps results bit-identical for every
+// worker count and partition.
 func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, workers int, recs []PointRecord) error {
+	set := opts.Checkpoints
 	cache := opts.Cache
-	if cache == nil || cache.Program() != p {
+	if set == nil && (cache == nil || cache.Program() != p) {
 		cache = parallel.NewStateCache(p, 0, reg)
 	}
-	set := opts.Checkpoints
 	chunks := planPartition(plan, tasks, workers, set != nil)
 	reg.Gauge("pipeline.plan_chunks").Set(float64(len(chunks)))
 	stage := opts.Obs.Progress().Stage("pipeline.points")
@@ -596,42 +602,33 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 			}
 			task := tasks[pi]
 			t0 := time.Now()
-			if set != nil && (m == nil || m.Insts != task.warmStart) {
-				// Checkpoint-backed: restore the point's warm-start state
-				// in O(checkpoint size) instead of fast-forwarding from
-				// program start. Chaining within a chunk still applies —
-				// a machine already sitting exactly at the warm start
-				// (planTasks' cursor invariant) is reused as-is, so the
-				// restored path does strictly less functional work.
-				// After the chunk's first point the machine is restored
-				// in place: NewMachine leaves dirty-page tracking on, so
-				// RestoreInto resets memory in O(touched pages) instead
-				// of paying a fresh memory image per point.
-				var err error
-				if m == nil {
-					m, err = set.States[pi].NewMachine(p)
-				} else {
-					err = set.States[pi].RestoreInto(m)
-				}
-				if err != nil {
-					return fmt.Errorf("pipeline: checkpoint restore of point %d in %s: %w", pi, plan.Benchmark, err)
-				}
-				m.Metrics = reg
-				reg.Counter("pipeline.ckpt_restores").Add(1)
-			} else if m == nil || m.Insts > task.warmStart {
-				// First point of the chunk (or, defensively, a machine
-				// past the cursor): materialize from the shared cache,
-				// publishing the chunk-start state for other executions.
-				var err error
-				m, err = cache.MachineAt(ctx, task.warmStart)
-				if err != nil {
-					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
-				}
-				m.Metrics = reg
-			} else if m.Insts < task.warmStart {
+			switch {
+			case m != nil && m.Insts == task.warmStart:
+				// Chained: the previous point left the machine here.
+			case m != nil && m.Insts < task.warmStart && set == nil:
 				if err := fastForward(ctx, m, task.warmStart); err != nil {
 					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
 				}
+			default:
+				// The chunk's first point, a rewind, or a jump ahead that
+				// the set makes cheaper than fast-forward.
+				var st *ckpt.State
+				var err error
+				if set != nil {
+					st = set.States[pi]
+				} else if st, err = cache.StateAt(ctx, task.warmStart); err != nil {
+					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+				}
+				if m == nil {
+					m, err = st.NewMachine(p)
+				} else {
+					err = st.RestoreInto(m)
+				}
+				if err != nil {
+					return fmt.Errorf("pipeline: restore of point %d in %s: %w", pi, plan.Benchmark, err)
+				}
+				m.Metrics = reg
+				reg.Counter("pipeline.ckpt_restores").Add(1)
 			}
 			rec, err := runPoint(m, cfg, reg, plan, pi, task, opts, t0)
 			if err != nil {

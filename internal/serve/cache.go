@@ -9,7 +9,6 @@ import (
 	"mlpa/internal/bench"
 	"mlpa/internal/ckpt"
 	"mlpa/internal/obs"
-	"mlpa/internal/parallel"
 	"mlpa/internal/pipeline"
 	"mlpa/internal/prog"
 	"mlpa/internal/staticanalysis"
@@ -194,14 +193,12 @@ func (c *ckptCache) evictLocked() {
 
 // programEntry is one resolved guest program and the expensive state
 // shared across every request against it: the canonical *prog.Program
-// (whose Aux caches hold predecode, CFG and dataflow), the functional
-// StateCache, and the memoized admission probe.
+// (whose Aux caches hold predecode, CFG and dataflow) and the memoized
+// admission probe. Machine state for estimates comes from the
+// checkpoint-set cache, keyed per plan.
 type programEntry struct {
 	prog *prog.Program
 	hash string
-	// states is the shared fast-forward cache; concurrent requests
-	// against this program reuse each other's functional work.
-	states *parallel.StateCache
 
 	probeOnce sync.Once
 	length    uint64
@@ -230,7 +227,7 @@ func (e *programEntry) measuredLength(maxInsts uint64) (uint64, *apiError) {
 // programCache resolves requests to canonical program entries, keyed
 // by content hash (with a benchmark/size shortcut so suite programs
 // are not rebuilt per request). Bounded: the oldest entries are
-// evicted, dropping their state caches with them.
+// evicted.
 type programCache struct {
 	reg *obs.Registry
 	max int
@@ -302,7 +299,7 @@ func (pc *programCache) intern(p *prog.Program, suiteKey string) *programEntry {
 	defer pc.mu.Unlock()
 	e, ok := pc.byHash[hash]
 	if !ok {
-		e = &programEntry{prog: p, hash: hash, states: parallel.NewStateCache(p, 0, pc.reg)}
+		e = &programEntry{prog: p, hash: hash}
 		pc.byHash[hash] = e
 		pc.order = append(pc.order, hash)
 		pc.evictLocked()

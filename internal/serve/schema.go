@@ -14,9 +14,9 @@
 //     onto a single execution. Cache disposition travels out-of-band in
 //     the X-Mlpa-Cache header (miss, coalesced or hit).
 //   - A bounded admission pool caps concurrent pipeline executions
-//     across requests, and per-program parallel.StateCache instances
-//     are shared so requests against the same guest reuse each other's
-//     fast-forward work.
+//     across requests, and estimates restore from portable checkpoint
+//     sets cached per plan, so requests against the same plan reuse
+//     one fast-forward pass across configurations.
 //   - Requests are bounded (body size, program instruction budget) and
 //     time-limited; failures are structured JSON errors with stable
 //     codes, never panics.

@@ -399,14 +399,14 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 	// differential harness), so the cache can only change wall time.
 	ckey := keyFor("ckpt", e.hash, req).hash()
 	set, disp, err := s.ckpts.get(ctx, ckey, func() (*ckpt.Set, error) {
-		return pipeline.BuildCheckpointSet(e.prog, plan, s.execOptions(ctx, e))
+		return pipeline.BuildCheckpointSet(e.prog, plan, s.execOptions(ctx))
 	})
 	if err != nil {
 		return nil, asAPIError(err)
 	}
 	*ckptDisp = disp
 	s.reg.Counter("serve.executions").Inc()
-	opts := s.execOptions(ctx, e)
+	opts := s.execOptions(ctx)
 	opts.Checkpoints = set
 	est, err := pipeline.ExecutePlan(e.prog, plan, cfg, opts)
 	if err != nil {
@@ -423,13 +423,12 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 // can influence result bits is a package constant or a server-lifetime
 // option, never per-request, so cached replays stay byte-identical
 // with fresh executions.
-func (s *Server) execOptions(ctx context.Context, e *programEntry) pipeline.ExecOptions {
+func (s *Server) execOptions(ctx context.Context) pipeline.ExecOptions {
 	return pipeline.ExecOptions{
 		Warmup:       execWarmup,
 		DetailLeadIn: execDetailLeadIn,
 		Workers:      s.opts.RequestWorkers,
 		Ctx:          ctx,
-		Cache:        e.states,
 		Obs:          s.rt,
 	}
 }

@@ -196,8 +196,6 @@ type (
 	VLIConfig = vli.Config
 	// SmartsConfig parameterizes systematic statistical sampling.
 	SmartsConfig = smarts.Config
-	// Checkpoints holds per-point architectural snapshots.
-	Checkpoints = pipeline.Checkpoints
 	// PhasePredictor predicts the next interval's phase at run time.
 	PhasePredictor = phasepred.Predictor
 )
@@ -211,18 +209,6 @@ func SelectVLI(p *Program, cfg VLIConfig) (*Plan, error) {
 // SelectSmarts builds a SMARTS-style systematic sampling plan.
 func SelectSmarts(p *Program, cfg SmartsConfig) (*Plan, error) {
 	return smarts.Select(p, cfg)
-}
-
-// MakeCheckpoints snapshots the architectural state ahead of every
-// simulation point in one functional pass.
-func MakeCheckpoints(p *Program, plan *Plan) (*Checkpoints, error) {
-	return pipeline.MakeCheckpoints(p, plan)
-}
-
-// ExecuteFromCheckpoints replays a plan's points from their snapshots
-// under a machine configuration.
-func ExecuteFromCheckpoints(p *Program, ck *Checkpoints, cfg MachineConfig) (*Estimate, error) {
-	return pipeline.ExecuteFromCheckpoints(p, ck, cfg)
 }
 
 // NewLastPhasePredictor returns the last-phase baseline predictor.
