@@ -33,9 +33,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzCkptRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
 
-## bench: machine-readable perf/accuracy snapshot (BENCH_<date>.json).
+## bench: machine-readable perf/accuracy snapshot, written to
+## bench-out/BENCH_<date>.json so the checked-in baseline is never
+## overwritten.
 bench:
-	$(GO) run ./cmd/mlpa bench -size tiny
+	$(GO) run ./cmd/mlpa bench -size tiny -dir bench-out
 
 clean:
-	rm -f BENCH_*.json
+	rm -rf bench-out

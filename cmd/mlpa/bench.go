@@ -1,7 +1,8 @@
 // The bench subcommand is the machine-readable companion to table2: it
-// times selection, ground truth and sampled execution per benchmark and
-// writes everything to BENCH_<date>.json, so runs are diffable across
-// commits without scraping table output.
+// times selection, ground truth and sampled execution per benchmark,
+// plus the ExecutePlan worker curve, and writes everything to
+// BENCH_<date>.json, so runs are diffable across commits without
+// scraping table output.
 package main
 
 import (
@@ -20,15 +21,13 @@ import (
 	"mlpa/internal/pipeline"
 )
 
-// benchSchema is the BENCH_<date>.json document version. Schema 2
-// added the substrate micro-benchmarks (see micro.go); schema 3 added
-// the provenance block and the ExecutePlan worker curve; schema 4
-// added the superblock-kernel throughput and the chunked-scheduler
-// partition counts; schema 5 added the checkpoint round-trip micros
-// and the scratch-vs-checkpoint config-sweep series. Every earlier
-// field is retained unchanged, so `mlpa bench -compare` works across
-// the whole BENCH_*.json trajectory.
-const benchSchema = 5
+// benchSchema is the BENCH_<date>.json document version. Schema 6
+// keeps only what no other harness measures: the per-benchmark
+// selection, truth and estimate walls and deviations, the provenance
+// block, and the ExecutePlan worker curve (see micro.go). There are no
+// bridges to earlier schemas: `mlpa bench -compare` rejects any report
+// not at this schema, and the fix is to regenerate it.
+const benchSchema = 6
 
 // gateParallelSlack is the measurement-noise allowance of the
 // -gate-parallel check: workers=4 must not be slower than workers=1 by
@@ -53,8 +52,8 @@ type benchReport struct {
 // benchProvenance records where a report's numbers came from, so two
 // reports are interpretable before they are compared: wall times from
 // different machines or toolchains shift for reasons that are not
-// regressions. `mlpa bench -compare` warns on any mismatch instead of
-// gating on it.
+// regressions. `mlpa bench -compare` refuses a report without it, and
+// warns on any field mismatch instead of gating on it.
 type benchProvenance struct {
 	GoVersion   string `json:"go_version"`
 	GOOS        string `json:"goos"`
@@ -254,7 +253,7 @@ func parallelGate(m *microReport, gomaxprocs int) (string, error) {
 		return fmt.Sprintf("parallel gate not measured: workers=4 ran as %d chunk at GOMAXPROCS=%d, so both walls time the same sequential schedule",
 			chunks, gomaxprocs), nil
 	}
-	w1, w4 := m.PlanWall1, m.PlanWall4
+	w1, w4 := m.PlanWalls["1"], m.PlanWalls["4"]
 	if w4 > int64(float64(w1)*(1+gateParallelSlack)) {
 		return "", fmt.Errorf("bench: parallel gate failed: plan wall workers=4 %v exceeds workers=1 %v (allowance %.0f%%)",
 			time.Duration(w4).Round(time.Millisecond), time.Duration(w1).Round(time.Millisecond), 100*gateParallelSlack)

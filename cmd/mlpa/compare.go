@@ -5,8 +5,9 @@
 // internal/changepoint's median/MAD shift test: metric families that
 // span the suite (per-method deviations and wall times) are compared
 // as paired series, so the verdict reflects the whole trajectory
-// rather than one noisy cell, and scalar micro-benchmarks degrade to a
-// relative-threshold gate.
+// rather than one noisy cell, and the scalar plan walls degrade to a
+// relative-threshold gate. Both reports must be at the current schema
+// and carry provenance; there is no bridge to older reports.
 package main
 
 import (
@@ -28,18 +29,16 @@ import (
 // robust z-score before they fail the gate.
 const (
 	minRelAccuracy = 0.10
-	minRelMIPS     = 0.10
 	minRelWall     = 0.25
 )
 
-// metricKind selects formatting and gate direction for one finding.
+// metricKind selects how one finding's values are formatted. Both
+// kinds are lower-is-better.
 type metricKind int
 
 const (
-	kindMIPS  metricKind = iota // higher is better, rate in M-inst/s
-	kindWall                    // lower is better, nanoseconds
-	kindDev                     // lower is better, relative deviation
-	kindRatio                   // higher is better, dimensionless multiple
+	kindWall metricKind = iota // lower is better, nanoseconds
+	kindDev                    // lower is better, relative deviation
 )
 
 // compareFinding is one compared metric family.
@@ -51,24 +50,18 @@ type compareFinding struct {
 	Verdict string // "ok", "regression" or "improvement"
 }
 
-// regressed reports whether the shift is significant in the bad
-// direction for the metric's kind.
+// regressed reports whether the shift is significant and upward.
 func (c *compareFinding) regressed() bool { return c.Verdict == "regression" }
 
-// finish derives the verdict from the shift and the kind's good
-// direction.
+// finish derives the verdict from the shift: every tracked kind (wall
+// and deviation) regresses upward.
 func (c *compareFinding) finish() {
-	c.Verdict = "ok"
-	if !c.Shift.Significant {
-		return
-	}
-	worse := c.Shift.Rel > 0 // wall and deviation regress upward
-	if c.Kind == kindMIPS || c.Kind == kindRatio {
-		worse = c.Shift.Rel < 0
-	}
-	if worse {
+	switch {
+	case !c.Shift.Significant:
+		c.Verdict = "ok"
+	case c.Shift.Rel > 0:
 		c.Verdict = "regression"
-	} else {
+	default:
 		c.Verdict = "improvement"
 	}
 }
@@ -82,8 +75,11 @@ func readBenchReport(path string) (*benchReport, error) {
 	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("bench compare: %s: %w", path, err)
 	}
-	if rep.Schema < 2 {
-		return nil, fmt.Errorf("bench compare: %s: schema %d predates the micro section; regenerate it", path, rep.Schema)
+	switch {
+	case rep.Schema != benchSchema:
+		return nil, fmt.Errorf("bench compare: %s: schema %d, want %d; regenerate it with `mlpa bench`", path, rep.Schema, benchSchema)
+	case rep.Provenance == nil || rep.Micro == nil:
+		return nil, fmt.Errorf("bench compare: %s: no provenance or micro section; regenerate it with `mlpa bench`", path)
 	}
 	return rep, nil
 }
@@ -133,135 +129,22 @@ func runCompare(f *flags) error {
 }
 
 // compareReports walks every tracked metric family of the two reports
-// and returns the findings (stable order: micro scalars, then plan
-// walls, then per-method series) plus provenance/comparability
-// warnings.
+// and returns the findings (stable order: plan walls by worker count,
+// then per-method series) plus comparability warnings.
 func compareReports(oldRep, newRep *benchReport) ([]compareFinding, []string) {
-	warnings := comparabilityWarnings(oldRep, newRep)
 	var out []compareFinding
-
-	scalar := func(metric string, kind metricKind, minRel, ov, nv float64) {
-		if ov == 0 && nv == 0 {
-			return
-		}
-		c := compareFinding{Metric: metric, Kind: kind, N: 1,
-			Shift: changepoint.ShiftTest([]float64{ov}, []float64{nv}, changepoint.ShiftOptions{MinRel: minRel})}
+	for _, workers := range microPlanWorkers {
+		key := strconv.Itoa(workers)
+		c := compareFinding{Metric: fmt.Sprintf("micro.plan_wall[workers=%d]", workers), Kind: kindWall, N: 1,
+			Shift: changepoint.ShiftTest(
+				[]float64{float64(oldRep.Micro.PlanWalls[key])},
+				[]float64{float64(newRep.Micro.PlanWalls[key])},
+				changepoint.ShiftOptions{MinRel: minRelWall})}
 		c.finish()
 		out = append(out, c)
 	}
-	if oldRep.Micro != nil && newRep.Micro != nil {
-		om, nm := oldRep.Micro, newRep.Micro
-		scalar("micro.emu_fast_mips", kindMIPS, minRelMIPS, om.EmuFastMIPS, nm.EmuFastMIPS)
-		if om.EmuSuperblockMIPS > 0 && nm.EmuSuperblockMIPS > 0 {
-			// Schema 4; older baselines simply lack the kernel.
-			scalar("micro.emu_superblock_mips", kindMIPS, minRelMIPS, om.EmuSuperblockMIPS, nm.EmuSuperblockMIPS)
-		}
-		scalar("micro.emu_hooked_mips", kindMIPS, minRelMIPS, om.EmuHookedMIPS, nm.EmuHookedMIPS)
-		scalar("micro.emu_step_mips", kindMIPS, minRelMIPS, om.EmuStepMIPS, nm.EmuStepMIPS)
-		scalar("micro.kmeans_wall", kindWall, minRelWall, float64(om.KMeansWall), float64(nm.KMeansWall))
-		for _, workers := range planWallKeys(om, nm) {
-			scalar(fmt.Sprintf("micro.plan_wall[workers=%s]", workers), kindWall, minRelWall,
-				float64(planWall(om, workers)), float64(planWall(nm, workers)))
-		}
-		// Schema 5. Each checkpoint metric gates only when both reports
-		// carry it, so schema-4 baselines stay accepted: the new columns
-		// simply do not appear until the baseline is regenerated.
-		if om.CkptSaveNs > 0 && nm.CkptSaveNs > 0 {
-			scalar("micro.ckpt_save", kindWall, minRelWall, float64(om.CkptSaveNs), float64(nm.CkptSaveNs))
-		}
-		if om.CkptRestoreNs > 0 && nm.CkptRestoreNs > 0 {
-			scalar("micro.ckpt_restore", kindWall, minRelWall, float64(om.CkptRestoreNs), float64(nm.CkptRestoreNs))
-		}
-		if oldS, newS := sweepPairs(om, nm); len(oldS[0]) > 0 {
-			for i, mode := range []string{"scratch", "ckpt"} {
-				c := compareFinding{Metric: "micro.sweep_wall[" + mode + "]", Kind: kindWall, N: len(oldS[i]),
-					Shift: changepoint.ShiftTest(oldS[i], newS[i], changepoint.ShiftOptions{MinRel: minRelWall})}
-				c.finish()
-				out = append(out, c)
-			}
-		}
-		if om.SweepSpeedup > 0 && nm.SweepSpeedup > 0 {
-			scalar("micro.sweep_speedup", kindRatio, minRelWall, om.SweepSpeedup, nm.SweepSpeedup)
-		}
-	}
-
 	out = append(out, compareMethodSeries(oldRep, newRep)...)
-	return out, warnings
-}
-
-// sweepPairs pairs the two reports' schema-5 sweep series by config
-// name and returns the scratch and ckpt walls as matched old/new
-// series ([2][]float64 each, indexed scratch=0, ckpt=1). Empty when
-// either report predates schema 5 or no config is shared.
-func sweepPairs(om, nm *microReport) (oldS, newS [2][]float64) {
-	byConfig := func(m *microReport) map[string]sweepSample {
-		idx := make(map[string]sweepSample, len(m.SweepSeries))
-		for _, s := range m.SweepSeries {
-			idx[s.Config] = s
-		}
-		return idx
-	}
-	newIdx := byConfig(nm)
-	for _, o := range om.SweepSeries {
-		n, ok := newIdx[o.Config]
-		if !ok {
-			continue
-		}
-		oldS[0] = append(oldS[0], float64(o.ScratchNs))
-		newS[0] = append(newS[0], float64(n.ScratchNs))
-		oldS[1] = append(oldS[1], float64(o.CkptNs))
-		newS[1] = append(newS[1], float64(n.CkptNs))
-	}
-	return oldS, newS
-}
-
-// planWall reads the ExecutePlan wall for a worker count from either
-// schema: the schema-3 curve when present, the legacy 1/4 fields
-// otherwise.
-func planWall(m *microReport, workers string) int64 {
-	if v, ok := m.PlanWalls[workers]; ok {
-		return v
-	}
-	switch workers {
-	case "1":
-		return m.PlanWall1
-	case "4":
-		return m.PlanWall4
-	}
-	return 0
-}
-
-// planWallKeys returns the worker counts both micro sections cover, in
-// ascending numeric order.
-func planWallKeys(om, nm *microReport) []string {
-	have := func(m *microReport) map[string]bool {
-		set := make(map[string]bool, len(m.PlanWalls)+2)
-		for k, v := range m.PlanWalls {
-			if v > 0 {
-				set[k] = true
-			}
-		}
-		if m.PlanWall1 > 0 {
-			set["1"] = true
-		}
-		if m.PlanWall4 > 0 {
-			set["4"] = true
-		}
-		return set
-	}
-	on, nn := have(om), have(nm)
-	var keys []string
-	for k := range on {
-		if nn[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, _ := strconv.Atoi(keys[i])
-		b, _ := strconv.Atoi(keys[j])
-		return a < b
-	})
-	return keys
+	return out, comparabilityWarnings(oldRep, newRep)
 }
 
 // compareMethodSeries pairs the two reports' per-benchmark method
@@ -326,12 +209,9 @@ func compareMethodSeries(oldRep, newRep *benchReport) []compareFinding {
 
 // comparabilityWarnings reports everything that makes the two reports
 // hard to interpret side by side without being a gateable regression:
-// schema, size/seed knobs, and every provenance field.
+// size/seed knobs and every provenance field.
 func comparabilityWarnings(oldRep, newRep *benchReport) []string {
 	var w []string
-	if oldRep.Schema != newRep.Schema {
-		w = append(w, fmt.Sprintf("schema mismatch: old %d vs new %d", oldRep.Schema, newRep.Schema))
-	}
 	if oldRep.Size != newRep.Size {
 		w = append(w, fmt.Sprintf("suite size mismatch: old %q vs new %q — walls and deviations are not comparable", oldRep.Size, newRep.Size))
 	}
@@ -339,37 +219,24 @@ func comparabilityWarnings(oldRep, newRep *benchReport) []string {
 		w = append(w, fmt.Sprintf("seed mismatch: old %d vs new %d — selections differ by construction", oldRep.Seed, newRep.Seed))
 	}
 	op, np := oldRep.Provenance, newRep.Provenance
-	switch {
-	case op == nil && np == nil:
-		w = append(w, "neither report carries provenance (schema 2); treat wall-time shifts with suspicion")
-	case op == nil || np == nil:
-		w = append(w, "only one report carries provenance; treat wall-time shifts with suspicion")
-	default:
-		field := func(name, ov, nv string) {
-			if ov != nv {
-				w = append(w, fmt.Sprintf("provenance mismatch: %s old %q vs new %q", name, ov, nv))
-			}
+	field := func(name, ov, nv string) {
+		if ov != nv {
+			w = append(w, fmt.Sprintf("provenance mismatch: %s old %q vs new %q", name, ov, nv))
 		}
-		field("go_version", op.GoVersion, np.GoVersion)
-		field("goos", op.GOOS, np.GOOS)
-		field("goarch", op.GOARCH, np.GOARCH)
-		field("gomaxprocs", strconv.Itoa(op.GOMAXPROCS), strconv.Itoa(np.GOMAXPROCS))
-		field("num_cpu", strconv.Itoa(op.NumCPU), strconv.Itoa(np.NumCPU))
 	}
+	field("go_version", op.GoVersion, np.GoVersion)
+	field("goos", op.GOOS, np.GOOS)
+	field("goarch", op.GOARCH, np.GOARCH)
+	field("gomaxprocs", strconv.Itoa(op.GOMAXPROCS), strconv.Itoa(np.GOMAXPROCS))
+	field("num_cpu", strconv.Itoa(op.NumCPU), strconv.Itoa(np.NumCPU))
 	return w
 }
 
 func formatMetricValue(kind metricKind, v float64) string {
-	switch kind {
-	case kindMIPS:
-		return fmt.Sprintf("%.1f M/s", v)
-	case kindWall:
+	if kind == kindWall {
 		return time.Duration(v).Round(10 * time.Microsecond).String()
-	case kindRatio:
-		return fmt.Sprintf("%.2fx", v)
-	default:
-		return fmt.Sprintf("%.3f%%", v*100)
 	}
+	return fmt.Sprintf("%.3f%%", v*100)
 }
 
 func formatRel(rel float64) string {

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// fixtureReport builds a schema-3 report with plausible numbers across
-// the metric families -compare tracks.
+// fixtureReport builds a current-schema report with plausible numbers
+// across the metric families -compare tracks.
 func fixtureReport() *benchReport {
 	rep := &benchReport{
 		Schema: benchSchema,
@@ -17,25 +17,11 @@ func fixtureReport() *benchReport {
 		Size:   "small",
 		Seed:   42,
 		Micro: &microReport{
-			EmuFastMIPS:   120,
-			EmuHookedMIPS: 80,
-			EmuStepMIPS:   30,
-			KMeansWall:    250_000_000,
-			PlanWall1:     46_000_000,
-			PlanWall4:     108_000_000,
+			PlanBenchmark: "gzip",
 			PlanWalls: map[string]int64{
-				"1": 46_000_000, "2": 70_000_000, "4": 108_000_000, "8": 150_000_000,
+				"1": 46_000_000, "2": 30_000_000, "4": 25_000_000, "8": 26_000_000,
 			},
-			CkptSaveNs:    900_000,
-			CkptRestoreNs: 400_000,
-			SweepSeries: []sweepSample{
-				{Config: "A", ScratchNs: 50_000_000, CkptNs: 16_000_000},
-				{Config: "B", ScratchNs: 52_000_000, CkptNs: 17_000_000},
-				{Config: "A-slowmem", ScratchNs: 51_000_000, CkptNs: 16_500_000},
-				{Config: "A-smallL2", ScratchNs: 50_500_000, CkptNs: 16_200_000},
-			},
-			SweepBuildNs: 30_000_000,
-			SweepSpeedup: 2.1,
+			PlanChunks: map[string]int{"1": 1, "2": 2, "4": 3, "8": 3},
 		},
 		Provenance: captureProvenance(),
 	}
@@ -87,36 +73,42 @@ func TestCompareIdenticalReports(t *testing.T) {
 	}
 }
 
-// TestCompareInjectedMIPSDrop: a synthetic 20% emulator-throughput drop
-// must fail the gate and name the regressed metric — the acceptance
-// criterion's unhappy path.
-func TestCompareInjectedMIPSDrop(t *testing.T) {
+// TestCompareInjectedPlanWallRegression: a synthetic 40% slowdown of
+// the sequential plan wall must fail the gate and name the regressed
+// metric — the acceptance criterion's unhappy path.
+func TestCompareInjectedPlanWallRegression(t *testing.T) {
 	dir := t.TempDir()
 	oldRep := fixtureReport()
 	newRep := fixtureReport()
-	newRep.Micro.EmuFastMIPS *= 0.80
+	newRep.Micro.PlanWalls["1"] = oldRep.Micro.PlanWalls["1"] * 14 / 10
 	oldPath := writeReport(t, dir, "old.json", oldRep)
 	newPath := writeReport(t, dir, "new.json", newRep)
 	err := run([]string{"bench", "-compare", oldPath, newPath})
 	if err == nil {
-		t.Fatal("20% MIPS drop passed the gate")
+		t.Fatal("40% plan-wall slowdown passed the gate")
 	}
-	if !strings.Contains(err.Error(), "micro.emu_fast_mips") {
+	if !strings.Contains(err.Error(), "micro.plan_wall[workers=1]") {
 		t.Errorf("gate failure does not name the regressed metric: %v", err)
 	}
 }
 
-// TestCompareVerdictDirections: the gate is direction-aware — MIPS
-// regress downward, walls and deviations upward, and shifts in the
-// good direction are improvements, not failures.
+// TestCompareVerdictDirections: walls and deviations regress upward,
+// shifts downward are improvements, not failures, and shifts under
+// the thresholds never gate.
 func TestCompareVerdictDirections(t *testing.T) {
 	oldRep := fixtureReport()
 	newRep := fixtureReport()
-	newRep.Micro.EmuFastMIPS *= 1.30 // faster emulator: improvement
-	newRep.Micro.KMeansWall = int64(float64(newRep.Micro.KMeansWall) * 1.40)
+	newRep.Micro.PlanWalls["2"] = oldRep.Micro.PlanWalls["2"] * 6 / 10  // faster: improvement
+	newRep.Micro.PlanWalls["4"] = oldRep.Micro.PlanWalls["4"] * 14 / 10 // slower: regression
 	for i := range newRep.Benchmarks {
 		for j := range newRep.Benchmarks[i].Methods {
-			newRep.Benchmarks[i].Methods[j].CPIDev *= 2 // accuracy collapse
+			m := &newRep.Benchmarks[i].Methods[j]
+			switch m.Method {
+			case "coasts":
+				m.CPIDev *= 2 // accuracy collapse
+			case "offline":
+				m.CPIDev /= 2 // accuracy gain
+			}
 		}
 	}
 	findings, _ := compareReports(oldRep, newRep)
@@ -124,124 +116,31 @@ func TestCompareVerdictDirections(t *testing.T) {
 	for _, c := range findings {
 		byMetric[c.Metric] = c
 	}
-	if got := byMetric["micro.emu_fast_mips"].Verdict; got != "improvement" {
-		t.Errorf("faster MIPS verdict = %q, want improvement", got)
-	}
-	if got := byMetric["micro.kmeans_wall"].Verdict; got != "regression" {
-		t.Errorf("slower kmeans verdict = %q, want regression", got)
-	}
-	if got := byMetric["cpi_dev[coasts/A]"].Verdict; got != "regression" {
-		t.Errorf("doubled cpi_dev verdict = %q, want regression", got)
-	}
-	if got := byMetric["wall_estimate[coasts/A]"].Verdict; got != "ok" {
-		t.Errorf("unchanged wall verdict = %q, want ok", got)
+	for _, c := range []struct{ metric, want string }{
+		{"micro.plan_wall[workers=1]", "ok"},
+		{"micro.plan_wall[workers=2]", "improvement"},
+		{"micro.plan_wall[workers=4]", "regression"},
+		{"cpi_dev[coasts/A]", "regression"},
+		{"cpi_dev[offline/A]", "improvement"},
+		{"cpi_dev[online/A]", "ok"},
+		{"wall_estimate[coasts/A]", "ok"},
+	} {
+		if got := byMetric[c.metric].Verdict; got != c.want {
+			t.Errorf("%s verdict = %q, want %q", c.metric, got, c.want)
+		}
 	}
 	// Small shifts under the thresholds never gate.
 	mild := fixtureReport()
-	mild.Micro.EmuFastMIPS *= 0.95 // -5% < the 10% MIPS gate
+	mild.Micro.PlanWalls["1"] = oldRep.Micro.PlanWalls["1"] * 11 / 10 // +10% < the 25% wall gate
+	for i := range mild.Benchmarks {
+		for j := range mild.Benchmarks[i].Methods {
+			mild.Benchmarks[i].Methods[j].CPIDev *= 1.05 // +5% < the 10% accuracy gate
+		}
+	}
 	findings, _ = compareReports(oldRep, mild)
 	for _, c := range findings {
-		if c.Metric == "micro.emu_fast_mips" && c.Verdict != "ok" {
-			t.Errorf("5%% MIPS dip verdict = %q, want ok", c.Verdict)
-		}
-	}
-}
-
-// TestComparePlanWallSchemaBridge: a schema-2 report (legacy 1/4
-// fields, no curve) still compares against a schema-3 report on the
-// worker counts both cover, with a schema warning.
-func TestComparePlanWallSchemaBridge(t *testing.T) {
-	oldRep := fixtureReport()
-	oldRep.Schema = 2
-	oldRep.Provenance = nil
-	oldRep.Micro.PlanWalls = nil
-	newRep := fixtureReport()
-	findings, warnings := compareReports(oldRep, newRep)
-	var keys []string
-	for _, c := range findings {
-		if strings.HasPrefix(c.Metric, "micro.plan_wall") {
-			keys = append(keys, c.Metric)
-		}
-	}
-	want := []string{"micro.plan_wall[workers=1]", "micro.plan_wall[workers=4]"}
-	if strings.Join(keys, ",") != strings.Join(want, ",") {
-		t.Errorf("plan wall metrics = %v, want %v", keys, want)
-	}
-	var schemaWarned, provWarned bool
-	for _, w := range warnings {
-		if strings.Contains(w, "schema mismatch") {
-			schemaWarned = true
-		}
-		if strings.Contains(w, "provenance") {
-			provWarned = true
-		}
-	}
-	if !schemaWarned || !provWarned {
-		t.Errorf("missing schema/provenance warnings: %v", warnings)
-	}
-}
-
-// TestCompareCkptSchemaBridge: a schema-4 baseline (no checkpoint
-// micros) still compares cleanly against a schema-5 report — the
-// checkpoint metrics simply do not appear — and once both sides carry
-// them, a collapsed sweep speedup gates while an improved one does
-// not.
-func TestCompareCkptSchemaBridge(t *testing.T) {
-	dir := t.TempDir()
-	oldRep := fixtureReport()
-	oldRep.Schema = 4
-	oldRep.Micro.CkptSaveNs = 0
-	oldRep.Micro.CkptRestoreNs = 0
-	oldRep.Micro.SweepSeries = nil
-	oldRep.Micro.SweepBuildNs = 0
-	oldRep.Micro.SweepSpeedup = 0
-	newRep := fixtureReport()
-	oldPath := writeReport(t, dir, "old.json", oldRep)
-	newPath := writeReport(t, dir, "new.json", newRep)
-	if err := run([]string{"bench", "-compare", oldPath, newPath}); err != nil {
-		t.Fatalf("schema-4 baseline rejected against schema-5 report: %v", err)
-	}
-	findings, warnings := compareReports(oldRep, newRep)
-	for _, c := range findings {
-		if strings.Contains(c.Metric, "ckpt") || strings.Contains(c.Metric, "sweep") {
-			t.Errorf("metric %s compared against a baseline that cannot carry it", c.Metric)
-		}
-	}
-	var schemaWarned bool
-	for _, w := range warnings {
-		schemaWarned = schemaWarned || strings.Contains(w, "schema mismatch")
-	}
-	if !schemaWarned {
-		t.Errorf("no schema warning for 4-vs-5 comparison: %v", warnings)
-	}
-
-	// Both sides schema 5: halving the sweep speedup is a regression
-	// that names the metric; doubling it is an improvement, not a gate
-	// failure.
-	slower := fixtureReport()
-	slower.Micro.SweepSpeedup = fixtureReport().Micro.SweepSpeedup / 2
-	for i := range slower.Micro.SweepSeries {
-		slower.Micro.SweepSeries[i].CkptNs *= 3
-	}
-	err := run([]string{"bench", "-compare",
-		writeReport(t, dir, "base.json", fixtureReport()),
-		writeReport(t, dir, "slower.json", slower)})
-	if err == nil {
-		t.Fatal("halved sweep speedup passed the gate")
-	}
-	if !strings.Contains(err.Error(), "micro.sweep_speedup") {
-		t.Errorf("gate failure does not name micro.sweep_speedup: %v", err)
-	}
-	if !strings.Contains(err.Error(), "micro.sweep_wall[ckpt]") {
-		t.Errorf("gate failure does not name micro.sweep_wall[ckpt]: %v", err)
-	}
-
-	faster := fixtureReport()
-	faster.Micro.SweepSpeedup = fixtureReport().Micro.SweepSpeedup * 2
-	findings, _ = compareReports(fixtureReport(), faster)
-	for _, c := range findings {
-		if c.Metric == "micro.sweep_speedup" && c.Verdict != "improvement" {
-			t.Errorf("doubled sweep speedup verdict = %q, want improvement", c.Verdict)
+		if c.Verdict != "ok" {
+			t.Errorf("sub-threshold shift of %s: verdict %q, want ok", c.Metric, c.Verdict)
 		}
 	}
 }
@@ -282,10 +181,24 @@ func TestCompareBadInputs(t *testing.T) {
 	if err := run([]string{"bench", "-compare", good, bad}); err == nil {
 		t.Error("malformed report accepted")
 	}
-	ancient := fixtureReport()
-	ancient.Schema = 1
-	ancientPath := writeReport(t, dir, "ancient.json", ancient)
-	if err := run([]string{"bench", "-compare", ancientPath, good}); err == nil {
-		t.Error("schema-1 report accepted")
+	// No bridges: an earlier schema or a report without provenance is
+	// refused on either side, with the fix in the message.
+	previous := fixtureReport()
+	previous.Schema = benchSchema - 1
+	unprovenanced := fixtureReport()
+	unprovenanced.Provenance = nil
+	noMicro := fixtureReport()
+	noMicro.Micro = nil
+	for _, c := range []struct {
+		name string
+		rep  *benchReport
+	}{{"previous-schema", previous}, {"no-provenance", unprovenanced}, {"no-micro", noMicro}} {
+		path := writeReport(t, dir, c.name+".json", c.rep)
+		for _, args := range [][]string{{path, good}, {good, path}} {
+			err := run(append([]string{"bench", "-compare"}, args...))
+			if err == nil || !strings.Contains(err.Error(), "regenerate") {
+				t.Errorf("%s report as %v: got %v, want an error naming \"regenerate\"", c.name, args, err)
+			}
+		}
 	}
 }

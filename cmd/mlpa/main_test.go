@@ -138,14 +138,21 @@ func TestRunJournalAndInspect(t *testing.T) {
 	if recs[0]["ev"] != "manifest" || recs[0]["tool"] != "mlpa" || recs[0]["command"] != "table2" {
 		t.Errorf("first record is not the manifest: %v", recs[0])
 	}
-	counts := map[any]int{}
+	counts, selections := map[any]int{}, map[any]int{}
 	for _, rec := range recs {
 		counts[rec["ev"]]++
+		if rec["ev"] == "selection" {
+			selections[rec["method"]]++
+		}
 	}
 	for _, ev := range []string{"span", "point", "estimate", "selection", "deviation", "metrics"} {
 		if counts[ev] == 0 {
 			t.Errorf("journal has no %q records (got %v)", ev, counts)
 		}
+	}
+	// COASTS is selected once and reused as the multi-level first level.
+	if selections["coasts"] != 1 || selections["multilevel"] != 1 {
+		t.Errorf("selection records by method = %v, want one coasts and one multilevel", selections)
 	}
 
 	var snap struct {
@@ -197,13 +204,16 @@ func TestRunBench(t *testing.T) {
 	if rep.Provenance == nil || rep.Provenance.GoVersion == "" || rep.Provenance.GOMAXPROCS <= 0 {
 		t.Fatalf("provenance incomplete: %+v", rep.Provenance)
 	}
-	if rep.Micro == nil || rep.Micro.EmuFastMIPS <= 0 || rep.Micro.EmuStepMIPS <= 0 ||
-		rep.Micro.EmuSpeedup <= 0 || rep.Micro.PlanWall1 <= 0 || rep.Micro.PlanWall4 <= 0 {
+	if rep.Micro == nil || rep.Micro.PlanBenchmark != "gzip" {
 		t.Fatalf("micro section incomplete: %+v", rep.Micro)
 	}
 	for _, workers := range microPlanWorkers {
-		if rep.Micro.PlanWalls[strconv.Itoa(workers)] <= 0 {
+		key := strconv.Itoa(workers)
+		if rep.Micro.PlanWalls[key] <= 0 {
 			t.Errorf("plan wall curve missing workers=%d: %+v", workers, rep.Micro.PlanWalls)
+		}
+		if c := rep.Micro.PlanChunks[key]; c < 1 || c > workers {
+			t.Errorf("plan chunks at workers=%d = %d, want 1..%d: %+v", workers, c, workers, rep.Micro.PlanChunks)
 		}
 	}
 	e := rep.Benchmarks[0]

@@ -116,14 +116,6 @@ type Spec struct {
 	FixedIterations bool
 }
 
-// EffectiveIterations returns the outer-loop trip count at a size.
-func (s *Spec) EffectiveIterations(size Size) int {
-	if s.FixedIterations {
-		return s.Iterations
-	}
-	return s.Iterations * params(size).iterScale
-}
-
 func (s *Spec) validate() error {
 	if s.Iterations < 2 {
 		return fmt.Errorf("bench %s: %d iterations", s.Name, s.Iterations)

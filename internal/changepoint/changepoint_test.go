@@ -2,7 +2,6 @@ package changepoint
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -34,89 +33,6 @@ func TestMedianAndMAD(t *testing.T) {
 	MAD(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Median/MAD mutated their input: %v", xs)
-	}
-}
-
-// golden builds the package's reference synthetic series: three
-// regimes with seeded noise, shifts at 40 and 70.
-func golden() []float64 {
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 100)
-	for i := range x {
-		level := 0.0
-		switch {
-		case i >= 70:
-			level = 1.5
-		case i >= 40:
-			level = 5.0
-		}
-		x[i] = level + 0.3*rng.NormFloat64()
-	}
-	return x
-}
-
-// TestDetectGoldenSeries is the package's acceptance test: E-divisive
-// with medians must reproduce the two known change points of the
-// golden synthetic series (and nothing else).
-func TestDetectGoldenSeries(t *testing.T) {
-	cps := Detect(golden(), Options{})
-	if len(cps) != 2 {
-		t.Fatalf("Detect found %d change points (%+v), want 2", len(cps), cps)
-	}
-	for i, want := range []int{40, 70} {
-		got := cps[i].Index
-		if got < want-2 || got > want+2 {
-			t.Errorf("change point %d at index %d, want %d +/- 2", i, got, want)
-		}
-		if cps[i].P > 0.05 {
-			t.Errorf("change point %d has p=%v, want <= 0.05", i, cps[i].P)
-		}
-	}
-}
-
-func TestDetectDeterministic(t *testing.T) {
-	x := golden()
-	a := Detect(x, Options{})
-	b := Detect(x, Options{})
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic: %d vs %d change points", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("non-deterministic change point %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestDetectQuietSeries(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 80)
-	for i := range x {
-		x[i] = 10 + 0.5*rng.NormFloat64()
-	}
-	if cps := Detect(x, Options{}); len(cps) != 0 {
-		t.Errorf("Detect on a stationary series found %+v, want none", cps)
-	}
-	// Constant and too-short series must also stay quiet.
-	if cps := Detect(make([]float64, 50), Options{}); len(cps) != 0 {
-		t.Errorf("Detect on a constant series found %+v, want none", cps)
-	}
-	if cps := Detect([]float64{1, 2, 3}, Options{}); len(cps) != 0 {
-		t.Errorf("Detect on a tiny series found %+v, want none", cps)
-	}
-}
-
-// TestDetectOutlierRobust plants two spikes in an otherwise stationary
-// series: the median statistic must not split on them.
-func TestDetectOutlierRobust(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := make([]float64, 80)
-	for i := range x {
-		x[i] = 1 + 0.1*rng.NormFloat64()
-	}
-	x[20], x[55] = 50, -50
-	if cps := Detect(x, Options{}); len(cps) != 0 {
-		t.Errorf("Detect split on outliers: %+v", cps)
 	}
 }
 

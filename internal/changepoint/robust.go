@@ -1,11 +1,9 @@
-// Package changepoint provides robust change detection for performance
-// and phase series: an E-divisive-with-medians segmenter (after the
-// EDM family used by golang.org/x/benchmarks to gate benchmark
-// regressions) and a median/MAD two-sample shift test. Medians and
-// median absolute deviations replace means and standard deviations
-// throughout, so a handful of outlier intervals — a GC pause in a wall
-// time, one pathological benchmark in a deviation series — cannot
-// manufacture or mask a shift.
+// Package changepoint provides robust shift detection for performance
+// series: a median/MAD two-sample shift test, the gate behind
+// `mlpa bench -compare`. Medians and median absolute deviations
+// replace means and standard deviations throughout, so a handful of
+// outliers — a GC pause in a wall time, one pathological benchmark in
+// a deviation series — cannot manufacture or mask a shift.
 package changepoint
 
 import (

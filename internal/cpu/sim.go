@@ -130,10 +130,6 @@ func (s *Sim) Config() Config { return s.cfg }
 // Cycles returns the total cycles simulated by this context.
 func (s *Sim) Cycles() uint64 { return s.cycle }
 
-// Flushes returns the total branch-mispredict pipeline redirects this
-// context has performed.
-func (s *Sim) Flushes() uint64 { return s.flushes }
-
 // watchdogLimit is the number of consecutive cycles without a commit
 // after which Run reports a model deadlock (a bug, not a workload
 // property).

@@ -132,16 +132,20 @@ func ThresholdSweep(o Options, benchmark string, multipliers []float64) ([]Thres
 	if err != nil {
 		return nil, err
 	}
+	co, _, _, err := coasts.Select(p, o.coarseConfig())
+	if err != nil {
+		return nil, err
+	}
 	fine := o.fineConfig()
 	baseThreshold := fine.IntervalLen * uint64(o.FineKmax)
 	var out []ThresholdRow
 	for _, mult := range multipliers {
 		cfg := multilevel.Config{
-			Coarse:    o.coarseConfig(),
 			Fine:      fine,
 			Threshold: uint64(float64(baseThreshold) * mult),
+			Obs:       o.Obs,
 		}
-		plan, rep, err := multilevel.Select(p, cfg)
+		plan, rep, err := multilevel.Resample(p, co, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -207,10 +207,8 @@ func NewStudy(o Options) (*Study, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: coasts on %s: %w", spec.Name, err)
 		}
-		ml, _, err := multilevel.Select(p, multilevel.Config{
-			Coarse: o.coarseConfig(),
-			Fine:   o.fineConfig(),
-		})
+		// The multi-level first level is the COASTS plan just selected.
+		ml, _, err := multilevel.Resample(p, co, multilevel.Config{Fine: o.fineConfig(), Obs: o.Obs})
 		if err != nil {
 			return fmt.Errorf("experiments: multilevel on %s: %w", spec.Name, err)
 		}

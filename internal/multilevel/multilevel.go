@@ -43,7 +43,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	c.Coarse = coastsDefaults(c.Coarse)
 	if c.Fine.Kmax <= 0 {
 		c.Fine.Kmax = 30
 	}
@@ -60,21 +59,6 @@ func (c Config) withDefaults() Config {
 		if c.Fine.Obs == nil {
 			c.Fine.Obs = c.Obs
 		}
-	}
-	return c
-}
-
-// coastsDefaults mirrors coasts.Config defaulting without exporting
-// that package's internal helper.
-func coastsDefaults(c coasts.Config) coasts.Config {
-	if c.Kmax <= 0 {
-		c.Kmax = 3
-	}
-	if c.Dims <= 0 {
-		c.Dims = bbv.DefaultDims
-	}
-	if c.MinCoverage <= 0 {
-		c.MinCoverage = 0.01
 	}
 	return c
 }

@@ -17,12 +17,7 @@ package parallel
 // caller that resolves Workers itself gets a machine-independent,
 // bit-reproducible schedule.
 
-import (
-	"context"
-	"runtime"
-
-	"mlpa/internal/obs"
-)
+import "runtime"
 
 // Chunk is a contiguous index range [Start, End).
 type Chunk struct {
@@ -164,48 +159,4 @@ func makespan(chunks []Chunk, cost []float64, startCost func(i int) float64) flo
 		}
 	}
 	return worst
-}
-
-// ChunkedOptions tunes a ForEachChunked run.
-type ChunkedOptions struct {
-	ChunkOptions
-	// Metrics, when non-nil, receives the pool telemetry of the
-	// underlying ForEachOpt plus gauge parallel.chunks (how many chunks
-	// the partitioner produced).
-	Metrics *obs.Registry
-	// Stage, when non-nil, tracks per-item (not per-chunk) progress.
-	Stage *obs.Stage
-}
-
-// ForEachChunked runs fn(ctx, i) for every i in [0, n) like ForEach,
-// but coalesces indices into cost-aware chunks first: each chunk runs
-// its indices sequentially in ascending order on one worker, and the
-// chunk count adapts to the work available (a single chunk degenerates
-// to the exact inline sequential loop). Error selection follows
-// ForEach: because chunks are contiguous and ascending and each stops
-// at its first failure, the error with the lowest chunk index — the
-// sequential loop's error for that failure set — wins.
-func ForEachChunked(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opt ChunkedOptions) error {
-	chunks := PartitionChunks(n, opt.ChunkOptions)
-	if chunks == nil {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
-	opt.Metrics.Gauge("parallel.chunks").Set(float64(len(chunks)))
-	opt.Stage.AddTotal(int64(n))
-	return ForEachOpt(ctx, len(chunks), len(chunks), func(ctx context.Context, k int) error {
-		c := chunks[k]
-		for i := c.Start; i < c.End; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-			opt.Stage.Add(1)
-		}
-		return nil
-	}, ForEachOptions{Metrics: opt.Metrics})
 }
