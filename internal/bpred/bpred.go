@@ -319,6 +319,66 @@ func NewUnit(kind Kind, bhtEntries int) (*Unit, error) {
 	return &Unit{Dir: dir, BTB: NewBTB(512), RAS: NewRAS(8), perfect: kind == KindPerfect}, nil
 }
 
+// CopyFrom overwrites u's predictor state with src's — direction
+// tables and global or local histories, BTB, RAS and statistics —
+// reusing u's storage, so u predicts exactly as src would from here
+// on. Both units must come from NewUnit with the same kind and entry
+// count.
+func (u *Unit) CopyFrom(src *Unit) error {
+	if u.perfect != src.perfect || len(u.BTB.tags) != len(src.BTB.tags) || u.RAS.size != src.RAS.size {
+		return fmt.Errorf("bpred: copy between units of different shape (%s, %s)", u.Dir.Name(), src.Dir.Name())
+	}
+	if !copyDir(u.Dir, src.Dir) {
+		return fmt.Errorf("bpred: cannot copy a %s predictor into a %s one", src.Dir.Name(), u.Dir.Name())
+	}
+	copy(u.BTB.tags, src.BTB.tags)
+	copy(u.BTB.targets, src.BTB.targets)
+	copy(u.RAS.stack, src.RAS.stack)
+	u.RAS.top = src.RAS.top
+	u.stats = src.stats
+	return nil
+}
+
+// copyDir copies src's direction-predictor state into dst and reports
+// whether it could: dst must be a predictor of the same type and table
+// sizes.
+func copyDir(dst, src DirPredictor) bool {
+	switch d := dst.(type) {
+	case *Bimodal:
+		s, ok := src.(*Bimodal)
+		if !ok || len(d.table) != len(s.table) {
+			return false
+		}
+		copy(d.table, s.table)
+	case *GShare:
+		s, ok := src.(*GShare)
+		if !ok || len(d.table) != len(s.table) || d.bits != s.bits {
+			return false
+		}
+		copy(d.table, s.table)
+		d.history = s.history
+	case *Combined:
+		s, ok := src.(*Combined)
+		if !ok || len(d.meta) != len(s.meta) || !copyDir(d.bim, s.bim) || !copyDir(d.gsh, s.gsh) {
+			return false
+		}
+		copy(d.meta, s.meta)
+	case *PAg:
+		s, ok := src.(*PAg)
+		if !ok || len(d.histories) != len(s.histories) || len(d.table) != len(s.table) || d.bits != s.bits {
+			return false
+		}
+		copy(d.histories, s.histories)
+		copy(d.table, s.table)
+	case Static:
+		s, ok := src.(Static)
+		return ok && s == d
+	default:
+		return false
+	}
+	return true
+}
+
 // Stats returns prediction statistics.
 func (u *Unit) Stats() Stats { return u.stats }
 

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -299,5 +300,96 @@ func TestPerfectPredictor(t *testing.T) {
 	}
 	if s := u.Stats(); s.Mispredicts() != 0 || s.Accuracy() != 1 {
 		t.Errorf("perfect stats = %+v", s)
+	}
+}
+
+// driveUnit replays n pseudo-random conditional branches, jumps, calls
+// and returns over a few dozen PCs (seeded by seed) and returns the
+// correctness of every prediction.
+func driveUnit(u *Unit, seed uint64, n int) []bool {
+	out := make([]bool, 0, n)
+	x := seed
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		pc := int64(x%48) * 4
+		target := int64(x>>8) % 200
+		switch x >> 61 {
+		case 0:
+			out = append(out, u.PredictJump(pc, target))
+		case 1:
+			out = append(out, u.PredictCall(pc, target, pc+1))
+		case 2:
+			out = append(out, u.PredictReturn(pc, target))
+		default:
+			out = append(out, u.PredictCond(pc, x&(1<<20) != 0 || pc%12 == 0, target))
+		}
+	}
+	return out
+}
+
+// TestUnitCopyFrom: for every predictor kind, a copy of a trained unit
+// equals the original — direction tables, global and local histories,
+// BTB, RAS and statistics — and then predicts a continued stream
+// exactly as the original does, while training the copy leaves the
+// original untouched.
+func TestUnitCopyFrom(t *testing.T) {
+	for _, k := range []Kind{KindCombined, KindBimodal, KindGShare, KindPAg, KindTaken, KindNotTaken, KindPerfect} {
+		t.Run(string(k), func(t *testing.T) {
+			newU := func() *Unit {
+				u, err := NewUnit(k, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return u
+			}
+			src, ref, dst := newU(), newU(), newU()
+			driveUnit(src, 1, 4000)
+			driveUnit(ref, 1, 4000)
+			driveUnit(dst, 99, 300) // stale state to overwrite
+			if err := dst.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dst, src) {
+				t.Fatal("copy differs from its source")
+			}
+			got := driveUnit(dst, 7, 4000)
+			want := driveUnit(ref, 7, 4000)
+			if !reflect.DeepEqual(got, want) {
+				t.Error("copy predicts a continued stream differently from the original")
+			}
+			if !reflect.DeepEqual(dst, ref) {
+				t.Error("copy's state after the stream differs from the original's")
+			}
+			orig := newU()
+			driveUnit(orig, 1, 4000)
+			if !reflect.DeepEqual(src, orig) {
+				t.Error("training the copy changed the source")
+			}
+		})
+	}
+}
+
+// TestUnitCopyFromRejectsOtherShape: copying between units of different
+// kinds or table sizes fails.
+func TestUnitCopyFromRejectsOtherShape(t *testing.T) {
+	mk := func(k Kind, n int) *Unit {
+		u, err := NewUnit(k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	for _, c := range []struct{ dst, src *Unit }{
+		{mk(KindCombined, 1024), mk(KindGShare, 1024)},
+		{mk(KindGShare, 1024), mk(KindGShare, 2048)},
+		{mk(KindPAg, 1024), mk(KindPAg, 512)},
+		{mk(KindTaken, 1024), mk(KindNotTaken, 1024)},
+		{mk(KindTaken, 1024), mk(KindPerfect, 1024)},
+	} {
+		if err := c.dst.CopyFrom(c.src); err == nil {
+			t.Errorf("copy of %s into %s accepted", c.src.Dir.Name(), c.dst.Dir.Name())
+		}
 	}
 }

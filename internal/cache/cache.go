@@ -173,6 +173,24 @@ func (c *Cache) Flush() {
 	c.stats = Stats{}
 }
 
+// CopyFrom overwrites c's contents with src's — tags, dirty bits,
+// replacement stamps, the LRU/FIFO clock, the Random policy's xorshift
+// state and the statistics — reusing c's storage, so c continues
+// exactly as src would. The configuration and next-level link are not
+// copied. The two caches must have the same geometry and policy.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if len(c.tags) != len(src.tags) || c.cfg.Assoc != src.cfg.Assoc || c.blkShift != src.blkShift || c.policy != src.policy {
+		return fmt.Errorf("cache %q: copy from a %q cache of another geometry or policy", c.cfg.Name, src.cfg.Name)
+	}
+	copy(c.tags, src.tags)
+	copy(c.dirty, src.dirty)
+	copy(c.stamp, src.stamp)
+	c.clock = src.clock
+	c.rngState = src.rngState
+	c.stats = src.stats
+	return nil
+}
+
 // Access looks up the block containing addr, filling on miss, and
 // returns the total latency including any next-level latency.
 func (c *Cache) Access(addr int64, write bool) int {
@@ -303,6 +321,20 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		return nil, err
 	}
 	return &Hierarchy{IL1: il1, DL1: dl1, L2: l2, Mem: mem}, nil
+}
+
+// CopyFrom overwrites every level of h with the matching level of src
+// (see Cache.CopyFrom), reusing h's storage; h keeps its own level
+// links. The hierarchies must have been built from the same
+// configuration.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) error {
+	for _, lv := range [...][2]*Cache{{h.IL1, src.IL1}, {h.DL1, src.DL1}, {h.L2, src.L2}} {
+		if err := lv[0].CopyFrom(lv[1]); err != nil {
+			return err
+		}
+	}
+	h.Mem.stats = src.Mem.stats
+	return nil
 }
 
 // Flush invalidates every level.

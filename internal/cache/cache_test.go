@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -304,5 +305,101 @@ func TestPolicyValidation(t *testing.T) {
 	bad := Config{Name: "p", TotalBytes: 1024, Assoc: 2, BlockBytes: 32, Latency: 1, Policy: "plru"}
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// copyHierarchyConfig keeps every level small enough that a short
+// random stream evicts at all of them under the given policy.
+func copyHierarchyConfig(pol Replacement) HierarchyConfig {
+	return HierarchyConfig{
+		IL1:      Config{Name: "il1", TotalBytes: 512, Assoc: 2, BlockBytes: 32, Latency: 1, Policy: pol},
+		DL1:      Config{Name: "dl1", TotalBytes: 1 << 10, Assoc: 4, BlockBytes: 32, Latency: 2, Policy: pol},
+		L2:       Config{Name: "ul2", TotalBytes: 4 << 10, Assoc: 4, BlockBytes: 64, Latency: 20, Policy: pol},
+		MemFirst: 150,
+		MemNext:  10,
+	}
+}
+
+// driveHierarchy replays n pseudo-random instruction fetches, loads and
+// stores (seeded by seed) and returns the latency sequence.
+func driveHierarchy(h *Hierarchy, seed uint64, n int) []int {
+	lats := make([]int, 0, n)
+	x := seed
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addr := int64(x % (32 << 10))
+		switch x >> 62 {
+		case 0:
+			lats = append(lats, h.IL1.Access(addr, false))
+		case 1:
+			lats = append(lats, h.DL1.Access(addr, true))
+		default:
+			lats = append(lats, h.DL1.Access(addr, false))
+		}
+	}
+	return lats
+}
+
+// TestHierarchyCopyFrom: for every replacement policy, a copy of a
+// warmed hierarchy equals the original — contents, stamps, clocks,
+// xorshift state and statistics — and then answers a continued access
+// stream exactly as the original does, while driving the copy leaves
+// the original untouched.
+func TestHierarchyCopyFrom(t *testing.T) {
+	for _, pol := range []Replacement{LRU, FIFO, Random} {
+		t.Run(string(pol), func(t *testing.T) {
+			newH := func() *Hierarchy {
+				h, err := NewHierarchy(copyHierarchyConfig(pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			src, ref, dst := newH(), newH(), newH()
+			driveHierarchy(src, 1, 5000)
+			driveHierarchy(ref, 1, 5000)
+			driveHierarchy(dst, 99, 300) // stale contents to overwrite
+			if err := dst.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dst, src) {
+				t.Fatal("copy differs from its source")
+			}
+			if dst.IL1.next != dst.L2 || dst.DL1.next != dst.L2 || dst.L2.next != dst.Mem {
+				t.Fatal("copy took over the source's level links")
+			}
+			got := driveHierarchy(dst, 7, 5000)
+			want := driveHierarchy(ref, 7, 5000)
+			if !reflect.DeepEqual(got, want) {
+				t.Error("copy answers a continued stream differently from the original")
+			}
+			if !reflect.DeepEqual(dst, ref) {
+				t.Error("copy's state after the stream differs from the original's")
+			}
+			orig := newH()
+			driveHierarchy(orig, 1, 5000)
+			if !reflect.DeepEqual(src, orig) {
+				t.Error("driving the copy changed the source")
+			}
+		})
+	}
+}
+
+// TestCopyFromRejectsOtherGeometry: copying between caches of different
+// shape or policy fails instead of truncating.
+func TestCopyFromRejectsOtherGeometry(t *testing.T) {
+	a := smallCache(t, 1024, 2, testMem())
+	b := smallCache(t, 2048, 2, testMem())
+	if err := a.CopyFrom(b); err == nil {
+		t.Error("copy between different capacities accepted")
+	}
+	c, err := New(Config{Name: "t", TotalBytes: 1024, Assoc: 2, BlockBytes: 32, Latency: 1, Policy: FIFO}, testMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CopyFrom(c); err == nil {
+		t.Error("copy between different policies accepted")
 	}
 }

@@ -37,7 +37,9 @@ type robEntry struct {
 // Sim is one detailed simulation context: pipeline state plus memory
 // system and branch unit. State persists across Run calls so a full
 // program can be simulated in consecutive regions with warm
-// structures; use New for a cold context per sampled simulation point.
+// structures. New makes a cold context; ForkInto makes a context that
+// continues a functionally warmed one with an empty pipeline, which is
+// how a sampled simulation point enters detailed mode.
 type Sim struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -113,6 +115,53 @@ func New(cfg Config) (*Sim, error) {
 		s.regProducer[i] = -1
 	}
 	return s, nil
+}
+
+// ForkInto returns a detailed context that continues from s's warmed
+// state: dst's caches, branch unit and fetch-block register become
+// copies of s's, and its pipeline, cycle counter and telemetry are
+// reset to those of a new context, so running the fork is equivalent
+// to running a cpu.New context warmed over the same history as s. s is
+// not modified, and the fork inherits s's Metrics. dst's storage is
+// reused when dst was built for s's configuration; a nil or other-
+// configuration dst is replaced by a new context.
+func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
+	if dst == nil || dst.cfg != s.cfg {
+		var err error
+		if dst, err = New(s.cfg); err != nil {
+			return nil, err
+		}
+	} else {
+		dst.resetPipeline()
+	}
+	if err := dst.hier.CopyFrom(s.hier); err != nil {
+		return nil, err
+	}
+	if err := dst.bu.CopyFrom(s.bu); err != nil {
+		return nil, err
+	}
+	dst.lastFetchBlock = s.lastFetchBlock
+	dst.Metrics = s.Metrics
+	return dst, nil
+}
+
+// resetPipeline returns every piece of timing-model state to what New
+// leaves: an empty ROB, load/store queue and scheduler list, no register
+// producers, and zeroed cycle, sequence and telemetry counters.
+func (s *Sim) resetPipeline() {
+	clear(s.rob)
+	s.robHead, s.robTail, s.robCount = 0, 0, 0
+	s.pending = s.pending[:0]
+	s.memq = s.memq[:0]
+	s.memqHead, s.lsqCount = 0, 0
+	for i := range s.regProducer {
+		s.regProducer[i] = -1
+	}
+	s.regSeq = [64]uint64{}
+	s.cycle, s.nextSeq = 0, 1
+	s.robOccSum, s.lsqOccSum, s.flushes = 0, 0, 0
+	s.fetchReadyAt, s.fetchBlockSeq = 0, 0
+	s.committed = 0
 }
 
 // MustNew is New, panicking on configuration errors.
@@ -464,8 +513,9 @@ const blockMask = ^int64(0) << 5 // 32-byte blocks for LSQ matching
 // Warm functionally executes insts instructions on m while updating
 // this context's caches and branch predictor, without advancing the
 // timing model. It implements SMARTS-style functional warming, an
-// extension over the paper's cold-start fast-forwarding, used by the
-// warmup ablation.
+// extension over the paper's cold-start fast-forwarding. The warmed
+// state depends only on the instruction stream, so Warm(a) followed by
+// Warm(b) leaves exactly the state Warm(a+b) does.
 func (s *Sim) Warm(m *emu.Machine, insts uint64) error {
 	return s.warm(m, insts, true)
 }
@@ -473,7 +523,8 @@ func (s *Sim) Warm(m *emu.Machine, insts uint64) error {
 // WarmCode is Warm restricted to the instruction side — instruction
 // cache and branch predictor only, leaving data-cache state untouched.
 // It supports dry-run self-warming of a simulation point with no
-// preceding execution context (a cloned machine replays the region):
+// preceding execution context (the region is replayed on a clone, or
+// on the machine itself, which is rewound afterwards):
 // code and predictor state converge to steady state after one replay,
 // while data behaviour must not be pre-touched or the point's
 // compulsory data misses would vanish.

@@ -43,9 +43,9 @@ type Options struct {
 	// Seed drives all randomized stages (default 1).
 	Seed int64
 	// Warmup is the functional-warming window per point; 0 chooses
-	// continuous functional warming of the entire fast-forward gap
-	// (SMARTS-style; see pipeline.ExecOptions on why scaled points
-	// need warming).
+	// unbounded warming, from instruction 0 to each point's lead-in
+	// (SMARTS-style; see pipeline.ExecOptions on why scaled points need
+	// warming and how one warm pass serves every point).
 	Warmup uint64
 	// DetailLeadIn is the discarded detailed warmup per point; 0
 	// chooses 512 instructions (4x the reorder buffer).

@@ -1,9 +1,9 @@
 // Package pipeline orchestrates end-to-end sampled simulation: it
-// executes a sampling plan (functional fast-forward between points,
-// cold detailed simulation of each point), combines point metrics by
-// weight into whole-program estimates, obtains ground truth from a
-// full detailed run, and evaluates both the paper's modeled speedups
-// and measured wall-clock splits.
+// executes a sampling plan (functional fast-forward and warming
+// between points, detailed simulation of each point), combines point
+// metrics by weight into whole-program estimates, obtains ground truth
+// from a full detailed run, and evaluates both the paper's modeled
+// speedups and measured wall-clock splits.
 package pipeline
 
 import (
@@ -32,9 +32,13 @@ type ExecOptions struct {
 	// warm window may extend back past the fast-forward gap into
 	// regions earlier points measured — warming replays them
 	// functionally without re-measuring — so a large Warmup approaches
-	// continuously warmed state regardless of point spacing. When
-	// zero, every point runs on a cold context, which is what plain
-	// fast-forwarding implies.
+	// continuously warmed state regardless of point spacing; at
+	// math.MaxUint64 every window starts at instruction 0. Consecutive
+	// points whose windows start at the same instruction share one
+	// continuously warmed context, so warming costs the distance to the
+	// last such point's boundary, not the sum of the windows (see
+	// executePoints). When zero, every point runs on a cold context,
+	// which is what plain fast-forwarding implies.
 	//
 	// At this reproduction's nominal-to-emulated scale, interval
 	// lengths shrink by the scale factor while cache capacities and
@@ -63,12 +67,13 @@ type ExecOptions struct {
 
 	// Workers selects how many simulation points execute concurrently.
 	// 0 picks GOMAXPROCS; 1 executes sequentially in line on the
-	// calling goroutine (no goroutines are spawned). Every point runs
-	// on its own fresh detailed context from functional state that is
-	// a pure function of its instruction position, so the resulting
-	// Estimate, point records and journal aggregates are bit-for-bit
-	// identical for every worker count (wall-clock fields excepted);
-	// see docs/PARALLELISM.md for the contract.
+	// calling goroutine (no goroutines are spawned). Every point's
+	// machine and cache/predictor state is a pure function of its
+	// instruction position and warm window, however the points are
+	// split among workers, so the resulting Estimate, point records and
+	// journal aggregates are bit-for-bit identical for every worker
+	// count (wall-clock fields excepted); see docs/PARALLELISM.md for
+	// the contract.
 	Workers int
 
 	// Ctx, when non-nil, cancels plan execution: in-flight points
@@ -79,8 +84,10 @@ type ExecOptions struct {
 	// Cache, when non-nil, is a shared functional-state cache for this
 	// plan's program: concurrent and repeated executions (for example
 	// the same plan under both Table I configurations) reuse each
-	// other's fast-forward work through it, and every point restores
-	// its warm-start state from it. It must have been created by
+	// other's fast-forward work through it. A point restores its warm-
+	// start state from it when its chunk starts there or the machine
+	// must move back to reach it; points inside a spine rewind through
+	// a private capture instead. It must have been created by
 	// parallel.NewStateCache for the same *prog.Program with the
 	// default memory size (memWords 0); a cache for another program
 	// is ignored. Nil gives each ExecutePlan call a private cache. A
@@ -280,28 +287,34 @@ func planTasks(plan *sampling.Plan, opts ExecOptions) ([]pointTask, error) {
 	return tasks, nil
 }
 
-// runPoint executes one simulation point on a fresh detailed context.
-// m must be positioned at the task's warm start; it advances through
-// warming, lead-in, the measured region and run-ahead. t0 is when this
-// point's functional phase (fast-forward or state materialization)
-// began, so the wall split charges state reconstruction to the point.
-func runPoint(m *emu.Machine, cfg cpu.Config, reg *obs.Registry, plan *sampling.Plan, pi int, task pointTask, opts ExecOptions, t0 time.Time) (PointRecord, error) {
+// spine is a chunk's continuously warmed state (see executePoints).
+type spine struct {
+	// warm holds the cache and predictor history from the current warm
+	// start to the machine's boundary.
+	warm *cpu.Sim
+	// fork is the chunk's reused detail context for points that must
+	// leave warm intact.
+	fork *cpu.Sim
+	// rewind is the machine's state at the last captured boundary.
+	rewind *ckpt.State
+}
+
+// runPoint executes one simulation point. m must sit at the point's
+// boundary (pt.Start - lead) and sp.warm must hold exactly the cache
+// and predictor history of the task's warm window, with an empty
+// pipeline. When keep is set, the boundary state is captured into
+// sp.rewind and the detailed window runs on a fork, so the caller can
+// rewind m and continue warming sp.warm; otherwise sp.warm itself runs
+// the window. m advances through the lead-in, the measured region and
+// run-ahead. t0 is when this point's functional phase (state
+// materialization, fast-forward, rewind or warming) began, so the wall
+// split charges state reconstruction to the point.
+func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int, task pointTask, opts ExecOptions, t0 time.Time) (PointRecord, error) {
 	pt := plan.Points[pi]
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		return PointRecord{}, err
-	}
-	sim.Metrics = reg
-	if task.warm > 0 {
-		if err := sim.Warm(m, task.warm); err != nil {
-			return PointRecord{}, err
-		}
-	}
-	// The machine now sits at the point's boundary (pt.Start - lead).
-	// Record the static live-in set there — the portable-checkpoint
-	// storage schema — and, under the soundness harness, scrub the
-	// statically-dead registers before any further execution touches
-	// them.
+	// Record the static live-in set at the boundary — the portable-
+	// checkpoint storage schema — and, under the soundness harness,
+	// scrub the statically-dead registers before any further execution
+	// touches them.
 	livein, err := boundaryLiveIn(m)
 	if err != nil {
 		return PointRecord{}, fmt.Errorf("pipeline: point %d in %s/%s: %w",
@@ -310,16 +323,36 @@ func runPoint(m *emu.Machine, cfg cpu.Config, reg *obs.Registry, plan *sampling.
 	if opts.ScrubDeadRegs {
 		scrubDeadRegs(m, livein)
 	}
-	if opts.Warmup > 0 && task.warm < pt.Len() {
-		// The context would enter the point with less warmed history
-		// than the point is long — typically the contiguous points a
-		// plan places at the very start of the program. Dry-run the
-		// point region on a cloned machine to warm the instruction
-		// cache and branch predictor (data state is left untouched; see
-		// cpu.WarmCode), so the point measures the steady-state
-		// behaviour of the phase it represents rather than one-time
-		// code-fill transients.
-		if err := sim.WarmCode(m.Clone(), pt.Len()); err != nil {
+	// When the context would enter the point with less warmed history
+	// than the point is long — typically the contiguous points a plan
+	// places at the very start of the program — dry-run the point region
+	// to warm the instruction cache and branch predictor (data state is
+	// left untouched; see cpu.WarmCode), then rewind, so the point
+	// measures the steady-state behaviour of the phase it represents
+	// rather than one-time code-fill transients.
+	selfWarm := opts.Warmup > 0 && task.warm < pt.Len()
+	// The capture follows the scrub, so under ScrubDeadRegs the spine
+	// continues from scrubbed state; liveness soundness makes that
+	// indistinguishable from the unscrubbed machine.
+	if keep || selfWarm {
+		allLive := sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true}
+		if sp.rewind, err = ckpt.Capture(m, pi, allLive); err != nil {
+			return PointRecord{}, fmt.Errorf("pipeline: boundary capture at point %d in %s/%s: %w",
+				pi, plan.Benchmark, plan.Method, err)
+		}
+	}
+	sim := sp.warm
+	if keep {
+		if sp.fork, err = sp.warm.ForkInto(sp.fork); err != nil {
+			return PointRecord{}, err
+		}
+		sim = sp.fork
+	}
+	if selfWarm {
+		if err := sim.WarmCode(m, pt.Len()); err != nil {
+			return PointRecord{}, err
+		}
+		if err := sp.rewind.RestoreInto(m); err != nil {
 			return PointRecord{}, err
 		}
 	}
@@ -388,15 +421,17 @@ func scrubDeadRegs(m *emu.Machine, li sampling.LiveIn) {
 }
 
 // ExecutePlan performs the sampled simulation a plan describes and
-// returns the weighted estimates. Every point runs on a fresh detailed
-// context from functional state that is a pure function of its
-// instruction position: plain fast-forward to the point's warm window,
-// functional warming across the window (pass ExecOptions.Warmup; zero
-// keeps every point cold, as the paper's plain fast-forward
-// methodology implies), then the measured detailed region. Because
-// points are independent, ExecOptions.Workers of them execute
-// concurrently, and a deterministic merge orders the outcome by plan
-// index — estimates are bit-for-bit identical for every worker count.
+// returns the weighted estimates. Every point runs its detailed region
+// on an empty pipeline whose caches and predictor hold exactly the
+// history of its warm window: plain fast-forward to the window,
+// functional warming across it (pass ExecOptions.Warmup; zero keeps
+// every point cold, as the paper's plain fast-forward methodology
+// implies), then the measured detailed region. Points sharing a warm
+// start share one warm pass (executePoints). Because each point's state
+// is a pure function of its position and window, ExecOptions.Workers
+// chunks of points execute concurrently, and a deterministic merge
+// orders the outcome by plan index — estimates are bit-for-bit
+// identical for every worker count.
 func ExecutePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts ExecOptions) (*Estimate, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -514,10 +549,14 @@ const (
 	ckptRestoreCost = 1 << 16
 )
 
-// taskCost estimates one point's execution cost for the partitioner.
-func taskCost(t pointTask, ptLen uint64) float64 {
+// taskCost estimates point i's execution cost for the partitioner
+// when it runs after point i-1 in the same chunk: inside a spine it
+// warms only the increment past the predecessor's boundary
+// (spineWarm).
+func taskCost(tasks []pointTask, i int, ptLen uint64) float64 {
+	t := tasks[i]
 	return float64(t.skip) +
-		warmCostFactor*float64(t.warm) +
+		warmCostFactor*float64(spineWarm(tasks, i)) +
 		detailCostFactor*float64(t.lead+ptLen+t.tail)
 }
 
@@ -526,34 +565,43 @@ func taskCost(t pointTask, ptLen uint64) float64 {
 // so every worker observes the same partition. A chunk's startup
 // estimate is the full fast-forward to its first warm start —
 // pessimistic when a shared cache already holds nearby states, which
-// only biases toward fewer chunks. The worker budget is clamped to
-// GOMAXPROCS before partitioning: chunks beyond the cores actually
-// available cannot shorten the real makespan, only time-slice against
-// each other, so a -workers value above the machine (and in
-// particular any workers>1 on a single-core host) degenerates to the
-// sequential schedule instead of a guaranteed loss. Results are
+// only biases toward fewer chunks — plus, when the chunk is cut inside
+// a spine, re-warming the spine up to the predecessor's boundary, the
+// part of the point's warm window taskCost does not charge. The worker
+// budget is clamped to GOMAXPROCS before partitioning: chunks beyond
+// the cores actually available cannot shorten the real makespan, only
+// time-slice against each other, so a -workers value above the machine
+// (and in particular any workers>1 on a single-core host) degenerates
+// to the sequential schedule instead of a guaranteed loss. Results are
 // bit-identical for every partition, so the clamp affects wall time
 // only.
 func planPartition(plan *sampling.Plan, tasks []pointTask, workers int, ckptBacked bool) []parallel.Chunk {
 	if g := runtime.GOMAXPROCS(0); workers > g {
 		workers = g
 	}
-	startCost := func(i int) float64 { return float64(tasks[i].warmStart) }
-	if ckptBacked {
-		// Checkpoint restore replaces the fast-forward to the chunk's
-		// first warm start with an O(checkpoint size) state load, so
-		// chunk startup is a small constant instead of proportional to
-		// the warm-start position. This frees the partitioner to open
-		// more chunks for deep-in-the-program plans — exactly the plans
-		// plain fast-forward keeps nearly sequential.
-		startCost = func(int) float64 { return ckptRestoreCost }
-	}
 	return parallel.PartitionChunks(len(plan.Points), parallel.ChunkOptions{
 		Workers:      workers,
-		Cost:         func(i int) float64 { return taskCost(tasks[i], plan.Points[i].Len()) },
-		StartCost:    startCost,
+		Cost:         func(i int) float64 { return taskCost(tasks, i, plan.Points[i].Len()) },
+		StartCost:    func(i int) float64 { return startCost(tasks, i, ckptBacked) },
 		MinChunkCost: minChunkCost,
 	})
+}
+
+// startCost estimates what a chunk whose first point is i pays before
+// that point's own taskCost: materializing the machine at the warm
+// start, and re-warming a spine the cut interrupted.
+func startCost(tasks []pointTask, i int, ckptBacked bool) float64 {
+	// Plain fast-forward to the warm start. Checkpoint restore replaces
+	// it with an O(checkpoint size) state load, so chunk startup is a
+	// small constant instead of proportional to the warm-start
+	// position. This frees the partitioner to open more chunks for
+	// deep-in-the-program plans — exactly the plans plain fast-forward
+	// keeps nearly sequential.
+	c := float64(tasks[i].warmStart)
+	if ckptBacked {
+		c = ckptRestoreCost
+	}
+	return c + warmCostFactor*float64(tasks[i].warm-spineWarm(tasks, i))
 }
 
 // PlanChunks reports how many chunks ExecutePlan's cost-aware
@@ -569,21 +617,36 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 }
 
 // executePoints runs the points through the cost-aware chunk
-// scheduler. Each chunk restores one machine at its first point's warm
-// start, then *chains* it through the chunk's remaining points: after
-// runPoint the machine sits at the next task's fast-forward cursor
-// (planTasks guarantees cursor = pt.End + tail), so a later warm start
-// at or past it needs no restore. A warm start behind the machine —
-// every later point under unbounded warmup, where all warm starts are
-// instruction 0 — restores in place. States come from the checkpoint
-// set when one is given, else from the shared state cache, and
-// RestoreInto costs O(touched pages) because NewMachine leaves
+// scheduler. Each chunk materializes one machine at its first point's
+// warm start and carries it, with one continuously warmed cache and
+// predictor context (the spine), through the chunk's points:
+//
+//   - A point that shares its predecessor's warm start (every point
+//     after the first under unbounded warmup, where all warm starts are
+//     instruction 0) continues the spine: the machine rewinds to the
+//     predecessor's boundary, and the spine warms only from there to
+//     this point's boundary. Warmed state at position X is a pure
+//     function of the instruction stream [warmStart, X), so this is the
+//     state warming the whole window from the warm start would leave.
+//   - Any other point starts a new spine: the machine chains forward
+//     from the previous point (planTasks guarantees the machine sits at
+//     cursor = pt.End + tail, so a later warm start needs only a fast-
+//     forward) or, for the chunk's first point, a jump the checkpoint
+//     set makes cheaper, or a warm start behind the machine, is restored
+//     from the checkpoint set or the shared state cache; a cold context
+//     then warms the whole window.
+//
+// When the next point will continue the spine, runPoint captures the
+// machine's state at this boundary (all-live) and runs the detailed
+// window on a fork of the spine,
+// the chunk's one reused detail context; otherwise the window runs on
+// the spine itself, which ends there. A point that self-warms its code
+// dry-runs its region on the machine and rewinds through the same
+// capture. Restores cost O(touched pages) because machines keep
 // dirty-page tracking on. Chunks are contiguous and cost-balanced, and
 // the chunk count adapts to the work available — one chunk is exactly
-// the sequential workers==1 loop — so parallel execution never
-// regresses below sequential. Functional state remains a pure function
-// of instruction position, which keeps results bit-identical for every
-// worker count and partition.
+// the sequential workers==1 loop — so results are bit-identical for
+// every worker count and partition.
 func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, workers int, recs []PointRecord) error {
 	set := opts.Checkpoints
 	cache := opts.Cache
@@ -592,45 +655,45 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 	}
 	chunks := planPartition(plan, tasks, workers, set != nil)
 	reg.Gauge("pipeline.plan_chunks").Set(float64(len(chunks)))
+	warmed := reg.Counter("pipeline.warm_insts")
 	stage := opts.Obs.Progress().Stage("pipeline.points")
 	stage.AddTotal(int64(len(plan.Points)))
 	return parallel.ForEachOpt(ctx, len(chunks), len(chunks), func(ctx context.Context, k int) error {
-		var m *emu.Machine
-		for pi := chunks[k].Start; pi < chunks[k].End; pi++ {
+		var (
+			m  *emu.Machine
+			sp spine
+		)
+		c := chunks[k]
+		for pi := c.Start; pi < c.End; pi++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			task := tasks[pi]
 			t0 := time.Now()
-			switch {
-			case m != nil && m.Insts == task.warmStart:
-				// Chained: the previous point left the machine here.
-			case m != nil && m.Insts < task.warmStart && set == nil:
-				if err := fastForward(ctx, m, task.warmStart); err != nil {
-					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+			warm := task.warm
+			if pi > c.Start && continuesSpine(tasks, pi) {
+				if err := sp.rewind.RestoreInto(m); err != nil {
+					return fmt.Errorf("pipeline: rewind for point %d in %s: %w", pi, plan.Benchmark, err)
 				}
-			default:
-				// The chunk's first point, a rewind, or a jump ahead that
-				// the set makes cheaper than fast-forward.
-				var st *ckpt.State
+				warm = spineWarm(tasks, pi)
+			} else {
 				var err error
-				if set != nil {
-					st = set.States[pi]
-				} else if st, err = cache.StateAt(ctx, task.warmStart); err != nil {
-					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+				if m, err = positionMachine(ctx, p, m, set, cache, reg, pi, task.warmStart); err != nil {
+					return err
 				}
-				if m == nil {
-					m, err = st.NewMachine(p)
-				} else {
-					err = st.RestoreInto(m)
+				if sp.warm, err = cpu.New(cfg); err != nil {
+					return err
 				}
-				if err != nil {
-					return fmt.Errorf("pipeline: restore of point %d in %s: %w", pi, plan.Benchmark, err)
-				}
-				m.Metrics = reg
-				reg.Counter("pipeline.ckpt_restores").Add(1)
+				sp.warm.Metrics = reg
 			}
-			rec, err := runPoint(m, cfg, reg, plan, pi, task, opts, t0)
+			if warm > 0 {
+				if err := sp.warm.Warm(m, warm); err != nil {
+					return err
+				}
+				warmed.Add(int64(warm))
+			}
+			keep := pi+1 < c.End && continuesSpine(tasks, pi+1)
+			rec, err := runPoint(m, &sp, keep, plan, pi, task, opts, t0)
 			if err != nil {
 				return err
 			}
@@ -639,6 +702,63 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 		}
 		return nil
 	}, parallel.ForEachOptions{Metrics: reg})
+}
+
+// continuesSpine reports whether point i shares point i-1's warm start,
+// so that when both run in one chunk, i's warm window extends i-1's and
+// i warms only the increment between their boundaries.
+func continuesSpine(tasks []pointTask, i int) bool {
+	return i > 0 && tasks[i].warmStart == tasks[i-1].warmStart
+}
+
+// spineWarm is the functional warming point i pays after point i-1 in
+// the same chunk: the increment past i-1's boundary inside a spine,
+// else its whole warm window.
+func spineWarm(tasks []pointTask, i int) uint64 {
+	if continuesSpine(tasks, i) {
+		return tasks[i].warm - tasks[i-1].warm
+	}
+	return tasks[i].warm
+}
+
+// positionMachine returns a machine at instruction position warmStart
+// for point pi: m itself when it already sits there or only needs a
+// fast-forward, else m (or, when m is nil, a new machine) restored from
+// the checkpoint set or the state cache. A checkpoint set makes a
+// restore cheaper than any fast-forward, so with one it always
+// restores.
+func positionMachine(ctx context.Context, p *prog.Program, m *emu.Machine, set *ckpt.Set, cache *parallel.StateCache, reg *obs.Registry, pi int, warmStart uint64) (*emu.Machine, error) {
+	switch {
+	case m != nil && m.Insts == warmStart:
+		// Chained: the previous point left the machine here.
+		return m, nil
+	case m != nil && m.Insts < warmStart && set == nil:
+		if err := fastForward(ctx, m, warmStart); err != nil {
+			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", p.Name, err)
+		}
+		return m, nil
+	}
+	var st *ckpt.State
+	if set != nil {
+		st = set.States[pi]
+	} else {
+		var err error
+		if st, err = cache.StateAt(ctx, warmStart); err != nil {
+			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", p.Name, err)
+		}
+	}
+	var err error
+	if m == nil {
+		m, err = st.NewMachine(p)
+	} else {
+		err = st.RestoreInto(m)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: restore of point %d in %s: %w", pi, p.Name, err)
+	}
+	m.Metrics = reg
+	reg.Counter("pipeline.ckpt_restores").Add(1)
+	return m, nil
 }
 
 // fastForward advances m to instruction position pos in cancellation-
