@@ -3,11 +3,12 @@
 // shifted significantly, turning the checked-in baselines into an
 // actual regression guard. Significance comes from
 // internal/changepoint's median/MAD shift test: metric families that
-// span the suite (per-method deviations and wall times) are compared
-// as paired series, so the verdict reflects the whole trajectory
-// rather than one noisy cell, and the scalar plan walls degrade to a
-// relative-threshold gate. Both reports must be at the current schema
-// and carry provenance; there is no bridge to older reports.
+// span the suite (selection walls, per-method deviations and wall
+// times) are compared as paired series, so the verdict reflects the
+// whole trajectory rather than one noisy cell, and the scalar plan
+// walls degrade to a relative-threshold gate. Both reports must be at
+// the current schema and carry provenance; there is no bridge to
+// older reports.
 package main
 
 import (
@@ -130,7 +131,8 @@ func runCompare(f *flags) error {
 
 // compareReports walks every tracked metric family of the two reports
 // and returns the findings (stable order: plan walls by worker count,
-// then per-method series) plus comparability warnings.
+// the selection walls, then per-method series) plus comparability
+// warnings.
 func compareReports(oldRep, newRep *benchReport) ([]compareFinding, []string) {
 	var out []compareFinding
 	for _, workers := range microPlanWorkers {
@@ -143,8 +145,38 @@ func compareReports(oldRep, newRep *benchReport) ([]compareFinding, []string) {
 		c.finish()
 		out = append(out, c)
 	}
+	out = appendSelectionWalls(out, oldRep, newRep)
 	out = append(out, compareMethodSeries(oldRep, newRep)...)
 	return out, comparabilityWarnings(oldRep, newRep)
+}
+
+// appendSelectionWalls tests the per-benchmark selection walls of the
+// benchmarks both reports ran as one suite-wide series.
+func appendSelectionWalls(out []compareFinding, oldRep, newRep *benchReport) []compareFinding {
+	newWalls := make(map[string]float64, len(newRep.Benchmarks))
+	for _, e := range newRep.Benchmarks {
+		newWalls[e.Benchmark] = float64(e.WallSelection)
+	}
+	var oldS, newS []float64
+	for _, e := range oldRep.Benchmarks {
+		if w, ok := newWalls[e.Benchmark]; ok {
+			oldS = append(oldS, float64(e.WallSelection))
+			newS = append(newS, w)
+		}
+	}
+	return appendSeries(out, "wall_selection", kindWall, minRelWall, oldS, newS)
+}
+
+// appendSeries appends the shift test of one paired series, if it has
+// any samples.
+func appendSeries(out []compareFinding, metric string, kind metricKind, minRel float64, oldS, newS []float64) []compareFinding {
+	if len(oldS) == 0 {
+		return out
+	}
+	c := compareFinding{Metric: metric, Kind: kind, N: len(oldS),
+		Shift: changepoint.ShiftTest(oldS, newS, changepoint.ShiftOptions{MinRel: minRel})}
+	c.finish()
+	return append(out, c)
 }
 
 // compareMethodSeries pairs the two reports' per-benchmark method
@@ -172,15 +204,6 @@ func compareMethodSeries(oldRep, newRep *benchReport) []compareFinding {
 	newIdx, _ := index(newRep)
 
 	var out []compareFinding
-	series := func(metric string, kind metricKind, minRel float64, oldS, newS []float64) {
-		if len(oldS) == 0 {
-			return
-		}
-		c := compareFinding{Metric: metric, Kind: kind, N: len(oldS),
-			Shift: changepoint.ShiftTest(oldS, newS, changepoint.ShiftOptions{MinRel: minRel})}
-		c.finish()
-		out = append(out, c)
-	}
 	for _, fam := range families {
 		newCells, ok := newIdx[fam]
 		if !ok {
@@ -201,8 +224,8 @@ func compareMethodSeries(oldRep, newRep *benchReport) []compareFinding {
 			oldWall = append(oldWall, oldCells[name].wall)
 			newWall = append(newWall, newCells[name].wall)
 		}
-		series("cpi_dev["+fam+"]", kindDev, minRelAccuracy, oldDev, newDev)
-		series("wall_estimate["+fam+"]", kindWall, minRelWall, oldWall, newWall)
+		out = appendSeries(out, "cpi_dev["+fam+"]", kindDev, minRelAccuracy, oldDev, newDev)
+		out = appendSeries(out, "wall_estimate["+fam+"]", kindWall, minRelWall, oldWall, newWall)
 	}
 	return out
 }

@@ -26,7 +26,7 @@ func fixtureReport() *benchReport {
 		Provenance: captureProvenance(),
 	}
 	for _, name := range []string{"art", "crafty", "gcc", "gzip", "lucas", "swim"} {
-		entry := benchEntry{Benchmark: name, WallTruth: map[string]int64{"A": 2_000_000_000}}
+		entry := benchEntry{Benchmark: name, WallSelection: 300_000_000, WallTruth: map[string]int64{"A": 2_000_000_000}}
 		for _, method := range []string{"coasts", "offline", "online"} {
 			entry.Methods = append(entry.Methods, benchMethod{
 				Method: method, Config: "A", Points: 12,
@@ -89,6 +89,27 @@ func TestCompareInjectedPlanWallRegression(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "micro.plan_wall[workers=1]") {
 		t.Errorf("gate failure does not name the regressed metric: %v", err)
+	}
+}
+
+// TestCompareInjectedSelectionWallRegression: a 40% slowdown of every
+// benchmark's selection wall (a k-means regression) must fail the gate
+// and name wall_selection.
+func TestCompareInjectedSelectionWallRegression(t *testing.T) {
+	dir := t.TempDir()
+	oldRep := fixtureReport()
+	newRep := fixtureReport()
+	for i := range newRep.Benchmarks {
+		newRep.Benchmarks[i].WallSelection = oldRep.Benchmarks[i].WallSelection * 14 / 10
+	}
+	oldPath := writeReport(t, dir, "old.json", oldRep)
+	newPath := writeReport(t, dir, "new.json", newRep)
+	err := run([]string{"bench", "-compare", oldPath, newPath})
+	if err == nil {
+		t.Fatal("40% selection-wall slowdown passed the gate")
+	}
+	if !strings.Contains(err.Error(), "wall_selection") {
+		t.Errorf("gate failure does not name wall_selection: %v", err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mlpa/internal/linalg"
 	"mlpa/internal/obs"
@@ -37,8 +38,11 @@ type Options struct {
 
 	// Metrics, if non-nil, receives clustering telemetry: histogram
 	// kmeans.iterations (Lloyd iterations per restart), counter
-	// kmeans.restarts, histogram kmeans.chosen_k (Best only) and
-	// counter kmeans.unconverged (restarts that hit MaxIters).
+	// kmeans.restarts, histogram kmeans.chosen_k (Best only), counter
+	// kmeans.unconverged (restarts that hit MaxIters) and counter
+	// kmeans.skipped_iterations (Lloyd iterations jumped over once a
+	// restart was found to cycle; they still count in
+	// kmeans.iterations).
 	Metrics *obs.Registry
 }
 
@@ -73,42 +77,65 @@ type Result struct {
 
 // Cluster runs k-means for a fixed k.
 func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("kmeans: no points")
+	if err := validate(points); err != nil {
+		return nil, err
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("kmeans: k = %d < 1", k)
 	}
-	if k > n {
-		k = n
+	opts = opts.withDefaults()
+	return newDataset(points, opts.SampleCap).cluster(k, opts), nil
+}
+
+// validate rejects an empty or ragged point set.
+func validate(points [][]float64) error {
+	if len(points) == 0 {
+		return fmt.Errorf("kmeans: no points")
 	}
 	d := len(points[0])
 	for i, p := range points {
 		if len(p) != d {
-			return nil, fmt.Errorf("kmeans: point %d has dimension %d, want %d", i, len(p), d)
+			return fmt.Errorf("kmeans: point %d has dimension %d, want %d", i, len(p), d)
 		}
 	}
+	return nil
+}
 
-	clusterSet := points
-	var sampleStride int
-	if opts.SampleCap > 0 && n > opts.SampleCap {
-		sampleStride = (n + opts.SampleCap - 1) / opts.SampleCap
-		clusterSet = make([][]float64, 0, opts.SampleCap+1)
-		for i := 0; i < n; i += sampleStride {
-			clusterSet = append(clusterSet, points[i])
+// dataset is a validated point set prepared once per Cluster or Best
+// call and shared by every k and restart.
+type dataset struct {
+	all *rowSet
+	// sample is the set Lloyd runs on: a deterministic stride sample
+	// of all when SampleCap binds, otherwise all itself.
+	sample *rowSet
+}
+
+func newDataset(points [][]float64, sampleCap int) *dataset {
+	ds := &dataset{all: newRowSet(points)}
+	ds.sample = ds.all
+	if n := len(points); sampleCap > 0 && n > sampleCap {
+		stride := (n + sampleCap - 1) / sampleCap
+		sample := make([][]float64, 0, sampleCap+1)
+		for i := 0; i < n; i += stride {
+			sample = append(sample, points[i])
 		}
-		if k > len(clusterSet) {
-			k = len(clusterSet)
-		}
+		ds.sample = newRowSet(sample)
 	}
+	return ds
+}
 
+// cluster runs opts.Restarts seeded Lloyd attempts for one k, keeps
+// the lowest inertia, and scores it on every point.
+func (ds *dataset) cluster(k int, opts Options) *Result {
+	if n := len(ds.sample.points); k > n {
+		k = n
+	}
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
-		res := lloyd(clusterSet, k, rng, opts.MaxIters)
+		res, skipped := lloyd(ds.sample, k, rng, opts.MaxIters)
 		opts.Metrics.Counter("kmeans.restarts").Inc()
+		opts.Metrics.Counter("kmeans.skipped_iterations").Add(int64(skipped))
 		opts.Metrics.Histogram("kmeans.iterations").Observe(float64(res.Iters))
 		if !res.Converged {
 			opts.Metrics.Counter("kmeans.unconverged").Inc()
@@ -117,29 +144,98 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 			best = res
 		}
 	}
-	if sampleStride > 0 {
+	if ds.sample != ds.all {
 		iters, converged := best.Iters, best.Converged
-		best = assignAll(points, best)
+		best = assignAll(ds.all, best)
 		best.Iters, best.Converged = iters, converged
 	}
-	best.BIC = bic(points, best)
-	return best, nil
+	best.BIC = bic(ds.all.points, best)
+	return best
+}
+
+// rowSet indexes the bit-distinct rows of a point set and holds the
+// scratch the clustering loops reuse. Nearest-centroid and k-means++
+// distances are pure functions of a row's bits and the centroids, so
+// they are computed once per distinct row (uniq) and read back per
+// point through of; every loop that sums over points still walks them
+// in point order, which keeps each floating-point sum bit-identical.
+type rowSet struct {
+	points [][]float64
+	uniq   []int     // index of each distinct row's first occurrence, in point order
+	of     []int     // of[i] = position in uniq of points[i]'s row
+	near   []int     // per distinct row: nearest centroid
+	dist   []float64 // per distinct row: k-means++ minimum or nearest distance
+	snap   []int     // lloyd's cycle-detection snapshot of the assignment vector
+}
+
+// newRowSet buckets rows by a hash of their bits in an open-addressing
+// table and decides equality by a bitwise compare, so a collision can
+// cost a probe but never merges two different rows.
+func newRowSet(points [][]float64) *rowSet {
+	n := len(points)
+	rs := &rowSet{points: points, of: make([]int, n), snap: make([]int, n)}
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	table := make([]int32, size) // position in uniq + 1; 0 is an empty slot
+	for i, p := range points {
+		slot := rowHash(p) & uint64(size-1)
+		for {
+			u := int(table[slot]) - 1
+			if u < 0 {
+				table[slot] = int32(len(rs.uniq) + 1)
+				rs.of[i] = len(rs.uniq)
+				rs.uniq = append(rs.uniq, i)
+				break
+			}
+			if sameBits(points[rs.uniq[u]], p) {
+				rs.of[i] = u
+				break
+			}
+			slot = (slot + 1) & uint64(size-1)
+		}
+	}
+	rs.near = make([]int, len(rs.uniq))
+	rs.dist = make([]float64, len(rs.uniq))
+	return rs
+}
+
+func rowHash(p []float64) uint64 {
+	h := uint64(len(p))
+	for _, v := range p {
+		h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+func sameBits(a, b []float64) bool {
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // assignAll maps every point to the nearest centroid of a clustering
 // computed on a sample, recomputing sizes and inertia.
-func assignAll(points [][]float64, r *Result) *Result {
+func assignAll(rs *rowSet, r *Result) *Result {
 	out := &Result{
 		K:         r.K,
-		Assign:    make([]int, len(points)),
+		Assign:    make([]int, len(rs.points)),
 		Centroids: r.Centroids,
 		Sizes:     make([]int, r.K),
 	}
-	for i, p := range points {
-		bi, bd := nearestCentroid(p, r.Centroids)
+	for u, i := range rs.uniq {
+		rs.near[u], rs.dist[u] = nearestCentroid(rs.points[i], r.Centroids)
+	}
+	for i, u := range rs.of {
+		bi := rs.near[u]
 		out.Assign[i] = bi
 		out.Sizes[bi]++
-		out.Inertia += bd
+		out.Inertia += rs.dist[u]
 	}
 	return out
 }
@@ -161,31 +257,54 @@ func nearestCentroid(p []float64, cents [][]float64) (int, float64) {
 	return bi, bd
 }
 
-// lloyd runs one seeded k-means attempt.
-func lloyd(points [][]float64, k int, rng *rand.Rand, maxIters int) *Result {
+// lloyd runs one seeded k-means attempt on rs's rows and returns the
+// result with the number of iterations it jumped over.
+//
+// Everything after the assignment step (centroid sums, empty-cluster
+// repair) is a pure function of the assignment vector that step
+// produced, and the next assignment step reads only the centroids. So
+// once that vector repeats the one from p iterations earlier, the run
+// is periodic with period p and never converges: lloyd jumps over
+// whole periods up to maxIters, runs the remainder, and reports
+// maxIters unconverged iterations exactly as an unjumped run would.
+// Repeats are found Brent-style with one snapshot, refreshed at
+// iterations 0, 1, 3, 7, 15, ..., which catches a cycle of any period.
+func lloyd(rs *rowSet, k int, rng *rand.Rand, maxIters int) (*Result, int) {
+	points := rs.points
 	n := len(points)
-	cents := seedPlusPlus(points, k, rng)
+	cents := seedPlusPlus(rs, k, rng)
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
 	}
 	sizes := make([]int, k)
 
-	iters := 0
-	converged := false
+	iters, converged, skipped := maxIters, false, 0
+	snapAt := -1
 	for iter := 0; iter < maxIters; iter++ {
-		iters = iter + 1
+		for u, i := range rs.uniq {
+			rs.near[u], _ = nearestCentroid(points[i], cents)
+		}
 		changed := false
-		for i, p := range points {
-			bi, _ := nearestCentroid(p, cents)
-			if assign[i] != bi {
+		for i, u := range rs.of {
+			if bi := rs.near[u]; assign[i] != bi {
 				assign[i] = bi
 				changed = true
 			}
 		}
 		if !changed && iter > 0 {
-			converged = true
+			iters, converged = iter+1, true
 			break
+		}
+		if snapAt >= 0 && slices.Equal(assign, rs.snap) {
+			period := iter - snapAt
+			jump := (maxIters - 1 - iter) / period * period
+			iter += jump
+			skipped += jump
+		}
+		if iter&(iter+1) == 0 {
+			copy(rs.snap, assign)
+			snapAt = iter
 		}
 		// Recompute centroids.
 		for c := range cents {
@@ -202,7 +321,14 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, maxIters int) *Result {
 		for c := range cents {
 			if sizes[c] == 0 {
 				// Empty cluster: re-seed at the point farthest from
-				// its centroid.
+				// its centroid. Two conditions here are part of the
+				// result and pinned by the frozen reference: the
+				// search measures clusters after c against their
+				// still-unscaled sums, and the donor's centroid is
+				// not adjusted for the point it gives up (a donor
+				// after c is later scaled by its decremented size).
+				// The search stays per point because duplicate rows
+				// can sit in different clusters after a repair.
 				far, fd := 0, -1.0
 				for i, p := range points {
 					if dd := linalg.Dist2(p, cents[assign[i]]); dd > fd && sizes[assign[i]] > 1 {
@@ -219,7 +345,8 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, maxIters int) *Result {
 		}
 	}
 
-	// Final sizes and inertia.
+	// Final sizes and inertia stay per point too: after a repair,
+	// duplicate rows can sit in different clusters.
 	for c := range sizes {
 		sizes[c] = 0
 	}
@@ -229,37 +356,42 @@ func lloyd(points [][]float64, k int, rng *rand.Rand, maxIters int) *Result {
 		inertia += linalg.Dist2(p, cents[assign[i]])
 	}
 	return &Result{K: k, Assign: assign, Centroids: cents, Sizes: sizes, Inertia: inertia,
-		Iters: iters, Converged: converged}
+		Iters: iters, Converged: converged}, skipped
 }
 
 // seedPlusPlus picks k initial centroids by k-means++ sampling.
 //
-// The nearest-centroid distances are maintained incrementally: dists[i]
-// already holds point i's minimum distance to every previously chosen
-// centroid, so each round only measures against the newest one —
-// O(n·k·d) total instead of the naive O(n·k²·d) rescan — and the
-// comparison against the incumbent minimum uses the same strict <
-// update the rescan applied centroid-by-centroid, with Dist2Bounded
-// pruning against the incumbent. Both refinements leave every dists[i]
-// value, the round totals, and the rng draw sequence bit-identical to
-// the naive version (TestSeedPlusPlusInvariant).
-func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
+// The nearest-centroid distances are maintained incrementally: each
+// distinct row's entry in rs.dist already holds its minimum distance
+// to every previously chosen centroid, so each round only measures
+// against the newest one — O(n·k·d) total instead of the naive
+// O(n·k²·d) rescan, and only over distinct rows — and the comparison
+// against the incumbent minimum uses the same strict < update the
+// rescan applied centroid-by-centroid, with Dist2Bounded pruning
+// against the incumbent. The round total and the weighted draw still
+// walk every point in order. All of this leaves every distance, the
+// round totals, and the rng draw sequence bit-identical to the naive
+// version (TestSeedPlusPlusInvariant).
+func seedPlusPlus(rs *rowSet, k int, rng *rand.Rand) [][]float64 {
+	points := rs.points
 	n := len(points)
 	cents := make([][]float64, 0, k)
 	first := rng.Intn(n)
 	cents = append(cents, append([]float64(nil), points[first]...))
-	dists := make([]float64, n)
-	for i := range dists {
-		dists[i] = math.Inf(1)
+	dists := rs.dist
+	for u := range dists {
+		dists[u] = math.Inf(1)
 	}
 	for len(cents) < k {
 		newest := cents[len(cents)-1]
-		var total float64
-		for i, p := range points {
-			if v := linalg.Dist2Bounded(p, newest, dists[i]); v < dists[i] {
-				dists[i] = v
+		for u, i := range rs.uniq {
+			if v := linalg.Dist2Bounded(points[i], newest, dists[u]); v < dists[u] {
+				dists[u] = v
 			}
-			total += dists[i]
+		}
+		var total float64
+		for _, u := range rs.of {
+			total += dists[u]
 		}
 		if total == 0 {
 			// All remaining points coincide with existing centroids.
@@ -268,8 +400,8 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 		}
 		target := rng.Float64() * total
 		idx := 0
-		for i, dd := range dists {
-			target -= dd
+		for i, u := range rs.of {
+			target -= dists[u]
 			if target <= 0 {
 				idx = i
 				break
@@ -313,16 +445,17 @@ func Best(points [][]float64, kmax int, opts Options) (*Result, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("kmeans: kmax = %d < 1", kmax)
 	}
+	if err := validate(points); err != nil {
+		return nil, err
+	}
 	if kmax > len(points) {
 		kmax = len(points)
 	}
+	ds := newDataset(points, opts.SampleCap)
 	results := make([]*Result, 0, kmax)
 	minBIC, maxBIC := math.Inf(1), math.Inf(-1)
 	for k := 1; k <= kmax; k++ {
-		r, err := Cluster(points, k, opts)
-		if err != nil {
-			return nil, err
-		}
+		r := ds.cluster(k, opts)
 		results = append(results, r)
 		minBIC = math.Min(minBIC, r.BIC)
 		maxBIC = math.Max(maxBIC, r.BIC)

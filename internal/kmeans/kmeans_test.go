@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,12 @@ func TestBestSingleCluster(t *testing.T) {
 func TestBestErrors(t *testing.T) {
 	if _, err := Best([][]float64{{1}}, 0, Options{}); err == nil {
 		t.Error("kmax=0 accepted")
+	}
+	if _, err := Best(nil, 3, Options{}); err == nil || !strings.Contains(err.Error(), "no points") {
+		t.Errorf("empty data: err = %v, want kmeans: no points", err)
+	}
+	if _, err := Best([][]float64{{1}, {1, 2}}, 2, Options{}); err == nil {
+		t.Error("ragged data accepted")
 	}
 }
 

@@ -1,12 +1,14 @@
 package kmeans
 
-// Invariance tests for the pruned distance computations: the partial-
-// distance early exits in lloyd, seedPlusPlus, and assignAll must be
-// invisible — identical assignments, centroid bits, inertia bits,
-// iteration counts, and rng consumption compared to the unpruned
-// reference implementation preserved below.
+// Invariance tests for the exact shortcuts in lloyd, seedPlusPlus, and
+// assignAll — partial-distance early exits, one distance computation
+// per bit-distinct row, and the jump over Lloyd repair cycles — which
+// must be invisible: identical assignments, centroid bits, inertia
+// bits, iteration counts, and rng consumption compared to the
+// unpruned reference implementation preserved below.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,7 +232,7 @@ func TestLloydPruningInvariant(t *testing.T) {
 				if k > sh.n {
 					continue
 				}
-				got := lloyd(points, k, rand.New(rand.NewSource(seed)), 100)
+				got, _ := lloyd(newRowSet(points), k, rand.New(rand.NewSource(seed)), 100)
 				want := refLloyd(points, k, rand.New(rand.NewSource(seed)), 100)
 				sameResult(t, "lloyd", got, want)
 			}
@@ -250,7 +252,8 @@ func TestSeedPlusPlusInvariant(t *testing.T) {
 	for i := range flat {
 		flat[i] = []float64{0.5, 0.25, 0.25}
 	}
-	for _, pts := range [][][]float64{points, flat} {
+	dups := phaseRows(dataRng, 60, 15, 8, 1)
+	for _, pts := range [][][]float64{points, flat, dups} {
 		for _, seed := range []int64{0, 3, 999} {
 			for _, k := range []int{1, 4, 9} {
 				if k > len(pts) {
@@ -258,7 +261,7 @@ func TestSeedPlusPlusInvariant(t *testing.T) {
 				}
 				rngA := rand.New(rand.NewSource(seed))
 				rngB := rand.New(rand.NewSource(seed))
-				got := seedPlusPlus(pts, k, rngA)
+				got := seedPlusPlus(newRowSet(pts), k, rngA)
 				want := refSeedPlusPlus(pts, k, rngB)
 				if len(got) != len(want) {
 					t.Fatalf("centroid count %d != %d", len(got), len(want))
@@ -285,7 +288,7 @@ func TestAssignAllInvariant(t *testing.T) {
 	dataRng := rand.New(rand.NewSource(17))
 	points := syntheticBBVs(dataRng, 300, 16, 4)
 	base := refLloyd(points[:40], 5, rand.New(rand.NewSource(2)), 100)
-	got := assignAll(points, base)
+	got := assignAll(newRowSet(points), base)
 	want := refAssignAll(points, base)
 	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
 		t.Errorf("Inertia %v != reference %v", got.Inertia, want.Inertia)
@@ -299,6 +302,91 @@ func TestAssignAllInvariant(t *testing.T) {
 		if got.Sizes[c] != want.Sizes[c] {
 			t.Errorf("Sizes[%d] = %d, want %d", c, got.Sizes[c], want.Sizes[c])
 		}
+	}
+}
+
+// refStats tallies what Cluster reports per restart to its metrics.
+type refStats struct {
+	restarts, unconverged int64
+	iterSum               float64
+}
+
+// refCluster replicates Cluster's control flow with the frozen pieces.
+func refCluster(points [][]float64, k int, opts Options, st *refStats) *Result {
+	o := opts.withDefaults()
+	if k > len(points) {
+		k = len(points)
+	}
+	sample := points
+	if o.SampleCap > 0 && len(points) > o.SampleCap {
+		stride := (len(points) + o.SampleCap - 1) / o.SampleCap
+		sample = nil
+		for i := 0; i < len(points); i += stride {
+			sample = append(sample, points[i])
+		}
+		if k > len(sample) {
+			k = len(sample)
+		}
+	}
+	var best *Result
+	for r := 0; r < o.Restarts; r++ {
+		res := refLloyd(sample, k, rand.New(rand.NewSource(o.Seed+int64(r)*7919)), o.MaxIters)
+		st.restarts++
+		st.iterSum += float64(res.Iters)
+		if !res.Converged {
+			st.unconverged++
+		}
+		if best == nil || res.Inertia < best.Inertia {
+			best = res
+		}
+	}
+	if len(sample) != len(points) {
+		iters, converged := best.Iters, best.Converged
+		best = refAssignAll(points, best)
+		best.Iters, best.Converged = iters, converged
+	}
+	best.BIC = bic(points, best)
+	return best
+}
+
+// refBest replicates Best's model selection over refCluster.
+func refBest(points [][]float64, kmax int, opts Options, st *refStats) *Result {
+	o := opts.withDefaults()
+	if kmax > len(points) {
+		kmax = len(points)
+	}
+	var results []*Result
+	minBIC, maxBIC := math.Inf(1), math.Inf(-1)
+	for k := 1; k <= kmax; k++ {
+		r := refCluster(points, k, o, st)
+		results = append(results, r)
+		minBIC = math.Min(minBIC, r.BIC)
+		maxBIC = math.Max(maxBIC, r.BIC)
+	}
+	threshold := minBIC + o.BICFraction*(maxBIC-minBIC)
+	chosen := results[len(results)-1]
+	for _, r := range results {
+		if r.BIC >= threshold {
+			chosen = r
+			break
+		}
+	}
+	return chosen
+}
+
+// sameStats checks the restart telemetry against the reference tally.
+func sameStats(t *testing.T, label string, reg *obs.Registry, want refStats) {
+	t.Helper()
+	st := reg.Histogram("kmeans.iterations").Stat()
+	if st.Count != want.restarts || st.Sum != want.iterSum {
+		t.Errorf("%s: kmeans.iterations count/sum = %d/%v, want %d/%v",
+			label, st.Count, st.Sum, want.restarts, want.iterSum)
+	}
+	if n := reg.Counter("kmeans.restarts").Value(); n != want.restarts {
+		t.Errorf("%s: kmeans.restarts = %d, want %d", label, n, want.restarts)
+	}
+	if n := reg.Counter("kmeans.unconverged").Value(); n != want.unconverged {
+		t.Errorf("%s: kmeans.unconverged = %d, want %d", label, n, want.unconverged)
 	}
 }
 
@@ -316,33 +404,151 @@ func TestClusterPruningEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reference: replicate Cluster's control flow with frozen pieces.
-	o := opts.withDefaults()
-	sampleStride := (len(points) + o.SampleCap - 1) / o.SampleCap
-	var sample [][]float64
-	for i := 0; i < len(points); i += sampleStride {
-		sample = append(sample, points[i])
+	var st refStats
+	want := refCluster(points, 6, opts, &st)
+	sameResult(t, "cluster", got, want)
+	sameStats(t, "cluster", reg, st)
+	if st.restarts != int64(opts.Restarts) {
+		t.Errorf("reference ran %d restarts, want %d", st.restarts, opts.Restarts)
 	}
-	var want *Result
-	for r := 0; r < o.Restarts; r++ {
-		rng := rand.New(rand.NewSource(o.Seed + int64(r)*7919))
-		res := refLloyd(sample, 6, rng, o.MaxIters)
-		if want == nil || res.Inertia < want.Inertia {
-			want = res
+}
+
+// --- Degenerate inputs: duplicate rows and k above the distinct count ---
+
+// phaseRows builds n rows in d dimensions that repeat g distinct
+// signatures in phase runs, the shape of a fine-level trace inside one
+// coarse point: many intervals, few distinct BBVs. Rows at positions
+// that are multiples of sampleStride draw only from the first half of
+// the signatures, so a stride sample misses the rest; pass 1 to draw
+// every row from all g. One copy of signature 0 has its zero
+// coordinates negated: -0 differs from +0 in its bits but in no
+// distance, which must not matter either way.
+func phaseRows(rng *rand.Rand, n, d, g, sampleStride int) [][]float64 {
+	sigs := make([][]float64, g)
+	for s := range sigs {
+		sigs[s] = make([]float64, d)
+		for j := 0; j < d/3+1; j++ {
+			sigs[s][rng.Intn(d)] = rng.Float64()
+		}
+		linalg.NormalizeL1(sigs[s])
+	}
+	rows := make([][]float64, n)
+	cur := 0
+	for i := range rows {
+		if rng.Intn(4) == 0 {
+			cur = rng.Intn(g)
+		}
+		s := cur
+		if sampleStride > 1 && i%sampleStride == 0 {
+			s = cur % ((g + 1) / 2)
+		}
+		rows[i] = append([]float64(nil), sigs[s]...)
+	}
+	negZero := append([]float64(nil), sigs[0]...)
+	for j, v := range negZero {
+		if v == 0 {
+			negZero[j] = math.Copysign(0, -1)
 		}
 	}
-	iters, converged := want.Iters, want.Converged
-	want = refAssignAll(points, want)
-	want.Iters, want.Converged = iters, converged
+	rows[n/2] = negZero
+	return rows
+}
 
-	sameResult(t, "cluster", &Result{K: got.K, Assign: got.Assign, Centroids: got.Centroids,
-		Sizes: got.Sizes, Inertia: got.Inertia, Iters: got.Iters, Converged: got.Converged}, want)
-
-	if n := reg.Counter("kmeans.restarts").Value(); n != int64(o.Restarts) {
-		t.Errorf("kmeans.restarts = %d, want %d", n, o.Restarts)
+func identicalRows(n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{0.5, 0.25, 0, 0.25}
 	}
-	if st := reg.Histogram("kmeans.iterations").Stat(); st.Count != int64(o.Restarts) {
-		t.Errorf("kmeans.iterations observed %d times, want %d", st.Count, o.Restarts)
+	return rows
+}
+
+// TestLloydCycleJumpInvariant runs lloyd on inputs with far fewer
+// distinct rows than points and k up to 30, where restarts go round
+// empty-cluster repair cycles, under several MaxIters so the jump
+// leaves remainders of every size. It must match the frozen reference
+// bit for bit, and both savings must actually fire.
+func TestLloydCycleJumpInvariant(t *testing.T) {
+	dataRng := rand.New(rand.NewSource(8))
+	sets := map[string][][]float64{
+		"fine-60x8": phaseRows(dataRng, 60, 15, 8, 1),
+		"fine-84x5": phaseRows(dataRng, 84, 15, 5, 1),
+		"identical": identicalRows(40),
+	}
+	for _, name := range []string{"fine-60x8", "fine-84x5", "identical"} {
+		points := sets[name]
+		rs := newRowSet(points)
+		if len(rs.uniq) >= len(points) {
+			t.Fatalf("%s: %d distinct rows of %d, want duplicates", name, len(rs.uniq), len(points))
+		}
+		skipped := 0
+		for _, maxIters := range []int{1, 2, 3, 7, 100} {
+			for _, seed := range []int64{1, -3} {
+				for k := 1; k <= 30 && k <= len(points); k++ {
+					got, sk := lloyd(rs, k, rand.New(rand.NewSource(seed)), maxIters)
+					want := refLloyd(points, k, rand.New(rand.NewSource(seed)), maxIters)
+					sameResult(t, fmt.Sprintf("%s maxIters=%d seed=%d k=%d", name, maxIters, seed, k), got, want)
+					skipped += sk
+				}
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("%s: no iteration was jumped over", name)
+		}
+	}
+}
+
+// TestBestCycleJumpInvariant drives Best and Cluster on duplicate-heavy
+// inputs, with and without a binding SampleCap, against a Best built
+// from the frozen pieces: the same chosen k, BIC bits and Result, the
+// same kmeans.iterations histogram, and a non-zero
+// kmeans.skipped_iterations.
+func TestBestCycleJumpInvariant(t *testing.T) {
+	dataRng := rand.New(rand.NewSource(21))
+	cases := []struct {
+		name   string
+		points [][]float64
+		kmax   int
+		opts   Options
+	}{
+		{"fine", phaseRows(dataRng, 60, 15, 8, 1), 30, Options{Seed: 1, BICFraction: 0.99}},
+		{"coarse", phaseRows(dataRng, 44, 15, 2, 1), 3, Options{Seed: 2}},
+		{"identical", identicalRows(40), 30, Options{Seed: 3}},
+		// Stride 6: sampled rows repeat signatures 0..4, and the rows
+		// between them repeat those and signatures 5..9 besides.
+		{"sampled", phaseRows(dataRng, 300, 15, 10, 6), 30, Options{Seed: 4, SampleCap: 50, BICFraction: 0.99}},
+	}
+	for _, c := range cases {
+		ds := newDataset(c.points, c.opts.SampleCap)
+		if n := len(ds.sample.points); len(ds.sample.uniq) >= n || len(ds.all.uniq) >= len(c.points) {
+			t.Fatalf("%s: %d/%d distinct sample rows, %d/%d distinct rows, want duplicates in both",
+				c.name, len(ds.sample.uniq), n, len(ds.all.uniq), len(c.points))
+		}
+
+		reg := obs.NewRegistry()
+		opts := c.opts
+		opts.Metrics = reg
+		got, err := Best(c.points, c.kmax, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st refStats
+		want := refBest(c.points, c.kmax, c.opts, &st)
+		sameResult(t, c.name+" Best", got, want)
+		if math.Float64bits(got.BIC) != math.Float64bits(want.BIC) {
+			t.Errorf("%s: BIC %v != reference %v (not bit-identical)", c.name, got.BIC, want.BIC)
+		}
+		sameStats(t, c.name+" Best", reg, st)
+		if reg.Counter("kmeans.skipped_iterations").Value() == 0 {
+			t.Errorf("%s: kmeans.skipped_iterations = 0, want > 0", c.name)
+		}
+
+		for _, k := range []int{2, c.kmax} {
+			got, err := Cluster(c.points, k, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refCluster(c.points, k, c.opts, &refStats{})
+			sameResult(t, fmt.Sprintf("%s Cluster k=%d", c.name, k), got, want)
+		}
 	}
 }
