@@ -3,12 +3,12 @@
 // shifted significantly, turning the checked-in baselines into an
 // actual regression guard. Significance comes from
 // internal/changepoint's median/MAD shift test: metric families that
-// span the suite (selection walls, per-method deviations and wall
-// times) are compared as paired series, so the verdict reflects the
-// whole trajectory rather than one noisy cell, and the scalar plan
-// walls degrade to a relative-threshold gate. Both reports must be at
-// the current schema and carry provenance; there is no bridge to
-// older reports.
+// span the suite (selection walls, ground-truth walls per
+// configuration, per-method deviations and wall times) are compared as
+// paired series, so the verdict reflects the whole trajectory rather
+// than one noisy cell, and the scalar plan walls degrade to a
+// relative-threshold gate. Both reports must be at the current schema
+// and carry provenance; there is no bridge to older reports.
 package main
 
 import (
@@ -131,8 +131,8 @@ func runCompare(f *flags) error {
 
 // compareReports walks every tracked metric family of the two reports
 // and returns the findings (stable order: plan walls by worker count,
-// the selection walls, then per-method series) plus comparability
-// warnings.
+// the selection walls, the ground-truth walls by configuration, then
+// per-method series) plus comparability warnings.
 func compareReports(oldRep, newRep *benchReport) ([]compareFinding, []string) {
 	var out []compareFinding
 	for _, workers := range microPlanWorkers {
@@ -145,26 +145,38 @@ func compareReports(oldRep, newRep *benchReport) ([]compareFinding, []string) {
 		c.finish()
 		out = append(out, c)
 	}
-	out = appendSelectionWalls(out, oldRep, newRep)
+	out = appendBenchSeries(out, "wall_selection", oldRep, newRep, func(e benchEntry) (int64, bool) {
+		return e.WallSelection, true
+	})
+	for _, cfg := range oldRep.Configs {
+		out = appendBenchSeries(out, "wall_truth["+cfg+"]", oldRep, newRep, func(e benchEntry) (int64, bool) {
+			w, ok := e.WallTruth[cfg]
+			return w, ok
+		})
+	}
 	out = append(out, compareMethodSeries(oldRep, newRep)...)
 	return out, comparabilityWarnings(oldRep, newRep)
 }
 
-// appendSelectionWalls tests the per-benchmark selection walls of the
-// benchmarks both reports ran as one suite-wide series.
-func appendSelectionWalls(out []compareFinding, oldRep, newRep *benchReport) []compareFinding {
-	newWalls := make(map[string]float64, len(newRep.Benchmarks))
+// appendBenchSeries tests one per-benchmark wall as a suite-wide series
+// over the benchmarks both reports have it for.
+func appendBenchSeries(out []compareFinding, metric string, oldRep, newRep *benchReport, wall func(benchEntry) (int64, bool)) []compareFinding {
+	newWalls := make(map[string]int64, len(newRep.Benchmarks))
 	for _, e := range newRep.Benchmarks {
-		newWalls[e.Benchmark] = float64(e.WallSelection)
+		if w, ok := wall(e); ok {
+			newWalls[e.Benchmark] = w
+		}
 	}
 	var oldS, newS []float64
 	for _, e := range oldRep.Benchmarks {
-		if w, ok := newWalls[e.Benchmark]; ok {
-			oldS = append(oldS, float64(e.WallSelection))
-			newS = append(newS, w)
+		ow, ok := wall(e)
+		nw, found := newWalls[e.Benchmark]
+		if ok && found {
+			oldS = append(oldS, float64(ow))
+			newS = append(newS, float64(nw))
 		}
 	}
-	return appendSeries(out, "wall_selection", kindWall, minRelWall, oldS, newS)
+	return appendSeries(out, metric, kindWall, minRelWall, oldS, newS)
 }
 
 // appendSeries appends the shift test of one paired series, if it has

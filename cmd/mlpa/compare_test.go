@@ -12,10 +12,11 @@ import (
 // across the metric families -compare tracks.
 func fixtureReport() *benchReport {
 	rep := &benchReport{
-		Schema: benchSchema,
-		Date:   "2026-08-01",
-		Size:   "small",
-		Seed:   42,
+		Schema:  benchSchema,
+		Date:    "2026-08-01",
+		Size:    "small",
+		Seed:    42,
+		Configs: []string{"A", "B"},
 		Micro: &microReport{
 			PlanBenchmark: "gzip",
 			PlanWalls: map[string]int64{
@@ -26,7 +27,8 @@ func fixtureReport() *benchReport {
 		Provenance: captureProvenance(),
 	}
 	for _, name := range []string{"art", "crafty", "gcc", "gzip", "lucas", "swim"} {
-		entry := benchEntry{Benchmark: name, WallSelection: 300_000_000, WallTruth: map[string]int64{"A": 2_000_000_000}}
+		entry := benchEntry{Benchmark: name, WallSelection: 300_000_000,
+			WallTruth: map[string]int64{"A": 2_000_000_000, "B": 2_400_000_000}}
 		for _, method := range []string{"coasts", "offline", "online"} {
 			entry.Methods = append(entry.Methods, benchMethod{
 				Method: method, Config: "A", Points: 12,
@@ -110,6 +112,36 @@ func TestCompareInjectedSelectionWallRegression(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "wall_selection") {
 		t.Errorf("gate failure does not name wall_selection: %v", err)
+	}
+}
+
+// TestCompareInjectedTruthWallRegression: a 40% slowdown of every
+// benchmark's ground-truth wall under one configuration (a detailed-
+// model regression) must fail the gate and name that configuration's
+// wall_truth series, while the other configuration's stays ok.
+func TestCompareInjectedTruthWallRegression(t *testing.T) {
+	dir := t.TempDir()
+	oldRep := fixtureReport()
+	newRep := fixtureReport()
+	for i := range newRep.Benchmarks {
+		newRep.Benchmarks[i].WallTruth["A"] = oldRep.Benchmarks[i].WallTruth["A"] * 14 / 10
+	}
+	oldPath := writeReport(t, dir, "old.json", oldRep)
+	newPath := writeReport(t, dir, "new.json", newRep)
+	err := run([]string{"bench", "-compare", oldPath, newPath})
+	if err == nil {
+		t.Fatal("40% ground-truth-wall slowdown passed the gate")
+	}
+	if !strings.Contains(err.Error(), "wall_truth[A]") {
+		t.Errorf("gate failure does not name wall_truth[A]: %v", err)
+	}
+	findings, _ := compareReports(oldRep, newRep)
+	verdicts := make(map[string]string)
+	for _, c := range findings {
+		verdicts[c.Metric] = c.Verdict
+	}
+	if verdicts["wall_truth[A]"] != "regression" || verdicts["wall_truth[B]"] != "ok" {
+		t.Errorf("wall_truth verdicts A=%q B=%q, want regression and ok", verdicts["wall_truth[A]"], verdicts["wall_truth[B]"])
 	}
 }
 

@@ -57,6 +57,19 @@ func (c Config) Validate() error {
 	if c.FUs[isa.ClassIntALU] < 1 || c.FUs[isa.ClassLoad] < 1 {
 		return fmt.Errorf("cpu config %q: missing integer ALU or load/store units", c.Name)
 	}
+	// An empty pool would leave its instructions waiting forever.
+	for _, pool := range []struct {
+		class isa.Class
+		name  string
+	}{
+		{isa.ClassIntMul, "integer multiply/divide"},
+		{isa.ClassFPAdd, "FP add"},
+		{isa.ClassFPMul, "FP multiply/divide"},
+	} {
+		if c.FUs[pool.class] < 1 {
+			return fmt.Errorf("cpu config %q: no %s units", c.Name, pool.name)
+		}
+	}
 	if c.SchedWindow < c.IssueWidth {
 		return fmt.Errorf("cpu config %q: scheduler window %d below issue width %d", c.Name, c.SchedWindow, c.IssueWidth)
 	}

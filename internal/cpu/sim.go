@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"mlpa/internal/bpred"
@@ -11,27 +13,30 @@ import (
 	"mlpa/internal/obs"
 )
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight instruction. Its operand wake-up state
+// lives in Sim's side arrays, indexed by the same ROB slot, which keeps
+// the entry small.
 type robEntry struct {
-	seq     uint64
+	seq    uint64
+	doneAt uint64 // cycle result is available; valid once issued
+	addr   int64  // block-aligned memory address for loads/stores
+
+	latency int32
 	class   isa.Class
-	latency int
-
-	// Dependencies: up to two producing ROB entries, identified by
-	// (index, seq) so retired producers are recognized as satisfied.
-	dep     [2]int32
-	depSeq  [2]uint64
-	numDeps int8
-
+	dst     isa.Reg
 	issued  bool
-	doneAt  uint64 // cycle result is available; valid once issued
 	isLoad  bool
 	isStore bool
 	hasDst  bool
-	dst     isa.Reg
-	addr    int64 // block-aligned memory address for loads/stores
 
 	mispredict bool // fetch is stalled until this branch resolves
+}
+
+// wakeState is one ROB slot's operand wake-up state.
+type wakeState struct {
+	readyAt   uint64 // latest doneAt among the entry's issued producers
+	waits     int32  // producers that have not issued yet
+	consumers int32  // first edge of the consumer list, plus one (0 = empty)
 }
 
 // Sim is one detailed simulation context: pipeline state plus memory
@@ -50,9 +55,18 @@ type Sim struct {
 	robTail  int
 	robCount int
 
-	// pending holds ROB indices of not-yet-issued instructions in
-	// program order (the scheduler's wakeup list).
-	pending []int32
+	// Scheduler state, indexed by ROB slot. At dispatch an entry
+	// counts its un-issued producers in wake[i].waits and links edge
+	// 2i+k (its k-th operand) onto each one's consumer list, chained
+	// through edgeNext; issuing a producer pushes its doneAt to every
+	// consumer. unissued marks the dispatched entries not yet issued
+	// (numUnissued of them), ready those whose producers have all
+	// issued: the only entries the scheduler visits.
+	wake        []wakeState
+	edgeNext    []int32
+	unissued    []uint64
+	ready       []uint64
+	numUnissued int
 
 	// memq holds ROB indices of in-flight memory operations in
 	// program order (the load/store queue); memqHead is its logical
@@ -70,8 +84,9 @@ type Sim struct {
 	nextSeq uint64
 
 	// Occupancy and flush telemetry, accumulated over the context
-	// lifetime (two integer adds per cycle; RunWindow differences them
-	// per window when Metrics is set).
+	// lifetime (occupancy × cycles elapsed, also across skipped idle
+	// cycles; RunWindow differences them per window when Metrics is
+	// set).
 	robOccSum uint64
 	lsqOccSum uint64
 	flushes   uint64
@@ -103,11 +118,16 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	words := (cfg.ROBSize + 63) / 64
 	s := &Sim{
 		cfg:            cfg,
 		hier:           hier,
 		bu:             bu,
 		rob:            make([]robEntry, cfg.ROBSize),
+		wake:           make([]wakeState, cfg.ROBSize),
+		edgeNext:       make([]int32, 2*cfg.ROBSize),
+		unissued:       make([]uint64, words),
+		ready:          make([]uint64, words),
 		lastFetchBlock: -1,
 		nextSeq:        1,
 	}
@@ -146,12 +166,18 @@ func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
 }
 
 // resetPipeline returns every piece of timing-model state to what New
-// leaves: an empty ROB, load/store queue and scheduler list, no register
-// producers, and zeroed cycle, sequence and telemetry counters.
+// leaves: an empty ROB, load/store queue and scheduler state, no
+// register producers, and zeroed cycle, sequence and telemetry
+// counters. The storage is cleared in place, so reusing a fork
+// allocates nothing.
 func (s *Sim) resetPipeline() {
 	clear(s.rob)
 	s.robHead, s.robTail, s.robCount = 0, 0, 0
-	s.pending = s.pending[:0]
+	clear(s.wake)
+	clear(s.edgeNext)
+	clear(s.unissued)
+	clear(s.ready)
+	s.numUnissued = 0
 	s.memq = s.memq[:0]
 	s.memqHead, s.lsqCount = 0, 0
 	for i := range s.regProducer {
@@ -290,7 +316,9 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 				}
 			}
 			s.retireRegs(s.robHead)
-			s.robHead = (s.robHead + 1) % s.cfg.ROBSize
+			if s.robHead++; s.robHead == s.cfg.ROBSize {
+				s.robHead = 0
+			}
 			s.robCount--
 			s.committed++
 			commits++
@@ -315,10 +343,12 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 			}
 		}
 
-		// Issue stage: scan the oldest SchedWindow un-issued entries.
-		s.issue()
+		// Issue stage: ready entries among the oldest SchedWindow
+		// un-issued ones.
+		issued, nextReady, stalled := s.issue()
 
 		// Fetch/dispatch stage.
+		seq, blk := s.nextSeq, s.lastFetchBlock
 		if !fetchDone {
 			halted, err := s.fetch(m, total, startInsts)
 			if err != nil {
@@ -330,6 +360,10 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 			if total > 0 && s.fetched()-startInsts >= total {
 				fetchDone = true
 			}
+		}
+
+		if commits == 0 && issued == 0 && !stalled && s.nextSeq == seq && s.lastFetchBlock == blk {
+			sinceCommit = s.skipIdle(nextReady, fetchDone, sinceCommit)
 		}
 	}
 
@@ -395,68 +429,134 @@ func (s *Sim) retireRegs(idx int) {
 	}
 }
 
-// issue selects ready instructions oldest-first, bounded by issue
-// width, functional-unit pools and the scheduler window. It walks the
-// pending list (un-issued instructions in program order), compacting
-// out the entries it issues.
-func (s *Sim) issue() {
-	var fuUsed [isa.NumClasses]int
-	issued := 0
-	scanned := 0
-	w := 0
-	for r := 0; r < len(s.pending); r++ {
-		idx := s.pending[r]
-		if issued >= s.cfg.IssueWidth || scanned >= s.cfg.SchedWindow {
-			// Out of issue bandwidth or window: keep the rest.
-			w += copy(s.pending[w:], s.pending[r:])
-			break
+// skipIdle is called after an idle cycle: one that committed, issued
+// and dispatched nothing, made no IL1 access, and left no entry with
+// ready operands un-issued. Every cycle up to the next timed event is
+// idle too and changes nothing but the cycle counter, the occupancy
+// sums and the watchdog count. That event is the earliest of the ROB
+// head's completion, nextReady (the earliest operand-ready time in the
+// scheduler window) and fetchReadyAt, unless fetch is done or waits for
+// a mispredicted branch to issue. skipIdle advances those counters to
+// the cycle before the event, clamped so the watchdog fires at the
+// cycle it would have, and returns the new watchdog count. Without a
+// timed event it skips nothing.
+func (s *Sim) skipIdle(nextReady uint64, fetchDone bool, sinceCommit uint64) uint64 {
+	next := nextReady
+	if s.robCount > 0 {
+		if h := &s.rob[s.robHead]; h.issued {
+			next = min(next, h.doneAt)
 		}
-		e := &s.rob[idx]
-		scanned++
-		if !s.tryIssue(e, int(idx), &fuUsed) {
-			s.pending[w] = idx
-			w++
-			continue
-		}
-		issued++
 	}
-	s.pending = s.pending[:w]
+	if !fetchDone && s.fetchBlockSeq == 0 && s.fetchReadyAt > s.cycle {
+		next = min(next, s.fetchReadyAt)
+	}
+	if next == math.MaxUint64 || next <= s.cycle+1 {
+		return sinceCommit
+	}
+	d := min(next-1-s.cycle, watchdogLimit-sinceCommit)
+	s.cycle += d
+	s.robOccSum += uint64(s.robCount) * d
+	s.lsqOccSum += uint64(s.lsqCount) * d
+	return sinceCommit + d
 }
 
-// tryIssue attempts to issue one entry this cycle.
-func (s *Sim) tryIssue(e *robEntry, idx int, fuUsed *[isa.NumClasses]int) bool {
-	if !s.depsReady(e) {
-		return false
-	}
-	// Functional-unit availability. Branches use integer ALUs.
-	cl := e.class
-	switch cl {
-	case isa.ClassBranch, isa.ClassNop:
-		cl = isa.ClassIntALU
-	case isa.ClassStore:
-		cl = isa.ClassLoad // shared load/store units
-	}
-	if fuUsed[cl] >= s.cfg.FUs[cl] {
-		return false
-	}
-	var fwd bool
-	if e.isLoad {
-		ok, forwarded := s.loadMayIssue(idx)
-		if !ok {
-			return false
+// issue selects ready instructions oldest-first, bounded by issue
+// width, functional-unit pools and the scheduler window (the oldest
+// SchedWindow un-issued entries). It visits only the entries whose
+// producers have all issued, in program order from the ROB head, and
+// returns the number issued, the earliest operand-ready time after this
+// cycle among the visited entries (math.MaxUint64 if none), and whether
+// an entry with ready operands failed to issue. Every latency is at
+// least one cycle, so nothing issued here readies another entry within
+// the same cycle.
+func (s *Sim) issue() (issued int, nextReady uint64, stalled bool) {
+	var fuUsed [isa.NumClasses]int
+	nextReady = math.MaxUint64
+	limited := s.numUnissued > s.cfg.SchedWindow
+	left := s.cfg.SchedWindow // un-issued entries the window still admits
+	n := len(s.ready)
+	hw := s.robHead >> 6
+	fromHead := ^uint64(0) << (s.robHead & 63)
+	// Words hw..n-1, then 0..hw: the head's word first from the head
+	// on, last below it.
+	for k := 0; k <= n; k++ {
+		w, keep := hw+k, ^uint64(0)
+		switch {
+		case k == 0:
+			keep = fromHead
+		case k == n:
+			keep = ^fromHead
 		}
-		fwd = forwarded
+		if w >= n {
+			w -= n
+		}
+		cand := s.ready[w] & keep
+		// last: the window ends in this word, at the left-th of its
+		// un-issued entries un.
+		var un uint64
+		last := false
+		if limited {
+			un = s.unissued[w] & keep
+			if c := bits.OnesCount64(un); c < left {
+				left -= c
+			} else {
+				last = true
+			}
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			b := bits.TrailingZeros64(cand)
+			if last && bits.OnesCount64(un&(uint64(1)<<b-1)) >= left {
+				break
+			}
+			idx := w<<6 | b
+			if at := s.wake[idx].readyAt; at > s.cycle {
+				nextReady = min(nextReady, at)
+				continue
+			}
+			e := &s.rob[idx]
+			// Functional-unit availability. Branches use integer ALUs.
+			cl := e.class
+			switch cl {
+			case isa.ClassBranch, isa.ClassNop:
+				cl = isa.ClassIntALU
+			case isa.ClassStore:
+				cl = isa.ClassLoad // shared load/store units
+			}
+			if fuUsed[cl] >= s.cfg.FUs[cl] {
+				stalled = true
+				continue
+			}
+			lat := int(e.latency)
+			if e.isLoad {
+				ok, fwd := s.loadMayIssue(idx)
+				if !ok {
+					stalled = true
+					continue
+				}
+				if fwd {
+					lat++ // store-to-load forwarding
+				} else {
+					lat += s.hier.DL1.Access(e.addr, false)
+				}
+			}
+			fuUsed[cl]++
+			s.issueEntry(idx, e, lat)
+			if issued++; issued == s.cfg.IssueWidth {
+				return issued, nextReady, stalled
+			}
+		}
+		if last {
+			break
+		}
 	}
-	fuUsed[cl]++
+	return issued, nextReady, stalled
+}
+
+// issueEntry issues the entry in ROB slot idx with the given latency:
+// it leaves the scheduler, a mispredicted branch schedules the fetch
+// redirect, and every consumer learns when the result is available.
+func (s *Sim) issueEntry(idx int, e *robEntry, lat int) {
 	e.issued = true
-	lat := e.latency
-	if e.isLoad {
-		if fwd {
-			lat++ // store-to-load forwarding
-		} else {
-			lat += s.hier.DL1.Access(e.addr, false)
-		}
-	}
 	e.doneAt = s.cycle + uint64(lat)
 	if e.mispredict {
 		// Redirect: fetch resumes after resolution plus refill.
@@ -468,22 +568,18 @@ func (s *Sim) tryIssue(e *robEntry, idx int, fuUsed *[isa.NumClasses]int) bool {
 			s.fetchBlockSeq = 0
 		}
 	}
-	return true
-}
-
-// depsReady reports whether all register dependencies of e are
-// satisfied this cycle.
-func (s *Sim) depsReady(e *robEntry) bool {
-	for d := int8(0); d < e.numDeps; d++ {
-		p := &s.rob[e.dep[d]]
-		if p.seq != e.depSeq[d] {
-			continue // producer retired; value in the register file
-		}
-		if !p.issued || p.doneAt > s.cycle {
-			return false
+	bit := uint64(1) << (idx & 63)
+	s.unissued[idx>>6] &^= bit
+	s.ready[idx>>6] &^= bit
+	s.numUnissued--
+	for edge := s.wake[idx].consumers; edge != 0; edge = s.edgeNext[edge-1] {
+		c := int(edge-1) >> 1
+		cw := &s.wake[c]
+		cw.readyAt = max(cw.readyAt, e.doneAt)
+		if cw.waits--; cw.waits == 0 {
+			s.ready[c>>6] |= uint64(1) << (c & 63)
 		}
 	}
-	return true
 }
 
 // loadMayIssue enforces load/store ordering by walking the in-flight
@@ -627,8 +723,9 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 			return false, nil
 		}
 		// Stall before consuming a memory instruction when the LSQ is
-		// full (peek at the next opcode without stepping).
-		if m.Prog.Code[m.PC].Op.IsMem() && s.lsqCount >= s.cfg.LSQSize {
+		// full (peek at the next opcode without stepping; an out-of-
+		// range PC is left for Step to report).
+		if s.lsqCount >= s.cfg.LSQSize && m.PC >= 0 && m.PC < int64(len(m.Prog.Code)) && m.Prog.Code[m.PC].Op.IsMem() {
 			return false, nil
 		}
 		// Instruction cache: one access per block transition.
@@ -646,30 +743,41 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 			return false, fmt.Errorf("cpu: functional step: %w", err)
 		}
 		op := info.Inst.Op
-		isMem := op.IsMem()
+		class := op.Class()
 
 		idx := s.robTail
 		e := &s.rob[idx]
 		*e = robEntry{
 			seq:     s.nextSeq,
-			class:   op.Class(),
-			latency: op.Latency(),
+			class:   class,
+			latency: int32(op.Latency()),
 		}
 		s.nextSeq++
 
-		// Register dependencies.
-		var srcBuf [4]isa.Reg
-		srcs := info.Inst.Sources(srcBuf[:0])
-		for _, r := range srcs {
-			if e.numDeps >= 2 {
-				break
-			}
+		// Register dependencies: wait for each in-flight producer (an
+		// instruction has at most two sources).
+		wk := &s.wake[idx]
+		*wk = wakeState{}
+		var srcBuf [2]isa.Reg
+		for k, r := range info.Inst.Sources(srcBuf[:0]) {
 			pi := s.regProducer[r]
-			if pi >= 0 {
-				e.dep[e.numDeps] = pi
-				e.depSeq[e.numDeps] = s.regSeq[r]
-				e.numDeps++
+			if pi < 0 {
+				continue
 			}
+			if p := &s.rob[pi]; p.issued {
+				wk.readyAt = max(wk.readyAt, p.doneAt)
+			} else {
+				edge := int32(2*idx + k)
+				s.edgeNext[edge] = s.wake[pi].consumers
+				s.wake[pi].consumers = edge + 1
+				wk.waits++
+			}
+		}
+		bit := uint64(1) << (idx & 63)
+		s.unissued[idx>>6] |= bit
+		s.numUnissued++
+		if wk.waits == 0 {
+			s.ready[idx>>6] |= bit
 		}
 		if rd, ok := info.Inst.Dests(); ok {
 			e.hasDst = true
@@ -678,17 +786,16 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 			s.regSeq[rd] = e.seq
 		}
 
-		if isMem {
+		if class == isa.ClassLoad || class == isa.ClassStore {
 			e.addr = info.MemAddr & blockMask
-			e.isLoad = op.IsLoad()
-			e.isStore = op.IsStore()
+			e.isLoad = class == isa.ClassLoad
+			e.isStore = class == isa.ClassStore
 			s.lsqCount++
 			s.memq = append(s.memq, int32(idx))
 		}
-		s.pending = append(s.pending, int32(idx))
 
 		stopFetch := false
-		if op.IsBranch() {
+		if class == isa.ClassBranch {
 			correct := true
 			switch op {
 			case isa.OpJal:
@@ -714,7 +821,9 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 			stopFetch = true
 		}
 
-		s.robTail = (s.robTail + 1) % s.cfg.ROBSize
+		if s.robTail++; s.robTail == s.cfg.ROBSize {
+			s.robTail = 0
+		}
 		s.robCount++
 
 		if stopFetch {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"mlpa/internal/bpred"
@@ -37,6 +38,28 @@ func testConfig() Config {
 	cfg.FUs[isa.ClassFPAdd] = 2
 	cfg.FUs[isa.ClassIntMul] = 2
 	cfg.FUs[isa.ClassFPMul] = 2
+	return cfg
+}
+
+// testConfigB is Table I's configuration B, assembled locally for the
+// same reason.
+func testConfigB() Config {
+	cfg := testConfig()
+	cfg.Name = "testB"
+	cfg.Predictor = bpred.KindBimodal
+	cfg.BHTEntries = 2048
+	cfg.Caches = cache.HierarchyConfig{
+		IL1:      cache.Config{Name: "il1", TotalBytes: 32 << 10, Assoc: 1, BlockBytes: 32, Latency: 1},
+		DL1:      cache.Config{Name: "dl1", TotalBytes: 128 << 10, Assoc: 2, BlockBytes: 32, Latency: 1},
+		L2:       cache.Config{Name: "ul2", TotalBytes: 4 << 20, Assoc: 8, BlockBytes: 32, Latency: 30},
+		MemFirst: 200,
+		MemNext:  15,
+	}
+	cfg.FUs[isa.ClassIntALU] = 6
+	cfg.FUs[isa.ClassLoad] = 2
+	cfg.FUs[isa.ClassFPAdd] = 6
+	cfg.FUs[isa.ClassIntMul] = 4
+	cfg.FUs[isa.ClassFPMul] = 4
 	return cfg
 }
 
@@ -92,6 +115,22 @@ func TestConfigValidation(t *testing.T) {
 	bad.FUs[isa.ClassIntALU] = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("no-ALU config accepted")
+	}
+	// Every functional-unit pool needs a unit: an empty one would leave
+	// its instructions waiting until the deadlock watchdog fires.
+	for _, c := range []struct {
+		class isa.Class
+		name  string
+	}{
+		{isa.ClassIntMul, "integer multiply/divide"},
+		{isa.ClassFPAdd, "FP add"},
+		{isa.ClassFPMul, "FP multiply/divide"},
+	} {
+		bad = cfg
+		bad.FUs[c.class] = 0
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("empty %s pool: error %v, want one naming the class", c.name, err)
+		}
 	}
 	bad = cfg
 	bad.SchedWindow = 2
