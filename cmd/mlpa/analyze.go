@@ -101,7 +101,6 @@ func dataflowReport(p *prog.Program) (string, error) {
 		fmt.Fprintf(&sb, "  region [0,%d): liveIn=%s memLiveIn=%v defs=%s blocks=%d insts=%d\n",
 			halt, rs.LiveIn, rs.LiveInMem, rs.Defs, len(rs.Blocks), rs.Insts)
 	}
-	fmt.Fprintf(&sb, "  def sites: %d\n", len(d.Reach.Sites))
 	if err := emu.CrossCheckDataflow(p); err != nil {
 		return "", fmt.Errorf("predecode cross-check: %w", err)
 	}

@@ -21,13 +21,14 @@ import (
 	"mlpa/internal/pipeline"
 )
 
-// benchSchema is the BENCH_<date>.json document version. Schema 6
+// benchSchema is the BENCH_<date>.json document version. Schema 7
 // keeps only what no other harness measures: the per-benchmark
 // selection, truth and estimate walls and deviations, the provenance
-// block, and the ExecutePlan worker curve (see micro.go). There are no
-// bridges to earlier schemas: `mlpa bench -compare` rejects any report
-// not at this schema, and the fix is to regenerate it.
-const benchSchema = 6
+// block, and the ExecutePlan worker curve of the checkpoint-backed
+// SimPoint plan (see micro.go). There are no bridges to earlier
+// schemas: `mlpa bench -compare` rejects any report not at this
+// schema, and the fix is to regenerate it.
+const benchSchema = 7
 
 // gateParallelSlack is the measurement-noise allowance of the
 // -gate-parallel check: workers=4 must not be slower than workers=1 by

@@ -1,9 +1,10 @@
 // The plan-execution worker curve of the bench report: one
-// benchmark's multi-level plan executed at each worker count, with the
-// chunk count the cost-aware scheduler chose. It is the only
-// measurement behind `-gate-parallel`. Substrate micros (emulator,
-// clustering, checkpoint round trip) are Go benchmarks in
-// bench_test.go; docs/PERFORMANCE.md lists them.
+// benchmark's SimPoint plan, executed from a checkpoint set the way
+// `mlpa ckpt exec` runs it, at each worker count, with the chunk count
+// the cost-aware scheduler chose. It is the only measurement behind
+// `-gate-parallel`. Substrate micros (emulator, clustering, checkpoint
+// round trip) are Go benchmarks in bench_test.go; docs/PERFORMANCE.md
+// lists them.
 package main
 
 import (
@@ -12,15 +13,16 @@ import (
 	"strings"
 	"time"
 
+	"mlpa/internal/ckpt"
 	"mlpa/internal/experiments"
-	"mlpa/internal/parallel"
 	"mlpa/internal/pipeline"
 )
 
 // microReport carries the plan-execution worker curve.
 type microReport struct {
-	// PlanWalls is PlanBenchmark's multi-level plan wall time (best
-	// of three) at each worker count, keyed by worker count.
+	// PlanWalls is PlanBenchmark's checkpoint-backed SimPoint plan
+	// wall time (best of three) at each worker count, keyed by worker
+	// count.
 	PlanBenchmark string           `json:"plan_benchmark"`
 	PlanWalls     map[string]int64 `json:"plan_wall_by_workers_ns"`
 	// PlanChunks is the chunk count the cost-aware scheduler
@@ -35,9 +37,11 @@ type microReport struct {
 var microPlanWorkers = []int{1, 2, 4, 8}
 
 func runMicro(f *flags) (*microReport, error) {
-	// The first configured benchmark's multi-level plan; every run
-	// gets its own state cache, so no run inherits another's
-	// fast-forwards.
+	// The first configured benchmark's SimPoint plan under `mlpa ckpt
+	// save`'s warm policy, restored from a checkpoint set built once
+	// before any timing. Restores make chunk startup cheap, so the
+	// scheduler splits this plan across workers; a scratch plan under
+	// the harness policy stays one spine, one chunk, at every count.
 	o, err := f.options()
 	if err != nil {
 		return nil, err
@@ -66,16 +70,20 @@ func runMicro(f *flags) (*microReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pl.ByMethod(experiments.MethodMultiLevel)
+	plan, err := pl.ByMethod(experiments.MethodSimPoint)
+	if err != nil {
+		return nil, err
+	}
+	pol := ckpt.Policy{Warmup: ckptSaveWarmup, DetailLeadIn: ckptSaveLeadIn, RunAhead: ckptSaveRunAhead}
+	set, err := pipeline.BuildCheckpointSet(p, plan, ckptExecOptions(f, pol))
 	if err != nil {
 		return nil, err
 	}
 	planCurve := make([]string, 0, len(microPlanWorkers))
 	for _, workers := range microPlanWorkers {
-		execOpts := pipeline.ExecOptions{
-			Warmup: st.Opts.Warmup, DetailLeadIn: st.Opts.DetailLeadIn,
-			Obs: f.rt, Workers: workers, Ctx: f.ctx,
-		}
+		execOpts := ckptExecOptions(f, pol)
+		execOpts.Workers = workers
+		execOpts.Checkpoints = set
 		chunks, err := pipeline.PlanChunks(plan, execOpts, workers)
 		if err != nil {
 			return nil, err
@@ -86,7 +94,6 @@ func runMicro(f *flags) (*microReport, error) {
 		// comparison of near-equal quantities.
 		var wall int64
 		for attempt := 0; attempt < 3; attempt++ {
-			execOpts.Cache = parallel.NewStateCache(p, 0, f.rt.Metrics())
 			t0 := time.Now()
 			if _, err := pipeline.ExecutePlan(p, plan, configs[0], execOpts); err != nil {
 				return nil, err
@@ -101,6 +108,6 @@ func runMicro(f *flags) (*microReport, error) {
 		planCurve = append(planCurve, fmt.Sprintf("%d:%v/%d", workers,
 			time.Duration(wall).Round(time.Millisecond), chunks))
 	}
-	fmt.Printf("micro: %s plan workers:wall/chunks %s\n", rep.PlanBenchmark, strings.Join(planCurve, " "))
+	fmt.Printf("micro: %s %s plan workers:wall/chunks %s\n", rep.PlanBenchmark, plan.Method, strings.Join(planCurve, " "))
 	return rep, nil
 }

@@ -2,10 +2,9 @@
 // Sampling Technique for Simulators — the paper's first-level sampling
 // (Section IV-A). Intervals are iteration instances of an outer cyclic
 // program structure discovered by dynamic boundary profiling;
-// structures covering less than 1% of execution are discarded. BBVs
-// are collected per iteration instance, randomly projected to 15
-// dimensions, concatenated into signature vectors and normalized;
-// k-means with Kmax = 3 classifies the coarse phases and the
+// structures covering less than 1% of execution are discarded. One BBV
+// is collected per iteration instance, randomly projected to 15
+// dimensions and normalized into its signature vector; k-means with Kmax = 3 classifies the coarse phases and the
 // *earliest* instance of each phase becomes its simulation point,
 // which is what collapses the functional fast-forward time.
 package coasts
@@ -38,10 +37,6 @@ type Config struct {
 	// share during boundary collection (paper: 1%).
 	MinCoverage float64
 
-	// SubChunks concatenates this many per-iteration sub-signatures
-	// (default 1: one BBV per iteration instance).
-	SubChunks int
-
 	// BICFraction is the model-selection threshold (default 0.9).
 	BICFraction float64
 
@@ -59,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinCoverage <= 0 {
 		c.MinCoverage = 0.01
-	}
-	if c.SubChunks < 1 {
-		c.SubChunks = 1
 	}
 	if c.BICFraction <= 0 {
 		c.BICFraction = 0.9
@@ -189,7 +181,7 @@ func Profile(p *prog.Program, b *Boundary, cfg Config) (*phase.Trace, error) {
 		// head yields a single whole-program interval.
 		head = int64(len(p.Code))
 	}
-	tr, err := phase.CollectIterations(p, proj, head, cfg.SubChunks)
+	tr, err := phase.CollectIterations(p, proj, head)
 	if err == nil {
 		span.SetAttr("intervals", len(tr.Intervals))
 	}

@@ -1,7 +1,7 @@
 package emu
 
-// Differential tests of the predecoded fast path: Run (block-batched,
-// monomorphic loops) must be bit-identical to driving the machine with
+// Differential tests of the predecoded fast path: Run (the block-
+// batched runFast loop) must be bit-identical to driving the machine with
 // Step — same registers, memory, PC, counters, halt state, errors, and
 // identical hook observations. The fuzz target in fuzz_test.go chews
 // on the same comparison with adversarial programs.
@@ -33,9 +33,6 @@ func compareMachines(t *testing.T, fast, ref *Machine, label string) {
 	}
 	if fast.Halted != ref.Halted {
 		t.Errorf("%s: Halted %v != reference %v", label, fast.Halted, ref.Halted)
-	}
-	if fast.haltedAt != ref.haltedAt {
-		t.Errorf("%s: haltedAt %d != reference %d", label, fast.haltedAt, ref.haltedAt)
 	}
 	if fast.Insts != ref.Insts {
 		t.Errorf("%s: Insts %d != reference %d", label, fast.Insts, ref.Insts)
@@ -149,13 +146,14 @@ func TestRunMatchesStepLoopProfiler(t *testing.T) {
 }
 
 // TestRunMatchesStepLoopSnapshotHook exercises a vli-style hook that
-// reads m.Insts and snapshots/resets BlockCounts mid-run; the observed
-// event streams must be identical between the two engines.
+// reads m.PC and m.Insts and snapshots/resets BlockCounts mid-run —
+// everything the BranchHook contract promises; the observed event
+// streams must be identical between the two engines.
 func TestRunMatchesStepLoopSnapshotHook(t *testing.T) {
 	type event struct {
-		from, to int64
-		insts    uint64
-		snap     []uint64
+		from, to, pc int64
+		insts        uint64
+		snap         []uint64
 	}
 	collect := func(m *Machine, run func(uint64) (uint64, error)) ([]event, uint64, error) {
 		var events []event
@@ -163,7 +161,7 @@ func TestRunMatchesStepLoopSnapshotHook(t *testing.T) {
 		m.Branch = func(from, to int64) {
 			n++
 			if to <= from && n%3 == 0 {
-				events = append(events, event{from, to, m.Insts, m.SnapshotBlockCounts()})
+				events = append(events, event{from, to, m.PC, m.Insts, m.SnapshotBlockCounts()})
 				m.ResetBlockCounts()
 			}
 		}
@@ -189,15 +187,15 @@ func TestRunMatchesStepLoopSnapshotHook(t *testing.T) {
 // TestRunHookToggleAtTraceBoundaries attaches and detaches the Branch
 // hook between budget chunks that stop at arbitrary instruction counts
 // — PCs that land in the interior of regions the superblock engine
-// covers with traces. A hooked chunk must run on the exact hooked path
-// with all superblock state flushed (counts, PC, registers identical
-// to the Step reference), and re-detaching must drop straight back
-// into trace dispatch with no residue; the observed event stream must
-// match the reference under the identical toggle schedule.
+// covers with traces. A hooked chunk must skip traces and leave counts,
+// PC and registers identical to the Step reference, and re-detaching
+// must drop straight back into trace dispatch with no residue; the
+// observed event stream (from, to, PC, Insts) must match the reference
+// under the identical toggle schedule.
 func TestRunHookToggleAtTraceBoundaries(t *testing.T) {
 	type event struct {
-		from, to int64
-		insts    uint64
+		from, to, pc int64
+		insts        uint64
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, p := range prog.Examples() {
@@ -214,8 +212,8 @@ func TestRunHookToggleAtTraceBoundaries(t *testing.T) {
 					fast.Branch, ref.Branch = nil, nil
 					return
 				}
-				fast.Branch = func(from, to int64) { evFast = append(evFast, event{from, to, fast.Insts}) }
-				ref.Branch = func(from, to int64) { evRef = append(evRef, event{from, to, ref.Insts}) }
+				fast.Branch = func(from, to int64) { evFast = append(evFast, event{from, to, fast.PC, fast.Insts}) }
+				ref.Branch = func(from, to int64) { evRef = append(evRef, event{from, to, ref.PC, ref.Insts}) }
 			}
 			for ci := 0; ci < 200 && !fast.Halted; ci++ {
 				toggle(rng.Intn(2) == 0)

@@ -3,7 +3,7 @@ package emu
 // FuzzRunVsStep is the differential fuzz target for the predecoded
 // fast path: arbitrary bytes become a short program (including invalid
 // opcodes, cross-namespace register names, and out-of-range branch
-// targets), and the fast Run loops — superblock traces included —
+// targets), and the fast Run loop — superblock traces included —
 // must produce bit-identical machine state, counts, errors, and hook
 // observations to the Step reference loop under the same budget
 // schedule. Hooked inputs additionally attach and detach the hook
@@ -51,9 +51,11 @@ func fuzzProgram(data []byte) *prog.Program {
 	return &prog.Program{Name: "fuzz", Code: code}
 }
 
+// hookEvent is what a hook may observe under the BranchHook contract
+// (BlockCounts is compared by TestRunMatchesStepLoopSnapshotHook).
 type hookEvent struct {
-	from, to int64
-	insts    uint64
+	from, to, pc int64
+	insts        uint64
 }
 
 func FuzzRunVsStep(f *testing.F) {
@@ -91,10 +93,10 @@ func FuzzRunVsStep(f *testing.F) {
 				return
 			}
 			fast.Branch = func(from, to int64) {
-				evFast = append(evFast, hookEvent{from, to, fast.Insts})
+				evFast = append(evFast, hookEvent{from, to, fast.PC, fast.Insts})
 			}
 			ref.Branch = func(from, to int64) {
-				evRef = append(evRef, hookEvent{from, to, ref.Insts})
+				evRef = append(evRef, hookEvent{from, to, ref.PC, ref.Insts})
 			}
 		}
 		for bi, budget := range budgets {
@@ -133,9 +135,9 @@ func FuzzRunVsStep(f *testing.F) {
 
 func fuzzCompare(t *testing.T, fast, ref *Machine) {
 	t.Helper()
-	if fast.PC != ref.PC || fast.Halted != ref.Halted || fast.haltedAt != ref.haltedAt {
-		t.Fatalf("control state diverges: PC %d/%d Halted %v/%v haltedAt %d/%d",
-			fast.PC, ref.PC, fast.Halted, ref.Halted, fast.haltedAt, ref.haltedAt)
+	if fast.PC != ref.PC || fast.Halted != ref.Halted {
+		t.Fatalf("control state diverges: PC %d/%d Halted %v/%v",
+			fast.PC, ref.PC, fast.Halted, ref.Halted)
 	}
 	if fast.Insts != ref.Insts {
 		t.Fatalf("Insts %d != reference %d", fast.Insts, ref.Insts)

@@ -214,16 +214,3 @@ func (lp *LoopProfiler) SelectCoarse(totalInsts uint64, minCoverage float64) *Lo
 	}
 	return best
 }
-
-// IterationMarker invokes fn at each completed iteration of the
-// structure headed at head: fn(iterationIndex, instsAtBoundary). Use it
-// as a Machine BranchHook during the metric-collection pass.
-func IterationMarker(m *Machine, head int64, fn func(iter int, insts uint64)) BranchHook {
-	iter := 0
-	return func(from, to int64) {
-		if to == head && to <= from {
-			fn(iter, m.Insts)
-			iter++
-		}
-	}
-}

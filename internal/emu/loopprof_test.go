@@ -136,29 +136,6 @@ func TestSelectCoarseNilWhenNoLoops(t *testing.T) {
 	}
 }
 
-func TestIterationMarker(t *testing.T) {
-	p := nestedLoops(t, 6, 3)
-	m := New(p, 0)
-	var boundaries []uint64
-	m.Branch = IterationMarker(m, p.Labels["outer"], func(iter int, insts uint64) {
-		if iter != len(boundaries) {
-			t.Errorf("iteration index %d, want %d", iter, len(boundaries))
-		}
-		boundaries = append(boundaries, insts)
-	})
-	if _, err := m.RunToCompletion(1e8); err != nil {
-		t.Fatal(err)
-	}
-	if len(boundaries) != 5 { // 6 trips -> 5 back edges
-		t.Fatalf("boundaries = %d, want 5", len(boundaries))
-	}
-	for i := 1; i < len(boundaries); i++ {
-		if boundaries[i] <= boundaries[i-1] {
-			t.Errorf("boundaries not increasing: %v", boundaries)
-		}
-	}
-}
-
 func TestCoverageMath(t *testing.T) {
 	s := &LoopStats{TotalInsts: 50}
 	if got := s.Coverage(200); got != 0.25 {

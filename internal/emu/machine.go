@@ -7,6 +7,7 @@
 package emu
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -20,6 +21,12 @@ import (
 // BranchHook observes taken control transfers. from is the PC of the
 // transferring instruction, to the destination PC. Backward transfers
 // (to <= from) delimit loop iterations.
+//
+// The contract, under Run: during the call the machine's PC is from,
+// Insts counts every instruction up to and including the transfer, and
+// BlockCounts is current; the register files are not. A hook may read
+// those three, snapshot or reset BlockCounts, and must change nothing
+// else. Step calls hooks with the full state current.
 type BranchHook func(from, to int64)
 
 // StepInfo describes one committed instruction for execution-driven
@@ -51,7 +58,9 @@ type Machine struct {
 	// instruction-weighted BBV accumulator.
 	BlockCounts []uint64
 
-	// Branch, if non-nil, is invoked for every taken control transfer.
+	// Branch, if non-nil, is invoked for every taken control transfer,
+	// under the contract documented on BranchHook. Run reads it once
+	// per call.
 	Branch BranchHook
 
 	// Metrics, if non-nil, receives functional-execution rate metrics
@@ -65,13 +74,12 @@ type Machine struct {
 	// for A/B measurement and tests.
 	NoTraces bool
 
-	mem      []uint64 // word-addressed data memory, power-of-two length
-	memMask  int64
-	code     []isa.Inst
-	blockOf  []int32
-	haltedAt int64
-	dec      *predecoded // shared per-program fast-path representation
-	dirty    []uint64    // written-page bitmap; nil unless TrackDirtyPages
+	mem     []uint64 // word-addressed data memory, power-of-two length
+	memMask int64
+	code    []isa.Inst
+	blockOf []int32
+	dec     *predecoded // shared per-program fast-path representation
+	dirty   []uint64    // written-page bitmap; nil unless TrackDirtyPages
 }
 
 // DefaultMemWords is the data-memory size used when a program does not
@@ -118,7 +126,6 @@ func (m *Machine) Clone() *Machine {
 		code:        m.code,
 		blockOf:     m.blockOf,
 		BlockCounts: append([]uint64(nil), m.BlockCounts...),
-		haltedAt:    m.haltedAt,
 		dec:         m.dec,
 		NoTraces:    m.NoTraces,
 	}
@@ -215,7 +222,6 @@ func (m *Machine) Step() (StepInfo, error) {
 	case isa.OpNop:
 	case isa.OpHalt:
 		m.Halted = true
-		m.haltedAt = pc
 		next = pc
 	case isa.OpAdd:
 		m.setInt(in.Rd, m.geti(in.Rs1)+m.geti(in.Rs2))
@@ -343,11 +349,12 @@ func (m *Machine) Step() (StepInfo, error) {
 }
 
 // Run executes up to maxInsts instructions (or until halt if maxInsts
-// is 0) and returns the number executed. It is the fast path used for
-// functional fast-forwarding and profiling: the program is executed
-// from its predecoded form in basic-block batches (see predecode.go
-// and run.go), which is bit-identical to driving the machine with
-// Step but several times faster.
+// is 0) and returns the number executed. It is the one fast path for
+// functional fast-forwarding and profiling alike: the program is
+// executed from its predecoded form in basic-block batches (see
+// predecode.go and run.go), which is bit-identical to driving the
+// machine with Step but several times faster. A Branch hook attached
+// at entry is called under the contract on BranchHook.
 func (m *Machine) Run(maxInsts uint64) (uint64, error) {
 	var t0 time.Time
 	if m.Metrics != nil {
@@ -362,8 +369,6 @@ func (m *Machine) Run(maxInsts uint64) (uint64, error) {
 	case m.dec == nil:
 		// Machines not built by New have no predecoded program.
 		done, err = m.runStep(maxInsts)
-	case m.Branch != nil:
-		done, err = m.runHooked(maxInsts)
 	default:
 		done, err = m.runFast(maxInsts)
 	}
@@ -374,6 +379,33 @@ func (m *Machine) Run(maxInsts uint64) (uint64, error) {
 		m.Metrics.Counter("emu.run_insts").Add(int64(done))
 	}
 	return done, err
+}
+
+// runToSlice bounds the instructions RunTo executes between context
+// checks, keeping cancellation latency in the low milliseconds.
+const runToSlice = 1 << 20
+
+// RunTo fast-forwards the machine to instruction position pos (its
+// committed-instruction count) and returns the number of instructions
+// executed. It runs in slices of at most 2^20 instructions, checks ctx
+// before each, and fails if the program halts before pos. A machine
+// already at or past pos is left where it is.
+func (m *Machine) RunTo(ctx context.Context, pos uint64) (uint64, error) {
+	var done uint64
+	for m.Insts < pos {
+		if err := ctx.Err(); err != nil {
+			return done, err
+		}
+		if m.Halted {
+			return done, fmt.Errorf("emu: program %q halted at instruction %d before reaching %d", m.Prog.Name, m.Insts, pos)
+		}
+		n, err := m.Run(min(pos-m.Insts, runToSlice))
+		done += n
+		if err != nil {
+			return done, fmt.Errorf("fast-forward to instruction %d: %w", pos, err)
+		}
+	}
+	return done, nil
 }
 
 // RunToCompletion executes until the program halts, with a safety

@@ -1,16 +1,17 @@
 package emu
 
-// The fast execution loops. Run dispatches to one of two monomorphic
-// loops over the predecoded program: runFast for the common no-hook
-// fast-forward (zero indirect calls, registers held in local arrays,
-// per-block instead of per-instruction accounting) and runHooked for
-// profiled runs with a Branch hook attached (same batching, but the
-// architectural state is flushed around every hook invocation so the
-// hook observes exactly what a Step-driven run would).
+// The fast execution loop. Run drives runFast, one monomorphic loop
+// over the predecoded program: registers held in local arrays, per-
+// block instead of per-instruction accounting, superblock traces when
+// no Branch hook is attached, and zero indirect calls unless a hook is.
+// The same loop serves fast-forward and profiling; with a hook it
+// publishes PC and Insts before each taken-transfer call (see
+// BranchHook for the contract).
 //
-// Both loops are bit-identical to driving the machine with Step: same
+// runFast is bit-identical to driving the machine with Step: same
 // final registers, memory, PC, Insts, BlockCounts, halt state, same
-// returned instruction count, and same errors on the same inputs.
+// returned instruction count, same errors on the same inputs, and the
+// same (from, to, PC, Insts, BlockCounts) at every hook call.
 // TestRunMatchesStepLoop and FuzzRunVsStep enforce the contract.
 
 import (
@@ -33,7 +34,7 @@ func (m *Machine) runStep(maxInsts uint64) (uint64, error) {
 	return done, nil
 }
 
-// runFast is the no-hook loop. The register files live in local
+// runFast is the batched loop. The register files live in local
 // 64-entry arrays (slots 32/33 implement the zero and sink registers,
 // see predecode.go) and are flushed back on every exit path; counters
 // are accumulated locally and flushed once. When the PC sits on a
@@ -42,12 +43,17 @@ func (m *Machine) runStep(maxInsts uint64) (uint64, error) {
 // call; a failing guard side-exits with exact prefix accounting, and
 // everything else — cold blocks, budget tails, invalid opcodes —
 // stays on the block-batched path below.
+//
+// With a Branch hook attached the loop skips traces, since a trace
+// stitches taken branches away, and calls the hook on every taken
+// transfer with the state the hook contract promises (see fire).
 func (m *Machine) runFast(maxInsts uint64) (uint64, error) {
 	d := m.dec
 	dc := d.code
 	spans := d.span
+	hook := m.Branch
 	traces := d.traces
-	if m.NoTraces {
+	if m.NoTraces || hook != nil {
 		traces = nil
 	}
 	codeLen := int64(len(dc))
@@ -62,6 +68,7 @@ func (m *Machine) runFast(maxInsts uint64) (uint64, error) {
 	copy(F[:32], m.FPRegs[:])
 
 	pc := m.PC
+	insts0 := m.Insts
 	var done, uncounted uint64
 	var err error
 
@@ -122,41 +129,43 @@ loop:
 		done += uint64(sp)
 		last := pc + sp - 1
 		t := &dc[last]
+		// Each case either leaves pc at the fall-through successor and
+		// continues, or sets it to a taken transfer's target and drops
+		// out of the switch to the hook call below.
 		switch isa.Op(t.op) {
 		case isa.OpHalt:
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
 			m.Halted = true
-			m.haltedAt = last
 			pc = last
 			break loop
 		case isa.OpBeq:
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] == R[t.rs2&63] {
-				pc = t.imm
-			} else {
+			if R[t.rs1&63] != R[t.rs2&63] {
 				pc = last + 1
+				continue
 			}
+			pc = t.imm
 		case isa.OpBne:
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] != R[t.rs2&63] {
-				pc = t.imm
-			} else {
+			if R[t.rs1&63] == R[t.rs2&63] {
 				pc = last + 1
+				continue
 			}
+			pc = t.imm
 		case isa.OpBlt:
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] < R[t.rs2&63] {
-				pc = t.imm
-			} else {
+			if R[t.rs1&63] >= R[t.rs2&63] {
 				pc = last + 1
+				continue
 			}
+			pc = t.imm
 		case isa.OpBge:
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] >= R[t.rs2&63] {
-				pc = t.imm
-			} else {
+			if R[t.rs1&63] < R[t.rs2&63] {
 				pc = last + 1
+				continue
 			}
+			pc = t.imm
 		case isa.OpJmp:
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
 			pc = t.imm
@@ -165,152 +174,33 @@ loop:
 			R[t.rd&63] = last + 1
 			pc = t.imm
 		case isa.OpJr:
+			// Like Step, the jump target is read before the hook runs.
 			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
 			pc = R[t.rs1&63]
 		default:
 			// Fall-through batch: the final instruction is plain too.
 			execSpan(dc, pc, last+1, &R, &F, mem, mask, dirty)
 			pc = last + 1
+			continue
+		}
+		if hook != nil {
+			m.fire(hook, last, pc, insts0+done)
 		}
 	}
 
 	copy(m.IntRegs[:], R[:32])
 	copy(m.FPRegs[:], F[:32])
 	m.PC = pc
-	m.Insts += done + uncounted
+	m.Insts = insts0 + done + uncounted
 	return done, err
 }
 
-// runHooked is the Branch-hook loop. It batches exactly like runFast,
-// but on every taken control transfer it flushes the architectural
-// state (registers, PC of the transferring instruction, Insts) before
-// invoking the hook and reloads afterwards, so hooks — which may read
-// counters, snapshot or reset BlockCounts, or even mutate registers —
-// observe precisely the state a Step-driven run would give them.
-func (m *Machine) runHooked(maxInsts uint64) (uint64, error) {
-	d := m.dec
-	dc := d.code
-	spans := d.span
-	codeLen := int64(len(dc))
-	blockOf := m.blockOf
-	mem, mask := m.mem, m.memMask
-	dirty := m.dirty
-	hook := m.Branch
-
-	var R [64]int64
-	copy(R[:32], m.IntRegs[:])
-	var F [64]float64
-	copy(F[:32], m.FPRegs[:])
-
-	pc := m.PC
-	instsBase := m.Insts
-	var done, uncounted uint64
-	var err error
-
-	// fire flushes state, invokes the hook for a taken transfer from
-	// the instruction at `from` to `to`, and reloads.
-	fire := func(from, to int64) {
-		copy(m.IntRegs[:], R[:32])
-		copy(m.FPRegs[:], F[:32])
-		m.PC = from
-		m.Insts = instsBase + done
-		hook(from, to)
-		copy(R[:32], m.IntRegs[:])
-		copy(F[:32], m.FPRegs[:])
-		instsBase = m.Insts - done
-	}
-
-loop:
-	for maxInsts == 0 || done < maxInsts {
-		if pc < 0 || pc >= codeLen {
-			m.Halted = true
-			err = fmt.Errorf("emu: program %q: PC %d out of range", m.Prog.Name, pc)
-			break
-		}
-		sp := int64(spans[pc])
-		if sp == 0 {
-			m.BlockCounts[blockOf[pc]]++
-			uncounted = 1
-			err = fmt.Errorf("emu: program %q: unimplemented opcode %v at pc %d", m.Prog.Name, m.code[pc].Op, pc)
-			break
-		}
-		if maxInsts != 0 {
-			if rem := maxInsts - done; uint64(sp) > rem {
-				execSpan(dc, pc, pc+int64(rem), &R, &F, mem, mask, dirty)
-				m.BlockCounts[blockOf[pc]] += rem
-				done += rem
-				pc += int64(rem)
-				break
-			}
-		}
-		m.BlockCounts[blockOf[pc]] += uint64(sp)
-		done += uint64(sp)
-		last := pc + sp - 1
-		t := &dc[last]
-		switch isa.Op(t.op) {
-		case isa.OpHalt:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			m.Halted = true
-			m.haltedAt = last
-			pc = last
-			break loop
-		case isa.OpBeq:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] == R[t.rs2&63] {
-				fire(last, t.imm)
-				pc = t.imm
-			} else {
-				pc = last + 1
-			}
-		case isa.OpBne:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] != R[t.rs2&63] {
-				fire(last, t.imm)
-				pc = t.imm
-			} else {
-				pc = last + 1
-			}
-		case isa.OpBlt:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] < R[t.rs2&63] {
-				fire(last, t.imm)
-				pc = t.imm
-			} else {
-				pc = last + 1
-			}
-		case isa.OpBge:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			if R[t.rs1&63] >= R[t.rs2&63] {
-				fire(last, t.imm)
-				pc = t.imm
-			} else {
-				pc = last + 1
-			}
-		case isa.OpJmp:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			fire(last, t.imm)
-			pc = t.imm
-		case isa.OpJal:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			R[t.rd&63] = last + 1
-			fire(last, t.imm)
-			pc = t.imm
-		case isa.OpJr:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
-			// Like Step, the jump target is read before the hook runs
-			// and is not re-read afterwards.
-			next := R[t.rs1&63]
-			fire(last, next)
-			pc = next
-		default:
-			execSpan(dc, pc, last+1, &R, &F, mem, mask, dirty)
-			pc = last + 1
-		}
-	}
-
-	copy(m.IntRegs[:], R[:32])
-	copy(m.FPRegs[:], F[:32])
-	m.PC = pc
-	m.Insts = instsBase + done + uncounted
-	return done, err
+// fire calls hook for a taken transfer from the instruction at from to
+// to. It publishes the transferring PC and the instruction count so
+// far (insts, the transfer included), which is all the BranchHook
+// contract promises; the register files stay in runFast's locals.
+func (m *Machine) fire(hook BranchHook, from, to int64, insts uint64) {
+	m.PC = from
+	m.Insts = insts
+	hook(from, to)
 }

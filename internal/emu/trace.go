@@ -26,7 +26,9 @@ package emu
 // mid-block halt) and its terminator's successor is statically known.
 // Halting blocks, indirect jumps (jr), and anything the predecoder
 // already hands to the Step fallback stay on the block-batched path,
-// as does every hooked run (runHooked never consults traces). The
+// as does every run with a Branch hook attached (a trace stitches the
+// taken branches the hook must see away, so runFast skips traces
+// then). The
 // differential suite and FuzzRunVsStep enforce that dispatching
 // through traces is bit-identical to Step.
 

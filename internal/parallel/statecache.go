@@ -38,10 +38,6 @@ type StateCache struct {
 	p        *prog.Program
 	memWords int64
 
-	// chunk bounds the instructions executed between context-
-	// cancellation checks during a build.
-	chunk uint64
-
 	// Metrics, when non-nil, receives counter parallel.state_cache.hits
 	// (waits on an existing entry), counter parallel.state_cache.misses
 	// (builds), counter parallel.state_cache.ff_insts (instructions
@@ -70,10 +66,6 @@ func (e *stateEntry) ready() bool {
 	}
 }
 
-// defaultChunk keeps cancellation latency of a build in the
-// low-millisecond range at interpreter speed.
-const defaultChunk = 1 << 20
-
 // NewStateCache creates an empty cache for p. memWords, if positive,
 // fixes the data-memory size of the machines the cache materializes
 // (the same value callers would pass emu.New); reg may be nil.
@@ -81,7 +73,6 @@ func NewStateCache(p *prog.Program, memWords int64, reg *obs.Registry) *StateCac
 	return &StateCache{
 		p:        p,
 		memWords: memWords,
-		chunk:    defaultChunk,
 		metrics:  reg,
 		entries:  make(map[uint64]*stateEntry),
 	}
@@ -147,23 +138,9 @@ func (c *StateCache) build(ctx context.Context, base *ckpt.State, pos uint64) (*
 	if err != nil {
 		return nil, err
 	}
-	var ffed uint64
-	for m.Insts < pos {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		step := pos - m.Insts
-		if step > c.chunk {
-			step = c.chunk
-		}
-		n, err := m.Run(step)
-		ffed += n
-		if err != nil {
-			return nil, fmt.Errorf("parallel: fast-forward to instruction %d of %s: %w", pos, c.p.Name, err)
-		}
-		if n < step && m.Halted {
-			return nil, fmt.Errorf("parallel: %s halted at instruction %d before reaching %d", c.p.Name, m.Insts, pos)
-		}
+	ffed, err := m.RunTo(ctx, pos)
+	if err != nil {
+		return nil, fmt.Errorf("parallel: %s: %w", c.p.Name, err)
 	}
 	c.metrics.Counter("parallel.state_cache.ff_insts").Add(int64(ffed))
 	return ckpt.Capture(m, 0, sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true})

@@ -1,11 +1,13 @@
 // Package phase defines execution intervals — the unit of phase
 // analysis — and the profiling collectors that produce them: fixed
-// instruction-length intervals (SimPoint's fine-grained scheme) and
-// variable-length cyclic-structure iteration intervals (the paper's
-// coarse-grained COASTS scheme).
+// instruction-length intervals (SimPoint's fine-grained scheme, cut by
+// CollectFixedRange) and variable-length intervals cut at chosen taken
+// transfers by CollectCuts, such as the cyclic-structure iterations of
+// the paper's coarse-grained COASTS scheme.
 package phase
 
 import (
+	"context"
 	"fmt"
 
 	"mlpa/internal/bbv"
@@ -95,138 +97,88 @@ func (t *Trace) Position(i int) float64 {
 // runBound is the safety bound for profiled executions.
 const runBound = 1 << 40
 
-// CollectFixed executes p from the start and produces fixed-length
-// intervals of intervalLen instructions, each carrying its projected,
-// normalized BBV signature. The final partial interval (if any) is
-// kept, as SimPoint does.
-func CollectFixed(p *prog.Program, proj *bbv.Projector, intervalLen uint64) (*Trace, error) {
-	if intervalLen == 0 {
-		return nil, fmt.Errorf("phase: intervalLen = 0")
-	}
+// CollectCuts executes p from the start to completion and ends an
+// interval at every taken control transfer for which cut(from, to,
+// insts) returns true; insts counts every instruction up to and
+// including the transfer. Each interval carries the projected,
+// normalized BBV signature of its instructions. The instructions after
+// the last cut form the final interval (the whole program when nothing
+// is cut). cut runs as a Branch hook, so it sees only what the
+// emu.BranchHook contract promises.
+func CollectCuts(p *prog.Program, proj *bbv.Projector, kind Kind, cut func(from, to int64, insts uint64) bool) (*Trace, error) {
 	m := emu.New(p, 0)
-	tr := &Trace{Benchmark: p.Name, Kind: FixedLength}
+	tr := &Trace{Benchmark: p.Name, Kind: kind}
 	var start uint64
-	for !m.Halted {
-		n, err := m.Run(intervalLen)
-		if err != nil {
-			return nil, fmt.Errorf("phase: CollectFixed(%s): %w", p.Name, err)
+	var sigErr error
+	m.Branch = func(from, to int64) {
+		if sigErr == nil && cut(from, to, m.Insts) {
+			sigErr = endInterval(tr, proj, m, start, m.Insts)
+			start = m.Insts
 		}
-		if n == 0 {
-			break
-		}
-		vec, err := proj.Signature(m.BlockCounts)
-		if err != nil {
+	}
+	if _, err := m.RunToCompletion(runBound); err != nil {
+		return nil, fmt.Errorf("phase: %s intervals of %s: %w", kind, p.Name, err)
+	}
+	if sigErr != nil {
+		return nil, sigErr
+	}
+	if m.Insts > start || len(tr.Intervals) == 0 {
+		if err := endInterval(tr, proj, m, start, m.Insts); err != nil {
 			return nil, err
-		}
-		m.ResetBlockCounts()
-		tr.Intervals = append(tr.Intervals, Interval{
-			Index:  len(tr.Intervals),
-			Start:  start,
-			End:    m.Insts,
-			Vector: vec,
-		})
-		start = m.Insts
-		if m.Insts > runBound {
-			return nil, fmt.Errorf("phase: CollectFixed(%s): run bound exceeded", p.Name)
 		}
 	}
 	tr.TotalInsts = m.Insts
 	return tr, tr.Validate()
+}
+
+// endInterval appends the interval [start, end) to tr with the
+// signature of m's BlockCounts, then resets them for the next one.
+func endInterval(tr *Trace, proj *bbv.Projector, m *emu.Machine, start, end uint64) error {
+	vec, err := proj.Signature(m.BlockCounts)
+	if err != nil {
+		return err
+	}
+	m.ResetBlockCounts()
+	tr.Intervals = append(tr.Intervals, Interval{
+		Index:  len(tr.Intervals),
+		Start:  start,
+		End:    end,
+		Vector: vec,
+	})
+	return nil
 }
 
 // CollectIterations executes p from the start and produces one
-// interval per iteration of the cyclic structure headed at head.
-// Instructions before the first arrival attach to the first iteration;
-// instructions after the last back-edge (including program epilogue)
-// form the final interval. subChunks > 1 splits each iteration into
-// that many equal sub-spans whose projected BBVs are concatenated into
-// the iteration signature (the paper's signature concatenation); 0 or
-// 1 yields one BBV per iteration.
-func CollectIterations(p *prog.Program, proj *bbv.Projector, head int64, subChunks int) (*Trace, error) {
-	if subChunks < 1 {
-		subChunks = 1
-	}
-	m := emu.New(p, 0)
-	tr := &Trace{Benchmark: p.Name, Kind: Iteration}
-
-	var (
-		start     uint64
-		rawBounds []uint64
-		raws      [][]uint64 // raw block counts per iteration
-	)
-	m.Branch = emu.IterationMarker(m, head, func(iter int, insts uint64) {
-		raws = append(raws, m.SnapshotBlockCounts())
-		m.ResetBlockCounts()
-		rawBounds = append(rawBounds, insts)
+// interval per iteration of the cyclic structure headed at head: a cut
+// at every back-edge to head. Instructions before the first arrival
+// attach to the first iteration; instructions after the last back-edge
+// (including program epilogue) form the final interval.
+func CollectIterations(p *prog.Program, proj *bbv.Projector, head int64) (*Trace, error) {
+	return CollectCuts(p, proj, Iteration, func(from, to int64, _ uint64) bool {
+		return to == head && to <= from
 	})
-	if _, err := m.RunToCompletion(runBound); err != nil {
-		return nil, fmt.Errorf("phase: CollectIterations(%s): %w", p.Name, err)
-	}
-	// Final iteration: remaining counts to program end.
-	final := m.SnapshotBlockCounts()
-	nonzero := false
-	for _, c := range final {
-		if c != 0 {
-			nonzero = true
-			break
-		}
-	}
-	if nonzero || len(raws) == 0 {
-		raws = append(raws, final)
-		rawBounds = append(rawBounds, m.Insts)
-	} else if len(rawBounds) > 0 {
-		rawBounds[len(rawBounds)-1] = m.Insts
-	}
-
-	for i, counts := range raws {
-		var vec []float64
-		var err error
-		if subChunks == 1 {
-			vec, err = proj.Signature(counts)
-		} else {
-			vec, err = chunkedSignature(counts, proj, subChunks)
-		}
-		if err != nil {
-			return nil, err
-		}
-		tr.Intervals = append(tr.Intervals, Interval{
-			Index:  i,
-			Start:  start,
-			End:    rawBounds[i],
-			Vector: vec,
-		})
-		start = rawBounds[i]
-	}
-	tr.TotalInsts = m.Insts
-	return tr, tr.Validate()
 }
 
-// chunkedSignature approximates the concatenated sub-chunk signature
-// from a single aggregate count vector by replicating the aggregate
-// distribution across chunks. Collecting true temporal sub-chunks
-// would require a second pass per iteration; the aggregate form
-// preserves the clustering metric (see DESIGN.md) while the extension
-// exists mainly to keep signature dimensionality compatible with
-// multi-chunk configurations.
-func chunkedSignature(counts []uint64, proj *bbv.Projector, chunks int) ([]float64, error) {
-	base, err := proj.Project(counts)
-	if err != nil {
-		return nil, err
+// CollectFixed executes p from the start and produces fixed-length
+// intervals of intervalLen instructions: CollectFixedRange over the
+// whole program. The final partial interval (if any) is kept, as
+// SimPoint does. A program still running at the run bound is an error.
+func CollectFixed(p *prog.Program, proj *bbv.Projector, intervalLen uint64) (*Trace, error) {
+	tr, err := CollectFixedRange(p, proj, intervalLen, 0, runBound)
+	if err == nil && tr.TotalInsts == runBound {
+		return nil, fmt.Errorf("phase: CollectFixed(%s): run bound exceeded", p.Name)
 	}
-	parts := make([][]float64, chunks)
-	for i := range parts {
-		parts[i] = base
-	}
-	return bbv.Concat(parts), nil
+	return tr, err
 }
 
 // CollectFixedRange profiles fixed-length intervals within the
 // absolute instruction range [start, end): the program is functionally
-// fast-forwarded to start, then chunked like CollectFixed. Interval
-// Start/End values are absolute; the final interval is truncated at
-// end. This is the second-level profiling pass of the multi-level
-// framework, applied inside a selected coarse-grained simulation
-// point.
+// fast-forwarded to start, then cut every intervalLen instructions,
+// each interval carrying its projected, normalized BBV signature.
+// Interval Start/End values are absolute; the final interval is
+// truncated at end or at program halt. Inside a selected coarse-grained
+// simulation point this is the second-level profiling pass of the
+// multi-level framework.
 func CollectFixedRange(p *prog.Program, proj *bbv.Projector, intervalLen, start, end uint64) (*Trace, error) {
 	if intervalLen == 0 {
 		return nil, fmt.Errorf("phase: intervalLen = 0")
@@ -235,41 +187,23 @@ func CollectFixedRange(p *prog.Program, proj *bbv.Projector, intervalLen, start,
 		return nil, fmt.Errorf("phase: empty range [%d,%d)", start, end)
 	}
 	m := emu.New(p, 0)
-	if start > 0 {
-		n, err := m.Run(start)
-		if err != nil {
-			return nil, fmt.Errorf("phase: CollectFixedRange(%s) fast-forward: %w", p.Name, err)
-		}
-		if n < start {
-			return nil, fmt.Errorf("phase: CollectFixedRange(%s): program ended at %d before range start %d", p.Name, n, start)
-		}
+	if _, err := m.RunTo(context.TODO(), start); err != nil {
+		return nil, fmt.Errorf("phase: CollectFixedRange(%s): %w", p.Name, err)
 	}
 	m.ResetBlockCounts()
 	tr := &Trace{Benchmark: p.Name, Kind: FixedLength, Origin: start}
 	cur := start
 	for !m.Halted && cur < end {
-		step := intervalLen
-		if cur+step > end {
-			step = end - cur
-		}
-		n, err := m.Run(step)
+		n, err := m.Run(min(intervalLen, end-cur))
 		if err != nil {
 			return nil, fmt.Errorf("phase: CollectFixedRange(%s): %w", p.Name, err)
 		}
 		if n == 0 {
 			break
 		}
-		vec, err := proj.Signature(m.BlockCounts)
-		if err != nil {
+		if err := endInterval(tr, proj, m, cur, m.Insts); err != nil {
 			return nil, err
 		}
-		m.ResetBlockCounts()
-		tr.Intervals = append(tr.Intervals, Interval{
-			Index:  len(tr.Intervals),
-			Start:  cur,
-			End:    m.Insts,
-			Vector: vec,
-		})
 		cur = m.Insts
 	}
 	tr.TotalInsts = cur

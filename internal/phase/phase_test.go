@@ -97,7 +97,7 @@ func TestCollectIterationsBoundaries(t *testing.T) {
 	head := p.Labels["loop_outer$0"]
 	// Find the outer loop head dynamically instead: profile it.
 	head = findOuterHead(t, p)
-	tr, err := CollectIterations(p, projFor(p), head, 1)
+	tr, err := CollectIterations(p, projFor(p), head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func findOuterHead(t *testing.T, p *prog.Program) int64 {
 func TestCollectIterationsAlternatingPhases(t *testing.T) {
 	p := twoPhaseProgram(t, 10)
 	head := findOuterHead(t, p)
-	tr, err := CollectIterations(p, projFor(p), head, 1)
+	tr, err := CollectIterations(p, projFor(p), head)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,28 +145,13 @@ func TestCollectIterationsAlternatingPhases(t *testing.T) {
 	}
 }
 
-func TestCollectIterationsSubChunks(t *testing.T) {
-	p := twoPhaseProgram(t, 6)
-	head := findOuterHead(t, p)
-	tr, err := CollectIterations(p, projFor(p), head, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := 3 * bbv.DefaultDims
-	for _, iv := range tr.Intervals {
-		if len(iv.Vector) != wantLen {
-			t.Fatalf("sub-chunked vector length %d, want %d", len(iv.Vector), wantLen)
-		}
-	}
-}
-
 func TestCollectIterationsNoLoop(t *testing.T) {
 	p, err := prog.Assemble("flat", "addi r1, r0, 5\nadd r2, r1, r1\nhalt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	proj := bbv.MustNewProjector(p.NumBlocks(), 15, 1)
-	tr, err := CollectIterations(p, proj, 0, 1)
+	tr, err := CollectIterations(p, proj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +245,7 @@ func TestFixedAndIterationTotalsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := CollectIterations(p, proj, findOuterHead(t, p), 1)
+	iter, err := CollectIterations(p, proj, findOuterHead(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}

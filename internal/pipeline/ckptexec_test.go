@@ -12,6 +12,8 @@ import (
 	"mlpa/internal/config"
 	"mlpa/internal/cpu"
 	"mlpa/internal/obs"
+	"mlpa/internal/prog"
+	"mlpa/internal/sampling"
 	"mlpa/internal/simpoint"
 )
 
@@ -39,7 +41,6 @@ func harnessExecOpts(workers int) ExecOptions {
 // to from-scratch execution (wall-clock fields excepted). Run with
 // -race in CI.
 func TestCheckpointBackedBitIdentical(t *testing.T) {
-	configs := []cpu.Config{config.BaseA(), config.SensitivityB()}
 	policies := []struct {
 		name string
 		opts func(workers int) ExecOptions
@@ -49,49 +50,70 @@ func TestCheckpointBackedBitIdentical(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			p := spec.MustProgram(bench.SizeTiny)
-			plan, _, _, err := simpoint.Select(p, simpoint.Config{
-				IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 8, Seed: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := suitePlan(t, p)
 			for _, pol := range policies {
-				set, err := BuildCheckpointSet(p, plan, pol.opts(1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, cfg := range configs {
-					for _, workers := range []int{1, 4} {
-						runOne := func(set *ckpt.Set) (*Estimate, []map[string]any) {
-							var buf bytes.Buffer
-							sink := obs.NewJSONLSink(&buf)
-							opts := pol.opts(workers)
-							opts.Obs = obs.New(sink)
-							opts.Checkpoints = set
-							est, err := ExecutePlan(p, plan, cfg, opts)
-							if err != nil {
-								t.Fatalf("%s policy, config %s workers %d ckpt=%v: %v", pol.name, cfg.Name, workers, set != nil, err)
-							}
-							if err := sink.Err(); err != nil {
-								t.Fatal(err)
-							}
-							return stripWall(est), journalSkeleton(t, &buf)
-						}
-						wantEst, wantJournal := runOne(nil)
-						gotEst, gotJournal := runOne(set)
-						if !reflect.DeepEqual(gotEst, wantEst) {
-							t.Errorf("%s policy, config %s workers %d: checkpoint-backed estimate differs from scratch:\n got %s\nwant %s",
-								pol.name, cfg.Name, workers, dumpEstimate(gotEst), dumpEstimate(wantEst))
-						}
-						if !reflect.DeepEqual(gotJournal, wantJournal) {
-							t.Errorf("%s policy, config %s workers %d: checkpoint-backed journal stream differs from scratch",
-								pol.name, cfg.Name, workers)
-						}
-					}
-				}
+				checkCheckpointBacked(t, p, plan, pol.name, pol.opts)
 			}
 		})
 	}
+}
+
+// suitePlan is the SimPoint plan the checkpoint differential tests
+// execute for a suite program.
+func suitePlan(t *testing.T, p *prog.Program) *sampling.Plan {
+	t.Helper()
+	plan, _, _, err := simpoint.Select(p, simpoint.Config{
+		IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// checkCheckpointBacked executes plan from scratch and from a
+// checkpoint set built under policy, for both Table I configurations
+// and 1 and 4 workers, and fails t unless the estimates and journal
+// streams are bit-identical (wall-clock fields excepted). It returns
+// the from-scratch estimates.
+func checkCheckpointBacked(t *testing.T, p *prog.Program, plan *sampling.Plan, name string, policy func(workers int) ExecOptions) []*Estimate {
+	t.Helper()
+	set, err := BuildCheckpointSet(p, plan, policy(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch []*Estimate
+	for _, cfg := range []cpu.Config{config.BaseA(), config.SensitivityB()} {
+		for _, workers := range []int{1, 4} {
+			runOne := func(set *ckpt.Set) (*Estimate, []map[string]any) {
+				var buf bytes.Buffer
+				sink := obs.NewJSONLSink(&buf)
+				opts := policy(workers)
+				opts.Obs = obs.New(sink)
+				opts.Checkpoints = set
+				est, err := ExecutePlan(p, plan, cfg, opts)
+				if err != nil {
+					t.Fatalf("%s policy, config %s workers %d ckpt=%v: %v", name, cfg.Name, workers, set != nil, err)
+				}
+				if err := sink.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return stripWall(est), journalSkeleton(t, &buf)
+			}
+			wantEst, wantJournal := runOne(nil)
+			gotEst, gotJournal := runOne(set)
+			if !reflect.DeepEqual(gotEst, wantEst) {
+				t.Errorf("%s policy, config %s workers %d: checkpoint-backed estimate differs from scratch:\n got %s\nwant %s",
+					name, cfg.Name, workers, dumpEstimate(gotEst), dumpEstimate(wantEst))
+			}
+			if !reflect.DeepEqual(gotJournal, wantJournal) {
+				t.Errorf("%s policy, config %s workers %d: checkpoint-backed journal stream differs from scratch",
+					name, cfg.Name, workers)
+			}
+			scratch = append(scratch, wantEst)
+		}
+	}
+	return scratch
 }
 
 // TestCheckpointBackedFromDisk: a set that has round-tripped through

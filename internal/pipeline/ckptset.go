@@ -68,10 +68,8 @@ func BuildCheckpointSet(p *prog.Program, plan *sampling.Plan, opts ExecOptions) 
 			return nil, fmt.Errorf("pipeline: checkpoint pass for %s/%s overshot point %d: machine at %d, warm start %d",
 				plan.Benchmark, plan.Method, pi, m.Insts, ws)
 		}
-		if m.Insts < ws {
-			if err := fastForward(ctx, m, ws); err != nil {
-				return nil, fmt.Errorf("pipeline: checkpoint pass: %w", err)
-			}
+		if _, err := m.RunTo(ctx, ws); err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint pass for %s: %w", p.Name, err)
 		}
 		livein, err := boundaryLiveIn(m)
 		if err != nil {

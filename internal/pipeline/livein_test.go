@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"mlpa/internal/bench"
@@ -12,61 +11,38 @@ import (
 	"mlpa/internal/staticanalysis/dataflow"
 )
 
+// boundaryExecOpts is a cold policy: with no warmup (as in
+// ColdStartAblation's cold runs) each point's warm start is its
+// detailed boundary, so a checkpoint restores the live-in-scrubbed
+// state exactly there.
+func boundaryExecOpts(workers int) ExecOptions {
+	return ExecOptions{DetailLeadIn: 256, RunAhead: 128, Workers: workers}
+}
+
 // TestScrubDeadRegsSoundness is the execution-based soundness harness
 // for the static live-in sets, run over the full builder suite: at
 // every selected simulation point's boundary, clearing each register
 // NOT in the static live-in set must leave the sampled simulation
 // bit-identical — same estimates, same per-point metrics, same journal
-// stream (wall-clock fields excepted). Run with -race in CI.
+// stream (wall-clock fields excepted). Checkpoint restore applies that
+// scrub at each point's warm start, which the cold boundary policy puts
+// on the detailed boundary, so checkpoint-backed execution is compared
+// against from-scratch execution. Run with -race in CI.
 func TestScrubDeadRegsSoundness(t *testing.T) {
-	cfg := config.BaseA()
 	for _, spec := range bench.Suite() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			p := spec.MustProgram(bench.SizeTiny)
-			plan, _, _, err := simpoint.Select(p, simpoint.Config{
-				IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 8, Seed: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(scrub bool) (*Estimate, []map[string]any) {
-				t.Helper()
-				var buf bytes.Buffer
-				sink := obs.NewJSONLSink(&buf)
-				est, err := ExecutePlan(p, plan, cfg, ExecOptions{
-					Warmup:        2000,
-					DetailLeadIn:  256,
-					RunAhead:      128,
-					Workers:       4,
-					Obs:           obs.New(sink),
-					ScrubDeadRegs: scrub,
-				})
-				if err != nil {
-					t.Fatalf("scrub=%v: %v", scrub, err)
-				}
-				if err := sink.Err(); err != nil {
-					t.Fatal(err)
-				}
-				return stripWall(est), journalSkeleton(t, &buf)
-			}
-			refEst, refJournal := run(false)
-			scrubEst, scrubJournal := run(true)
-			if !reflect.DeepEqual(refEst, scrubEst) {
-				t.Errorf("scrubbing statically-dead registers changed the estimate:\n got %s\nwant %s",
-					dumpEstimate(scrubEst), dumpEstimate(refEst))
-			}
-			if !reflect.DeepEqual(refJournal, scrubJournal) {
-				t.Error("scrubbing statically-dead registers changed the journal stream")
-			}
-			// Every point must carry a live-in summary for its boundary.
-			for i, rec := range refEst.PointRecords {
-				if rec.LiveIn.PC < 0 || rec.LiveIn.PC >= int64(len(p.Code)) {
-					t.Fatalf("point %d: live-in pc %d out of range", i, rec.LiveIn.PC)
-				}
-				if dataflow.FromMasks(rec.LiveIn.Int, rec.LiveIn.FP)&^dataflow.AllRegs != 0 {
-					t.Fatalf("point %d: live-in masks set the r0 bit", i)
+			for _, est := range checkCheckpointBacked(t, p, suitePlan(t, p), "boundary", boundaryExecOpts) {
+				// Every point must carry a live-in summary for its boundary.
+				for i, rec := range est.PointRecords {
+					if rec.LiveIn.PC < 0 || rec.LiveIn.PC >= int64(len(p.Code)) {
+						t.Fatalf("point %d: live-in pc %d out of range", i, rec.LiveIn.PC)
+					}
+					if dataflow.FromMasks(rec.LiveIn.Int, rec.LiveIn.FP)&^dataflow.AllRegs != 0 {
+						t.Fatalf("point %d: live-in masks set the r0 bit", i)
+					}
 				}
 			}
 		})

@@ -98,15 +98,6 @@ type ExecOptions struct {
 	// spans and pipeline metrics for the run. A nil Obs costs nothing.
 	Obs *obs.Runtime
 
-	// ScrubDeadRegs, when set, zeroes every register outside the static
-	// live-in set at each point's boundary before detailed simulation.
-	// Liveness soundness (see internal/staticanalysis/dataflow) makes
-	// the scrub architecturally invisible, so results are bit-identical
-	// with and without it — the property the soundness harness asserts
-	// on the whole benchmark suite, and the property that makes live-in
-	// masks a safe storage schema for portable checkpoints.
-	ScrubDeadRegs bool
-
 	// Checkpoints, when non-nil, switches ExecutePlan to checkpoint-
 	// backed execution: instead of fast-forwarding to each point's warm
 	// start, the scheduler restores the point's machine from the set in
@@ -312,16 +303,11 @@ type spine struct {
 func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int, task pointTask, opts ExecOptions, t0 time.Time) (PointRecord, error) {
 	pt := plan.Points[pi]
 	// Record the static live-in set at the boundary — the portable-
-	// checkpoint storage schema — and, under the soundness harness,
-	// scrub the statically-dead registers before any further execution
-	// touches them.
+	// checkpoint storage schema.
 	livein, err := boundaryLiveIn(m)
 	if err != nil {
 		return PointRecord{}, fmt.Errorf("pipeline: point %d in %s/%s: %w",
 			pi, plan.Benchmark, plan.Method, err)
-	}
-	if opts.ScrubDeadRegs {
-		scrubDeadRegs(m, livein)
 	}
 	// When the context would enter the point with less warmed history
 	// than the point is long — typically the contiguous points a plan
@@ -331,9 +317,6 @@ func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int,
 	// measures the steady-state behaviour of the phase it represents
 	// rather than one-time code-fill transients.
 	selfWarm := opts.Warmup > 0 && task.warm < pt.Len()
-	// The capture follows the scrub, so under ScrubDeadRegs the spine
-	// continues from scrubbed state; liveness soundness makes that
-	// indistinguishable from the unscrubbed machine.
 	if keep || selfWarm {
 		allLive := sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true}
 		if sp.rewind, err = ckpt.Capture(m, pi, allLive); err != nil {
@@ -403,21 +386,6 @@ func boundaryLiveIn(m *emu.Machine) (sampling.LiveIn, error) {
 	}
 	ints, fps := live.Split()
 	return sampling.LiveIn{PC: m.PC, Int: ints, FP: fps, Mem: mem}, nil
-}
-
-// scrubDeadRegs zeroes every register cell outside the live-in masks.
-// By liveness soundness this cannot change the execution.
-func scrubDeadRegs(m *emu.Machine, li sampling.LiveIn) {
-	for i := 1; i < len(m.IntRegs); i++ {
-		if li.Int&(1<<uint(i)) == 0 {
-			m.IntRegs[i] = 0
-		}
-	}
-	for i := range m.FPRegs {
-		if li.FP&(1<<uint(i)) == 0 {
-			m.FPRegs[i] = 0
-		}
-	}
 }
 
 // ExecutePlan performs the sampled simulation a plan describes and
@@ -733,7 +701,7 @@ func positionMachine(ctx context.Context, p *prog.Program, m *emu.Machine, set *
 		// Chained: the previous point left the machine here.
 		return m, nil
 	case m != nil && m.Insts < warmStart && set == nil:
-		if err := fastForward(ctx, m, warmStart); err != nil {
+		if _, err := m.RunTo(ctx, warmStart); err != nil {
 			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", p.Name, err)
 		}
 		return m, nil
@@ -759,30 +727,6 @@ func positionMachine(ctx context.Context, p *prog.Program, m *emu.Machine, set *
 	m.Metrics = reg
 	reg.Counter("pipeline.ckpt_restores").Add(1)
 	return m, nil
-}
-
-// fastForward advances m to instruction position pos in cancellation-
-// checked slices (the in-chunk analogue of the state cache's build
-// loop).
-func fastForward(ctx context.Context, m *emu.Machine, pos uint64) error {
-	const slice = 1 << 20
-	for m.Insts < pos {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step := pos - m.Insts
-		if step > slice {
-			step = slice
-		}
-		n, err := m.Run(step)
-		if err != nil {
-			return fmt.Errorf("fast-forward to instruction %d of %s: %w", pos, m.Prog.Name, err)
-		}
-		if n < step && m.Halted {
-			return fmt.Errorf("%s halted at instruction %d before reaching %d", m.Prog.Name, m.Insts, pos)
-		}
-	}
-	return nil
 }
 
 // journalPoint emits one per-point journal record. The record carries

@@ -46,7 +46,7 @@ func referenceExecute(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts
 	base := emu.New(p, 0)
 	for pi, pt := range plan.Points {
 		task := tasks[pi]
-		if err := fastForward(context.Background(), base, task.warmStart); err != nil {
+		if _, err := base.RunTo(context.Background(), task.warmStart); err != nil {
 			return nil, err
 		}
 		m := base.Clone()

@@ -1,9 +1,8 @@
 // Package dataflow implements register dataflow analysis of guest
 // programs on top of the staticanalysis CFG: per-block gen/kill bitset
 // summaries over both register files (plus memory-touch flags), a
-// generic forward/backward worklist solver, liveness (backward) and
-// reaching definitions (forward), and region summaries for
-// checkpoint-grade live-in sets.
+// generic forward/backward worklist solver, liveness (backward), and
+// region summaries for checkpoint-grade live-in sets.
 //
 // The per-instruction effects deliberately model the *machine's*
 // semantics rather than the assembler's operand syntax: the emulator
@@ -198,9 +197,9 @@ func EffectOf(in isa.Inst) Effect {
 }
 
 // Dataflow is the full dataflow solution for one program: per-block
-// gen/kill summaries, the liveness fixpoint over both register files
-// and memory, and reaching definitions. Build one with New or share the
-// per-program cached instance via For.
+// gen/kill summaries and the liveness fixpoint over both register files
+// and memory. Build one with New or share the per-program cached
+// instance via For.
 type Dataflow struct {
 	Prog *prog.Program
 	CFG  *staticanalysis.CFG
@@ -218,9 +217,6 @@ type Dataflow struct {
 	// MemLiveIn/MemLiveOut carry the may-read-memory bit alongside.
 	LiveIn, LiveOut       []RegSet
 	MemLiveIn, MemLiveOut []bool
-
-	// Reach is the reaching-definitions fixpoint.
-	Reach *ReachDefs
 }
 
 type auxKey struct{}
@@ -241,7 +237,6 @@ func New(p *prog.Program) *Dataflow {
 	}
 	d.summarize()
 	d.solveLiveness()
-	d.Reach = solveReach(d)
 	return d
 }
 

@@ -198,70 +198,6 @@ func TestLivenessMemoryBit(t *testing.T) {
 	}
 }
 
-func TestReachingDefs(t *testing.T) {
-	p := mustAssemble(t, "reach", `
-    addi r1, r0, 1
-    addi r1, r0, 2
-    beq  r2, r0, skip
-    addi r1, r0, 3
-skip:
-    add  r4, r1, r0
-    halt
-`)
-	d := New(p)
-
-	// The def at pc 0 is killed by pc 1 inside the entry block; pcs 1
-	// and 3 both reach the join.
-	defs, err := d.DefsReaching(4, Of(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int64{1, 3}; !reflect.DeepEqual(defs, want) {
-		t.Errorf("DefsReaching(4, r1) = %v, want %v", defs, want)
-	}
-
-	// Mid-block query: at pc 1 only the def at pc 0 reaches.
-	defs, err = d.DefsReaching(1, Of(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int64{0}; !reflect.DeepEqual(defs, want) {
-		t.Errorf("DefsReaching(1, r1) = %v, want %v", defs, want)
-	}
-
-	// Filtering by an unrelated register yields nothing.
-	defs, err = d.DefsReaching(4, Of(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(defs) != 0 {
-		t.Errorf("DefsReaching(4, r9) = %v, want empty", defs)
-	}
-
-	if _, err := d.DefsReaching(99, AllRegs); err == nil {
-		t.Error("DefsReaching(99) did not fail")
-	}
-
-	// Site bookkeeping: sites are the PCs with effective defs, ascending.
-	if want := []int64{0, 1, 3, 4}; !reflect.DeepEqual(d.Reach.Sites, want) {
-		t.Errorf("Sites = %v, want %v", d.Reach.Sites, want)
-	}
-}
-
-func TestReachingDefsLoop(t *testing.T) {
-	p := mustAssemble(t, "reachloop", asmLoopStore)
-	d := New(p)
-	// At the loop head both the init (pc 0) and the loop decrement
-	// (pc 2) reach r1.
-	defs, err := d.DefsReaching(1, Of(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int64{0, 2}; !reflect.DeepEqual(defs, want) {
-		t.Errorf("DefsReaching(1, r1) = %v, want %v", defs, want)
-	}
-}
-
 func TestRegionSummaryStraightLine(t *testing.T) {
 	p := mustAssemble(t, "straight", `
     add  r3, r1, r2

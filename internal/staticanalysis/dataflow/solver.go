@@ -3,7 +3,7 @@ package dataflow
 import "mlpa/internal/staticanalysis"
 
 // Direction orients a dataflow problem: Forward propagates facts along
-// CFG edges (reaching definitions), Backward against them (liveness).
+// CFG edges, Backward against them (liveness).
 type Direction int
 
 // Solver directions.

@@ -95,59 +95,18 @@ func Profile(p *prog.Program, heads []int64, cfg Config) (*phase.Trace, error) {
 	for _, h := range heads {
 		headSet[h] = true
 	}
-	m := emu.New(p, 0)
-	tr := &phase.Trace{Benchmark: p.Name, Kind: phase.Kind("vli")}
-	var (
-		start  uint64
-		bounds []uint64
-		raws   [][]uint64
-	)
-	m.Branch = func(from, to int64) {
-		if to > from || !headSet[to] {
-			return
+	var start uint64
+	tr, err := phase.CollectCuts(p, proj, phase.Kind("vli"), func(from, to int64, insts uint64) bool {
+		if to > from || !headSet[to] || insts-start < cfg.TargetLen {
+			return false
 		}
-		if m.Insts-start < cfg.TargetLen {
-			return
-		}
-		raws = append(raws, m.SnapshotBlockCounts())
-		m.ResetBlockCounts()
-		bounds = append(bounds, m.Insts)
-		start = m.Insts
+		start = insts
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("vli: %w", err)
 	}
-	if _, err := m.RunToCompletion(1 << 40); err != nil {
-		return nil, fmt.Errorf("vli: profile of %s: %w", p.Name, err)
-	}
-	final := m.SnapshotBlockCounts()
-	nonzero := false
-	for _, c := range final {
-		if c != 0 {
-			nonzero = true
-			break
-		}
-	}
-	if nonzero || len(raws) == 0 {
-		raws = append(raws, final)
-		bounds = append(bounds, m.Insts)
-	} else {
-		bounds[len(bounds)-1] = m.Insts
-	}
-
-	prev := uint64(0)
-	for i, counts := range raws {
-		vec, err := proj.Signature(counts)
-		if err != nil {
-			return nil, err
-		}
-		tr.Intervals = append(tr.Intervals, phase.Interval{
-			Index:  i,
-			Start:  prev,
-			End:    bounds[i],
-			Vector: vec,
-		})
-		prev = bounds[i]
-	}
-	tr.TotalInsts = m.Insts
-	return tr, tr.Validate()
+	return tr, nil
 }
 
 // Select runs the complete VLI pipeline: structure choice, profiling,
