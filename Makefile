@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check vet lint build test race fuzz bench clean
+.PHONY: check vet lint build test race perfbench fuzz bench clean
 
 ## check: the full gate — vet, lint, build, the race-enabled test
-## suite, and a short fuzz pass over every fuzz target.
-check: vet lint build race fuzz
+## suite, perfbench's own module, and a short fuzz pass over every
+## fuzz target.
+check: vet lint build race perfbench fuzz
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +22,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## perfbench: vet and test the benchmark's own module (its golden plan
+## and estimate digests), which the root ./... never reaches.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## fuzz: short fuzzing pass — 20s per target ('go test -fuzz' takes
 ## exactly one matching target per invocation, hence one run each).

@@ -9,17 +9,17 @@ import (
 
 	"mlpa/internal/ckpt"
 	"mlpa/internal/emu"
+	"mlpa/internal/isa"
 	"mlpa/internal/prog"
 	"mlpa/internal/sampling"
 	"mlpa/internal/staticanalysis/dataflow"
 )
 
-// captureAt runs a fresh tracking machine for p to position insts and
-// captures the state there.
+// captureAt runs a fresh machine for p to position insts and captures
+// the state there.
 func captureAt(t *testing.T, p *prog.Program, insts uint64, index int) (*ckpt.State, *emu.Machine) {
 	t.Helper()
 	m := emu.New(p, 0)
-	m.TrackDirtyPages()
 	if _, err := m.Run(insts); err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +105,41 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 	}
 }
 
+// TestRestoreIntoMachineSmallerThanPage: a 64-word machine owns the
+// first 64 words of page 0. Its capture holds exactly those words (the
+// rest of the page is zero, not wrapped copies), and restoring it into
+// a machine of the same size reproduces its memory.
+func TestRestoreIntoMachineSmallerThanPage(t *testing.T) {
+	p := &prog.Program{Name: "small", Code: []isa.Inst{
+		{Op: isa.OpAddi, Rd: 1, Rs1: isa.RZero, Imm: 7},
+		{Op: isa.OpSt, Rs1: isa.RZero, Rs2: 1, Imm: 8},
+		{Op: isa.OpSt, Rs1: isa.RZero, Rs2: 1, Imm: 63 * 8},
+		{Op: isa.OpHalt},
+	}}
+	m := emu.New(p, 64)
+	if _, err := m.RunToCompletion(100); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ckpt.Capture(m, 0, sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, emu.PageWords)
+	want[1], want[63] = 7, 7
+	if len(st.Pages) != 1 || st.Pages[0].Index != 0 || !reflect.DeepEqual(st.Pages[0].Words, want) {
+		t.Fatalf("captured pages %+v, want page 0 holding words 1 and 63 only", st.Pages)
+	}
+	restored := emu.New(p, 64)
+	if err := st.RestoreInto(restored); err != nil {
+		t.Fatal(err)
+	}
+	for w := int64(0); w < m.MemWords(); w++ {
+		if got, want := restored.LoadWord(w<<3), m.LoadWord(w<<3); got != want {
+			t.Fatalf("word %d restored as %d, captured %d", w, got, want)
+		}
+	}
+}
+
 // TestDecodeRejectsCorruption: flipping any byte of a valid encoding
 // must fail decoding with a structured error — ErrIntegrity for
 // payload damage, ErrFormat for structural damage — and truncations
@@ -172,7 +207,6 @@ func testSet(t *testing.T, p *prog.Program) *ckpt.Set {
 		Program:     p,
 	}
 	m := emu.New(p, 0)
-	m.TrackDirtyPages()
 	for i, pt := range plan.Points {
 		warmStart := pt.Start - 4096 - 512
 		if _, err := m.Run(warmStart - m.Insts); err != nil {

@@ -5,8 +5,8 @@
 // point, the live-in-scrubbed register files (the dataflow masks of
 // internal/staticanalysis/dataflow are the storage schema — state
 // outside them is provably unreadable), the touched-memory footprint
-// (only pages the program wrote, via the emulator's dirty-page
-// bitmap), the resume PC/position, and — at set level — the complete
+// (only pages the program wrote: the emulator's allocated pages), the
+// resume PC/position, and — at set level — the complete
 // code image, so a set is a self-contained Nugget-style snippet: any
 // machine can run detailed simulation of any point from it. See
 // docs/CHECKPOINTS.md for the format specification.

@@ -95,7 +95,6 @@ func FuzzCkptRoundTrip(f *testing.F) {
 	f.Add([]byte("MLPACKS1 not really a checkpoint"))
 	for _, p := range prog.Examples()[:2] {
 		m := emu.New(p, 0)
-		m.TrackDirtyPages()
 		if _, err := m.Run(5_000); err != nil {
 			f.Fatal(err)
 		}

@@ -56,14 +56,10 @@ type State struct {
 	Pages []Page
 }
 
-// Capture snapshots m as a portable point state. The machine must have
-// dirty-page tracking enabled (emu.Machine.TrackDirtyPages) since
-// before it first ran, so the touched footprint is known; li must be
-// the static live-in summary at the machine's current PC.
+// Capture snapshots m as a portable point state, reading only the
+// machine's written pages (emu.Machine.DirtyPages); li must be the
+// static live-in summary at the machine's current PC.
 func Capture(m *emu.Machine, index int, li sampling.LiveIn) (*State, error) {
-	if !m.TracksDirtyPages() {
-		return nil, fmt.Errorf("ckpt: capture of %s requires dirty-page tracking on the machine", m.Prog.Name)
-	}
 	if li.PC != m.PC {
 		return nil, fmt.Errorf("%w: live-in recorded at pc %d, machine at pc %d", ErrMismatch, li.PC, m.PC)
 	}
@@ -82,7 +78,9 @@ func Capture(m *emu.Machine, index int, li sampling.LiveIn) (*State, error) {
 			words := make([]uint64, emu.PageWords)
 			base := pg * emu.PageWords
 			nonZero := false
-			for k := range words {
+			// A machine smaller than a page owns only a prefix of it;
+			// the rest of the page stays zero rather than wrapping.
+			for k := range words[:min(emu.PageWords, m.MemWords()-base)] {
 				w := m.LoadWord((base + int64(k)) << 3)
 				words[k] = w
 				nonZero = nonZero || w != 0
@@ -307,12 +305,10 @@ func decodePageWords(r *rbuf) ([]uint64, error) {
 
 // NewMachine materializes a fresh machine for p positioned at this
 // state — the zero-fast-forward entry into the point's warm window.
-// The machine comes with dirty-page tracking enabled: its memory is
-// all-zero at creation (empty seed set), so this Reset and every later
-// RestoreInto of another state cost O(touched pages), not O(memory).
+// Building it and every later RestoreInto of another state cost
+// O(touched pages), not O(memory).
 func (s *State) NewMachine(p *prog.Program) (*emu.Machine, error) {
 	m := emu.New(p, 0)
-	m.TrackDirtyPages()
 	if err := s.RestoreInto(m); err != nil {
 		return nil, err
 	}
@@ -327,10 +323,20 @@ func (s *State) RestoreInto(m *emu.Machine) error {
 		return fmt.Errorf("%w: checkpoint PC %d out of range for %s (%d instructions)",
 			ErrMismatch, s.PC, m.Prog.Name, len(m.Prog.Code))
 	}
-	maxPage := m.MemWords() / emu.PageWords
+	words := m.MemWords()
+	maxPage := (words + emu.PageWords - 1) / emu.PageWords
 	for _, pg := range s.Pages {
 		if pg.Index < 0 || pg.Index >= maxPage {
 			return fmt.Errorf("%w: page %d exceeds machine memory (%d pages)", ErrMismatch, pg.Index, maxPage)
+		}
+		// A machine smaller than a page owns only a prefix of it; data
+		// past that prefix has no word to go to.
+		if own := words - pg.Index*emu.PageWords; own < int64(len(pg.Words)) {
+			for _, w := range pg.Words[own:] {
+				if w != 0 {
+					return fmt.Errorf("%w: page %d holds data past machine memory (%d words)", ErrMismatch, pg.Index, words)
+				}
+			}
 		}
 	}
 	m.Reset()

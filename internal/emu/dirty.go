@@ -1,69 +1,71 @@
 package emu
 
-// Dirty-page tracking. A portable checkpoint must capture the touched
-// memory footprint, not the whole data segment: with tracking enabled
-// the machine maintains a page-granular bitmap of every data page
-// written, so a checkpoint producer scans O(dirty pages) instead of
-// O(memory). Because data memory starts all-zero, the dirty set is a
-// superset of the pages holding non-zero words at any later time —
-// clearing memory and replaying the dirty pages reconstructs the exact
-// image. Tracking costs one predictable nil-check branch per store in
-// the fast path and is off by default.
+// Paged data memory. A machine's data memory is a page table of
+// PageWords-word pages whose unwritten entries all point at one shared,
+// read-only zero page: loads index the table without a branch, and the
+// first store to a page maps a private zeroed page in its place
+// (writable). The allocated pages are therefore exactly the machine's
+// dirty set — every page written since New or the last Reset — which
+// is a superset of the pages holding non-zero words, so "clear memory,
+// replay the dirty pages" reconstructs the exact image. New costs one
+// page-table entry per page; Reset, Clone and a checkpoint capture
+// cost O(written pages), not O(memory).
 
-import "math/bits"
+import "slices"
 
 const (
-	// PageWords is the dirty-tracking granularity in 64-bit words:
-	// 512 words = 4 KiB pages, so the default 8 MiB memory needs a
-	// 2048-bit (256-byte) bitmap that stays cache-resident.
+	// PageWords is the page size in 64-bit words: 512 words = 4 KiB,
+	// so the default 8 MiB memory is a 2048-entry page table.
 	PageWords = 1 << pageShift
 	pageShift = 9
 )
 
-// TrackDirtyPages enables dirty-page tracking on m. Pages already
-// holding non-zero words are seeded into the dirty set, so the
-// invariant "dirty pages ⊇ pages with non-zero content" holds no
-// matter when tracking is enabled. Enabling twice is a no-op.
-func (m *Machine) TrackDirtyPages() {
-	if m.dirty != nil {
-		return
+// zeroPage backs every unwritten page of every machine. It is never
+// written: stores go through writable, which swaps in a private page.
+var zeroPage [PageWords]uint64
+
+// writable returns the page holding word index w (not a byte address),
+// allocating it on the first write. Every store path — execSpan, Step
+// and StoreWord — goes through it.
+func (m *Machine) writable(w int64) *[PageWords]uint64 {
+	if pg := m.pages[w>>pageShift]; pg != &zeroPage {
+		return pg
 	}
-	pages := (len(m.mem) + PageWords - 1) / PageWords
-	m.dirty = make([]uint64, (pages+63)/64)
-	for i, v := range m.mem {
-		if v != 0 {
-			p := uint(i) >> pageShift
-			m.dirty[p>>6] |= 1 << (p & 63)
-		}
-	}
+	return m.allocPage(w >> pageShift)
 }
 
-// TracksDirtyPages reports whether dirty-page tracking is enabled.
-func (m *Machine) TracksDirtyPages() bool { return m.dirty != nil }
+// allocPage maps a zeroed page at page index pi, reusing one that
+// Reset freed when there is one and allocating a new slab otherwise.
+// A slab holds as many pages as the machine has written so far (at
+// least one), so a machine that writes one page pays for one, and one
+// that writes all 2048 makes 12 allocations that sum to exactly its
+// memory. allocPage stays out of line so writable inlines into every
+// store.
+//
+//go:noinline
+func (m *Machine) allocPage(pi int64) *[PageWords]uint64 {
+	if len(m.free) == 0 {
+		slab := make([][PageWords]uint64, max(len(m.written), 1))
+		for i := range slab {
+			m.free = append(m.free, &slab[i])
+		}
+	}
+	pg := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	m.pages[pi] = pg
+	m.written = append(m.written, pi)
+	return pg
+}
+
+// TrackDirtyPages does nothing: a machine always knows its written
+// pages (see DirtyPages). It remains because perfbench's traced replay
+// still calls it.
+func (m *Machine) TrackDirtyPages() {}
 
 // DirtyPages returns the sorted indices of every page written since
-// tracking was enabled (plus the seeded non-zero pages). It returns
-// nil when tracking is disabled.
+// New or the last Reset.
 func (m *Machine) DirtyPages() []int64 {
-	if m.dirty == nil {
-		return nil
-	}
-	var out []int64
-	for wi, w := range m.dirty {
-		for w != 0 {
-			out = append(out, int64(wi<<6|bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
+	out := slices.Clone(m.written)
+	slices.Sort(out)
 	return out
-}
-
-// markDirty records a write to word index w (not a byte address) on
-// the slow paths (Step, StoreWord); the batched loops mark inline in
-// execSpan.
-func (m *Machine) markDirty(w int64) {
-	if m.dirty != nil {
-		p := uint64(w) >> pageShift
-		m.dirty[p>>6] |= 1 << (p & 63)
-	}
 }

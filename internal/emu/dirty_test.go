@@ -4,15 +4,16 @@ import (
 	"reflect"
 	"testing"
 
+	"mlpa/internal/bench"
 	"mlpa/internal/prog"
 )
 
-// nonZeroPages returns the sorted page indices holding non-zero words.
+// nonZeroPages returns the page indices holding non-zero words.
 func nonZeroPages(m *Machine) map[int64]bool {
 	out := make(map[int64]bool)
-	for i, v := range m.mem {
-		if v != 0 {
-			out[int64(i)>>pageShift] = true
+	for w := int64(0); w < m.MemWords(); w++ {
+		if m.LoadWord(w<<3) != 0 {
+			out[w>>pageShift] = true
 		}
 	}
 	return out
@@ -25,7 +26,6 @@ func TestDirtyPagesSupersetOfNonZero(t *testing.T) {
 	for _, p := range prog.Examples() {
 		t.Run(p.Name, func(t *testing.T) {
 			m := New(p, 0)
-			m.TrackDirtyPages()
 			if _, err := m.Run(200_000); err != nil && !m.Halted {
 				t.Fatal(err)
 			}
@@ -48,9 +48,7 @@ func TestDirtyPagesMatchStepLoop(t *testing.T) {
 	for _, p := range prog.Examples() {
 		t.Run(p.Name, func(t *testing.T) {
 			fast := New(p, 0)
-			fast.TrackDirtyPages()
 			ref := New(p, 0)
-			ref.TrackDirtyPages()
 			if _, err := fast.Run(100_000); err != nil && !fast.Halted {
 				t.Fatal(err)
 			}
@@ -66,33 +64,11 @@ func TestDirtyPagesMatchStepLoop(t *testing.T) {
 	}
 }
 
-// TestTrackDirtyPagesSeedsExistingContent: enabling tracking mid-run
-// must seed pages that already hold data, so a late enable still
-// satisfies the superset invariant.
-func TestTrackDirtyPagesSeedsExistingContent(t *testing.T) {
-	p := prog.Examples()[0]
-	m := New(p, 0)
-	if _, err := m.Run(50_000); err != nil && !m.Halted {
-		t.Fatal(err)
-	}
-	m.TrackDirtyPages()
-	dirty := make(map[int64]bool)
-	for _, pg := range m.DirtyPages() {
-		dirty[pg] = true
-	}
-	for pg := range nonZeroPages(m) {
-		if !dirty[pg] {
-			t.Fatalf("pre-existing non-zero page %d not seeded into dirty set", pg)
-		}
-	}
-}
-
 // TestDirtyPagesCloneIndependent: a clone inherits the dirty set but
 // subsequent writes diverge independently.
 func TestDirtyPagesCloneIndependent(t *testing.T) {
 	p := prog.Examples()[0]
 	m := New(p, 0)
-	m.TrackDirtyPages()
 	m.StoreWord(0, 1)
 	c := m.Clone()
 	c.StoreWord(int64(PageWords*8*5), 2) // page 5, bytes
@@ -104,21 +80,39 @@ func TestDirtyPagesCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestDirtyPagesResetAndDisabled: Reset clears the set; without
-// TrackDirtyPages the machine reports none.
-func TestDirtyPagesResetAndDisabled(t *testing.T) {
+// TestDirtyPagesReset: loads leave every page unwritten, a store
+// dirties its page, and Reset clears the set.
+func TestDirtyPagesReset(t *testing.T) {
 	p := prog.Examples()[0]
 	m := New(p, 0)
-	if m.TracksDirtyPages() || m.DirtyPages() != nil {
-		t.Fatal("tracking reported before TrackDirtyPages")
+	if m.LoadWord(64) != 0 || len(m.DirtyPages()) != 0 {
+		t.Fatal("a load dirtied a page")
 	}
-	m.TrackDirtyPages()
 	m.StoreWord(64, 7)
-	if len(m.DirtyPages()) == 0 {
-		t.Fatal("store did not dirty a page")
+	if got := m.DirtyPages(); !reflect.DeepEqual(got, []int64{0}) {
+		t.Fatalf("dirty pages after one store = %v, want [0]", got)
 	}
 	m.Reset()
 	if got := m.DirtyPages(); len(got) != 0 {
 		t.Fatalf("dirty pages after Reset: %v", got)
+	}
+	if m.LoadWord(64) != 0 {
+		t.Fatal("Reset left data behind")
+	}
+}
+
+// TestNewAllocatesPageTableOnly: a default-size machine (8 MiB of
+// data memory) for a suite program costs its page table and counters,
+// not its memory image.
+func TestNewAllocatesPageTableOnly(t *testing.T) {
+	p := bench.Suite()[0].MustProgram(bench.SizeTiny)
+	New(p, 0) // predecode once, outside the measurement
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			New(p, 0)
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("New allocates %d bytes per machine, want < 64 KiB", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlpa/internal/isa"
@@ -52,9 +53,26 @@ func compareMachines(t *testing.T, fast, ref *Machine, label string) {
 				fast.BlockCounts[i], ref.BlockCounts[i])
 		}
 	}
-	for i := range fast.mem {
-		if fast.mem[i] != ref.mem[i] {
-			t.Fatalf("%s: mem[%d] %#x != reference %#x", label, i, fast.mem[i], ref.mem[i])
+	compareMemory(t, fast, ref, label)
+}
+
+// compareMemory fails the test unless both machines wrote the same
+// pages with the same contents — every other page is the shared zero
+// page on both sides — and the zero page itself is still all zero.
+func compareMemory(t *testing.T, fast, ref *Machine, label string) {
+	t.Helper()
+	if zeroPage != ([PageWords]uint64{}) {
+		t.Fatalf("%s: the shared zero page was written", label)
+	}
+	pages := fast.DirtyPages()
+	if want := ref.DirtyPages(); !slices.Equal(pages, want) {
+		t.Fatalf("%s: dirty pages %v != reference %v", label, pages, want)
+	}
+	for _, pi := range pages {
+		for k, v := range fast.pages[pi] {
+			if w := ref.pages[pi][k]; v != w {
+				t.Fatalf("%s: mem[%d] %#x != reference %#x", label, pi*PageWords+int64(k), v, w)
+			}
 		}
 	}
 }
@@ -333,6 +351,21 @@ func TestRunEdgeCases(t *testing.T) {
 			isa.Inst{Op: isa.OpBeq, Rs1: isa.RZero, Rs2: isa.RZero, Targ: 99},
 			isa.Inst{Op: isa.OpHalt},
 		),
+		// Stores to every page of the default 8 MiB memory, four pages
+		// an iteration, reading one back: every page leaves the shared
+		// zero page, in slabs, on both engines.
+		mk("all-pages",
+			isa.Inst{Op: isa.OpLui, Rd: 2, Imm: DefaultMemWords * 8 >> 16},
+			isa.Inst{Op: isa.OpSt, Rs1: 1, Rs2: 1, Imm: 0},
+			isa.Inst{Op: isa.OpSt, Rs1: 1, Rs2: 1, Imm: PageWords * 8},
+			isa.Inst{Op: isa.OpSt, Rs1: 1, Rs2: 1, Imm: 2 * PageWords * 8},
+			isa.Inst{Op: isa.OpSt, Rs1: 1, Rs2: 1, Imm: 3 * PageWords * 8},
+			isa.Inst{Op: isa.OpLd, Rd: 3, Rs1: 1, Imm: PageWords * 8},
+			isa.Inst{Op: isa.OpAdd, Rd: 4, Rs1: 4, Rs2: 3},
+			isa.Inst{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 4 * PageWords * 8},
+			isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2, Targ: 1},
+			isa.Inst{Op: isa.OpHalt},
+		),
 	}
 	for _, p := range cases {
 		p := p
@@ -342,7 +375,7 @@ func TestRunEdgeCases(t *testing.T) {
 				{1, 1, 1, 1, 1, 1, 1, 1, 4096},
 				{2, 4096},
 			} {
-				runBothChunked(t, p, 1<<8, chunks)
+				runBothChunked(t, p, 0, chunks)
 			}
 		})
 	}

@@ -156,9 +156,5 @@ func fuzzCompare(t *testing.T, fast, ref *Machine) {
 			t.Fatalf("BlockCounts[%d] %d != reference %d", i, fast.BlockCounts[i], ref.BlockCounts[i])
 		}
 	}
-	for i := range fast.mem {
-		if fast.mem[i] != ref.mem[i] {
-			t.Fatalf("mem[%d] %#x != reference %#x", i, fast.mem[i], ref.mem[i])
-		}
-	}
+	compareMemory(t, fast, ref, "fuzz")
 }

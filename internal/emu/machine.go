@@ -10,7 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"time"
 
 	"mlpa/internal/isa"
@@ -74,12 +74,16 @@ type Machine struct {
 	// for A/B measurement and tests.
 	NoTraces bool
 
-	mem     []uint64 // word-addressed data memory, power-of-two length
+	// Data memory is memMask+1 words (a power of two), paged (see
+	// dirty.go): pages[i] backs words [i*PageWords, (i+1)*PageWords)
+	// and points at zeroPage until the page is first written.
+	pages   []*[PageWords]uint64
 	memMask int64
+	written []int64              // allocated page indices, first-write order
+	free    []*[PageWords]uint64 // zeroed pages ready for reuse
 	code    []isa.Inst
 	blockOf []int32
 	dec     *predecoded // shared per-program fast-path representation
-	dirty   []uint64    // written-page bitmap; nil unless TrackDirtyPages
 }
 
 // DefaultMemWords is the data-memory size used when a program does not
@@ -87,7 +91,9 @@ type Machine struct {
 const DefaultMemWords = 1 << 20
 
 // New creates a Machine for p. memWords, if positive, overrides the
-// data-memory size; it is rounded up to a power of two words.
+// data-memory size; it is rounded up to a power of two words. Memory
+// starts as a page table over the shared zero page, so New costs
+// O(memory / PageWords), and pages are allocated as they are written.
 func New(p *prog.Program, memWords int64) *Machine {
 	if memWords <= 0 {
 		memWords = (p.DataSize + 7) / 8
@@ -99,9 +105,13 @@ func New(p *prog.Program, memWords int64) *Machine {
 	for words < memWords {
 		words <<= 1
 	}
+	pages := make([]*[PageWords]uint64, (words+PageWords-1)/PageWords)
+	for i := range pages {
+		pages[i] = &zeroPage
+	}
 	return &Machine{
 		Prog:        p,
-		mem:         make([]uint64, words),
+		pages:       pages,
 		memMask:     words - 1,
 		code:        p.Code,
 		blockOf:     p.BlockTable(),
@@ -111,8 +121,10 @@ func New(p *prog.Program, memWords int64) *Machine {
 }
 
 // Clone returns an independent deep copy of the machine (registers,
-// memory, counters). Hooks are not copied. Cloning costs a full
-// data-memory copy; it exists for dry-run warming passes.
+// memory, counters). Hooks are not copied. It copies the page table and
+// the written pages. The pipeline never clones — self-warming rewinds
+// through a ckpt capture — so its callers are tests and perfbench's
+// traced replay.
 func (m *Machine) Clone() *Machine {
 	c := &Machine{
 		Prog:        m.Prog,
@@ -121,55 +133,42 @@ func (m *Machine) Clone() *Machine {
 		PC:          m.PC,
 		Halted:      m.Halted,
 		Insts:       m.Insts,
-		mem:         append([]uint64(nil), m.mem...),
+		pages:       slices.Clone(m.pages),
 		memMask:     m.memMask,
+		written:     slices.Clone(m.written),
 		code:        m.code,
 		blockOf:     m.blockOf,
-		BlockCounts: append([]uint64(nil), m.BlockCounts...),
+		BlockCounts: slices.Clone(m.BlockCounts),
 		dec:         m.dec,
 		NoTraces:    m.NoTraces,
 	}
-	if m.dirty != nil {
-		c.dirty = append([]uint64(nil), m.dirty...)
+	slab := make([][PageWords]uint64, len(m.written))
+	for i, pi := range m.written {
+		slab[i] = *m.pages[pi]
+		c.pages[pi] = &slab[i]
 	}
 	return c
 }
 
 // Reset rewinds the machine to the initial state (registers, memory,
-// PC, counters all zero). With dirty-page tracking enabled it zeroes
-// only the tracked pages — dirty pages are a superset of non-zero ones
-// — so a reset costs O(touched memory), not O(memory). That is what
-// makes restoring a sequence of checkpoints into one machine cheap.
+// PC, counters all zero). It zeroes only the written pages and keeps
+// them for reuse, so a reset costs O(touched memory), not O(memory) —
+// which is what makes restoring a sequence of checkpoints into one
+// machine cheap.
 func (m *Machine) Reset() {
 	m.IntRegs = [isa.NumIntRegs]int64{}
 	m.FPRegs = [isa.NumFPRegs]float64{}
-	if m.dirty == nil {
-		clear(m.mem)
-	} else {
-		m.scrubDirtyPages()
+	for _, pi := range m.written {
+		pg := m.pages[pi]
+		clear(pg[:])
+		m.free = append(m.free, pg)
+		m.pages[pi] = &zeroPage
 	}
+	m.written = m.written[:0]
 	m.PC = 0
 	m.Halted = false
 	m.Insts = 0
 	m.ResetBlockCounts()
-	// All-zero memory has no pages worth capturing.
-	clear(m.dirty)
-}
-
-// scrubDirtyPages zeroes every page in the dirty set.
-func (m *Machine) scrubDirtyPages() {
-	for wi, w := range m.dirty {
-		for w != 0 {
-			p := int64(wi)<<6 | int64(bits.TrailingZeros64(w))
-			lo := p << pageShift
-			hi := lo + PageWords
-			if hi > int64(len(m.mem)) {
-				hi = int64(len(m.mem))
-			}
-			clear(m.mem[lo:hi])
-			w &= w - 1
-		}
-	}
 }
 
 // ResetBlockCounts zeroes the BBV accumulator (used at interval
@@ -186,16 +185,18 @@ func (m *Machine) SnapshotBlockCounts() []uint64 {
 }
 
 // MemWords returns the data-memory size in 64-bit words.
-func (m *Machine) MemWords() int64 { return int64(len(m.mem)) }
+func (m *Machine) MemWords() int64 { return m.memMask + 1 }
 
 // LoadWord reads the data word at virtual byte address addr.
-func (m *Machine) LoadWord(addr int64) uint64 { return m.mem[(addr>>3)&m.memMask] }
+func (m *Machine) LoadWord(addr int64) uint64 {
+	w := (addr >> 3) & m.memMask
+	return m.pages[w>>pageShift][w&(PageWords-1)]
+}
 
 // StoreWord writes the data word at virtual byte address addr.
 func (m *Machine) StoreWord(addr int64, v uint64) {
 	w := (addr >> 3) & m.memMask
-	m.mem[w] = v
-	m.markDirty(w)
+	m.writable(w)[w&(PageWords-1)] = v
 }
 
 // Step executes a single instruction and reports what happened. It is
@@ -274,23 +275,19 @@ func (m *Machine) Step() (StepInfo, error) {
 	case isa.OpLd:
 		addr := m.geti(in.Rs1) + in.Imm
 		info.MemAddr = addr
-		m.setInt(in.Rd, int64(m.mem[(addr>>3)&m.memMask]))
+		m.setInt(in.Rd, int64(m.LoadWord(addr)))
 	case isa.OpSt:
 		addr := m.geti(in.Rs1) + in.Imm
 		info.MemAddr = addr
-		w := (addr >> 3) & m.memMask
-		m.mem[w] = uint64(m.geti(in.Rs2))
-		m.markDirty(w)
+		m.StoreWord(addr, uint64(m.geti(in.Rs2)))
 	case isa.OpFld:
 		addr := m.geti(in.Rs1) + in.Imm
 		info.MemAddr = addr
-		m.setFP(in.Rd, math.Float64frombits(m.mem[(addr>>3)&m.memMask]))
+		m.setFP(in.Rd, math.Float64frombits(m.LoadWord(addr)))
 	case isa.OpFst:
 		addr := m.geti(in.Rs1) + in.Imm
 		info.MemAddr = addr
-		w := (addr >> 3) & m.memMask
-		m.mem[w] = math.Float64bits(m.getf(in.Rs2))
-		m.markDirty(w)
+		m.StoreWord(addr, math.Float64bits(m.getf(in.Rs2)))
 	case isa.OpFadd:
 		m.setFP(in.Rd, m.getf(in.Rs1)+m.getf(in.Rs2))
 	case isa.OpFsub:

@@ -9,8 +9,9 @@ package emu
 // BlockCounts addition instead of one per instruction.
 //
 // The predecoded form is derived from Program.Code alone and cached on
-// the Program via its Aux cache, so the many short-lived Machines the
-// parallel state cache materializes share a single predecode pass.
+// the Program via its Aux cache, so every Machine built for a program
+// (by each profiling pass, checkpoint restore and ground-truth run)
+// shares a single predecode pass.
 // Like the basic-block decomposition, it assumes Code is not mutated
 // after the first Machine is created.
 
@@ -159,9 +160,10 @@ func buildPredecode(p *prog.Program) *predecoded {
 // checks, no error paths, and no per-instruction accounting. The
 // return value is the index (relative to dc) of the first failing
 // guard, or -1 when the whole range ran; block-batched callers pass
-// guard-free ranges and ignore it. dirty, when non-nil, is the
-// machine's written-page bitmap (see dirty.go); stores mark it.
-func execSpan(dc []dinst, from, to int64, R *[64]int64, F *[64]float64, mem []uint64, memMask int64, dirty []uint64) int64 {
+// guard-free ranges and ignore it. Memory is m's page table (see
+// dirty.go); stores go through m.writable.
+func execSpan(dc []dinst, from, to int64, R *[64]int64, F *[64]float64, m *Machine) int64 {
+	pages, mask := m.pages, m.memMask
 	batch := dc[from:to]
 	for i := range batch {
 		d := &batch[i]
@@ -214,27 +216,17 @@ func execSpan(dc []dinst, from, to int64, R *[64]int64, F *[64]float64, mem []ui
 		case isa.OpLui:
 			R[d.rd&63] = d.imm
 		case isa.OpLd:
-			addr := R[d.rs1&63] + d.imm
-			R[d.rd&63] = int64(mem[(addr>>3)&memMask])
+			w := ((R[d.rs1&63] + d.imm) >> 3) & mask
+			R[d.rd&63] = int64(pages[w>>pageShift][w&(PageWords-1)])
 		case isa.OpSt:
-			addr := R[d.rs1&63] + d.imm
-			w := (addr >> 3) & memMask
-			mem[w] = uint64(R[d.rs2&63])
-			if dirty != nil {
-				p := uint64(w) >> pageShift
-				dirty[p>>6] |= 1 << (p & 63)
-			}
+			w := ((R[d.rs1&63] + d.imm) >> 3) & mask
+			m.writable(w)[w&(PageWords-1)] = uint64(R[d.rs2&63])
 		case isa.OpFld:
-			addr := R[d.rs1&63] + d.imm
-			F[d.fd&63] = math.Float64frombits(mem[(addr>>3)&memMask])
+			w := ((R[d.rs1&63] + d.imm) >> 3) & mask
+			F[d.fd&63] = math.Float64frombits(pages[w>>pageShift][w&(PageWords-1)])
 		case isa.OpFst:
-			addr := R[d.rs1&63] + d.imm
-			w := (addr >> 3) & memMask
-			mem[w] = math.Float64bits(F[d.fs2&63])
-			if dirty != nil {
-				p := uint64(w) >> pageShift
-				dirty[p>>6] |= 1 << (p & 63)
-			}
+			w := ((R[d.rs1&63] + d.imm) >> 3) & mask
+			m.writable(w)[w&(PageWords-1)] = math.Float64bits(F[d.fs2&63])
 		case isa.OpFadd:
 			F[d.fd&63] = F[d.fs1&63] + F[d.fs2&63]
 		case isa.OpFsub:

@@ -59,8 +59,6 @@ func (m *Machine) runFast(maxInsts uint64) (uint64, error) {
 	codeLen := int64(len(dc))
 	blockOf := m.blockOf
 	bc := m.BlockCounts
-	mem, mask := m.mem, m.memMask
-	dirty := m.dirty
 
 	var R [64]int64
 	copy(R[:32], m.IntRegs[:])
@@ -81,7 +79,7 @@ loop:
 		}
 		if traces != nil {
 			if tr := traces[pc]; tr != nil && (maxInsts == 0 || tr.total <= maxInsts-done) {
-				if gi := execSpan(tr.code, 0, int64(len(tr.code)), &R, &F, mem, mask, dirty); gi >= 0 {
+				if gi := execSpan(tr.code, 0, int64(len(tr.code)), &R, &F, m); gi >= 0 {
 					// Side exit: the guard at flat index gi failed. Its
 					// accounting snapshot covers exactly the segments
 					// that committed (the guard's own branch included).
@@ -118,7 +116,7 @@ loop:
 				// batch's final instruction is plain straight-line
 				// code, so the partial prefix needs no terminator
 				// handling.
-				execSpan(dc, pc, pc+int64(rem), &R, &F, mem, mask, dirty)
+				execSpan(dc, pc, pc+int64(rem), &R, &F, m)
 				bc[blockOf[pc]] += rem
 				done += rem
 				pc += int64(rem)
@@ -134,52 +132,52 @@ loop:
 		// out of the switch to the hook call below.
 		switch isa.Op(t.op) {
 		case isa.OpHalt:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			m.Halted = true
 			pc = last
 			break loop
 		case isa.OpBeq:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			if R[t.rs1&63] != R[t.rs2&63] {
 				pc = last + 1
 				continue
 			}
 			pc = t.imm
 		case isa.OpBne:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			if R[t.rs1&63] == R[t.rs2&63] {
 				pc = last + 1
 				continue
 			}
 			pc = t.imm
 		case isa.OpBlt:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			if R[t.rs1&63] >= R[t.rs2&63] {
 				pc = last + 1
 				continue
 			}
 			pc = t.imm
 		case isa.OpBge:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			if R[t.rs1&63] < R[t.rs2&63] {
 				pc = last + 1
 				continue
 			}
 			pc = t.imm
 		case isa.OpJmp:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			pc = t.imm
 		case isa.OpJal:
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			R[t.rd&63] = last + 1
 			pc = t.imm
 		case isa.OpJr:
 			// Like Step, the jump target is read before the hook runs.
-			execSpan(dc, pc, last, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last, &R, &F, m)
 			pc = R[t.rs1&63]
 		default:
 			// Fall-through batch: the final instruction is plain too.
-			execSpan(dc, pc, last+1, &R, &F, mem, mask, dirty)
+			execSpan(dc, pc, last+1, &R, &F, m)
 			pc = last + 1
 			continue
 		}

@@ -121,8 +121,7 @@ func (c *StateCache) StateAt(ctx context.Context, pos uint64) (*ckpt.State, erro
 
 // MachineAt returns an independent machine positioned exactly at
 // instruction pos: the state StateAt returns, restored into a fresh
-// machine that tracks dirty pages. The machine is the caller's to
-// mutate.
+// machine. The machine is the caller's to mutate.
 func (c *StateCache) MachineAt(ctx context.Context, pos uint64) (*emu.Machine, error) {
 	st, err := c.StateAt(ctx, pos)
 	if err != nil {
@@ -146,11 +145,10 @@ func (c *StateCache) build(ctx context.Context, base *ckpt.State, pos uint64) (*
 	return ckpt.Capture(m, 0, sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true})
 }
 
-// restore returns a fresh dirty-tracking machine positioned at st, or
-// at the initial state when st is nil.
+// restore returns a fresh machine positioned at st, or at the initial
+// state when st is nil.
 func (c *StateCache) restore(st *ckpt.State) (*emu.Machine, error) {
 	m := emu.New(c.p, c.memWords)
-	m.TrackDirtyPages()
 	if st == nil {
 		return m, nil
 	}

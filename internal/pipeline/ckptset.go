@@ -49,7 +49,6 @@ func BuildCheckpointSet(p *prog.Program, plan *sampling.Plan, opts ExecOptions) 
 	defer span.End()
 
 	m := emu.New(p, 0)
-	m.TrackDirtyPages()
 	set := &ckpt.Set{
 		ProgramName: p.Name,
 		ProgramHash: ckpt.ProgramHash(p),

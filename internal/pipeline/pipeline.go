@@ -610,8 +610,8 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 // the chunk's one reused detail context; otherwise the window runs on
 // the spine itself, which ends there. A point that self-warms its code
 // dry-runs its region on the machine and rewinds through the same
-// capture. Restores cost O(touched pages) because machines keep
-// dirty-page tracking on. Chunks are contiguous and cost-balanced, and
+// capture. Restores cost O(touched pages) because machine memory is
+// paged. Chunks are contiguous and cost-balanced, and
 // the chunk count adapts to the work available — one chunk is exactly
 // the sequential workers==1 loop — so results are bit-identical for
 // every worker count and partition.
