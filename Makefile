@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: check vet lint build test race perfbench fuzz bench clean
+.PHONY: check fmt vet lint build test race perfbench fuzz bench clean
 
-## check: the full gate — vet, lint, build, the race-enabled test
-## suite, perfbench's own module, and a short fuzz pass over every
+## check: the full gate — gofmt, vet, lint, build, the race-enabled
+## test suite, perfbench's own module, and a short fuzz pass over every
 ## fuzz target.
-check: vet lint build race perfbench fuzz
+check: fmt vet lint build race perfbench fuzz
+
+## fmt: fail when any file is not gofmt-clean, as CI's lint job does.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

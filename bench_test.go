@@ -23,7 +23,6 @@ import (
 	"mlpa/internal/kmeans"
 	"mlpa/internal/linalg"
 	"mlpa/internal/multilevel"
-	"mlpa/internal/parallel"
 	"mlpa/internal/phase"
 	"mlpa/internal/phasepred"
 	"mlpa/internal/pipeline"
@@ -432,8 +431,10 @@ func BenchmarkPlanExecution(b *testing.B) {
 // BenchmarkPlanExecutionWorkers sweeps the same multi-level plan
 // across the ExecutePlan worker curve, so the cost-aware chunk
 // scheduler's parallel-is-never-a-loss property is measurable from
-// `go test -bench` alone. Each worker count gets a fresh state cache —
-// the cold-cache case the scheduler's startup model assumes.
+// `go test -bench` alone. Its finite warm windows reach behind earlier
+// points, so scratch execution rewinds to spine starts; a chunk the
+// partitioner cuts walks its machine forward from instruction 0, the
+// startup the scheduler's cost model assumes.
 func BenchmarkPlanExecutionWorkers(b *testing.B) {
 	spec, err := bench.ByName("lucas")
 	if err != nil {
@@ -456,7 +457,6 @@ func BenchmarkPlanExecutionWorkers(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				opts.Cache = parallel.NewStateCache(p, 0, nil)
 				if _, err := pipeline.ExecutePlan(p, plan, config.BaseA(), opts); err != nil {
 					b.Fatal(err)
 				}

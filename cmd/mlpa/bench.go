@@ -142,10 +142,9 @@ func runBench(f *flags) error {
 
 	// Benchmarks are independent: fan the suite out over the worker
 	// budget, with each worker covering every configuration and method
-	// for its benchmark (selection, ground truth, plan execution). A
-	// per-benchmark state cache shares fast-forward work across configs
-	// and methods. Entries land in slot order, so the report is
-	// byte-identical for every -workers value (wall fields excepted).
+	// for its benchmark (selection, ground truth, plan execution).
+	// Entries land in slot order, so the report is byte-identical for
+	// every -workers value (wall fields excepted).
 	t0 := time.Now()
 	entries := make([]benchEntry, len(names))
 	err = parallel.ForEachOpt(f.ctx, f.workers, len(names), func(ctx context.Context, i int) error {
@@ -171,7 +170,6 @@ func runBench(f *flags) error {
 		if err != nil {
 			return err
 		}
-		cache := parallel.NewStateCache(p, 0, f.rt.Metrics())
 		for _, cfg := range configs {
 			truth, truthWall, err := pipeline.FullDetailed(p, cfg)
 			if err != nil {
@@ -185,7 +183,7 @@ func runBench(f *flags) error {
 				}
 				est, err := pipeline.ExecutePlan(p, plan, cfg, pipeline.ExecOptions{
 					Warmup: st.Opts.Warmup, DetailLeadIn: st.Opts.DetailLeadIn,
-					Obs: f.rt, Workers: 1, Ctx: ctx, Cache: cache,
+					Obs: f.rt, Workers: 1, Ctx: ctx,
 				})
 				if err != nil {
 					return fmt.Errorf("bench %s/%s config %s: %w", name, method, cfg.Name, err)

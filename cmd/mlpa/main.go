@@ -31,9 +31,9 @@
 // dumps the metrics registry as JSON on exit; -v logs stage progress
 // to stderr; -serve addr exposes the run live over HTTP (/metrics in
 // Prometheus text or JSON, /progress per-stage completion, and the
-// pprof mux) without perturbing results; -sample 5s streams periodic
-// metrics_sample records to the journal; -pprof addr serves
-// net/http/pprof; -cpuprofile/-memprofile write runtime profiles. See
+// pprof mux under /debug/pprof/) without perturbing results; -sample
+// 5s streams periodic metrics_sample records to the journal;
+// -cpuprofile/-memprofile write runtime profiles. See
 // docs/OBSERVABILITY.md.
 package main
 
@@ -84,7 +84,6 @@ type flags struct {
 	verbose    bool
 	serveAddr  string
 	sample     time.Duration
-	pprofAddr  string
 	cpuprofile string
 	memprofile string
 
@@ -139,7 +138,6 @@ func parseFlags(cmd string, args []string) (*flags, error) {
 	fs.DurationVar(&f.sample, "sample", 0, "stream periodic metrics_sample records to the journal (or stderr without -journal) at this interval")
 	fs.BoolVar(&f.compare, "compare", false, "bench: compare two BENCH_*.json reports and fail on significant regressions")
 	fs.BoolVar(&f.gateParallel, "gate-parallel", false, "bench: fail if the micro plan wall at workers=4 exceeds workers=1 (small noise allowance)")
-	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&f.addr, "addr", defaultServeAddr, "serve: listen address; loadtest: daemon address to target")

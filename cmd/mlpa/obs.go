@@ -55,19 +55,14 @@ func setupObs(f *flags, cmd string) (func() error, error) {
 	})
 
 	// Live telemetry: -serve exposes /metrics, /progress and the pprof
-	// mux; -pprof is the legacy spelling and serves the same handler.
-	// The server only reads atomic registry/progress snapshots, so
+	// mux. The server only reads atomic registry/progress snapshots, so
 	// estimates and journals are bit-identical with and without it.
-	var servers []*obs.Server
-	for _, addr := range []string{f.serveAddr, f.pprofAddr} {
-		if addr == "" {
-			continue
-		}
-		srv, err := obs.Serve(addr, f.rt)
-		if err != nil {
+	var srv *obs.Server
+	if f.serveAddr != "" {
+		var err error
+		if srv, err = obs.Serve(f.serveAddr, f.rt); err != nil {
 			return nil, err
 		}
-		servers = append(servers, srv)
 		fmt.Fprintf(os.Stderr, "mlpa: serving live telemetry on http://%s/ (/metrics, /progress, /debug/pprof/)\n", srv.Addr())
 	}
 
@@ -105,7 +100,7 @@ func setupObs(f *flags, cmd string) (func() error, error) {
 		// The sampler emits a final sample on Stop, and must settle
 		// before the journal's closing metrics record and file close.
 		sampler.Stop()
-		for _, srv := range servers {
+		if srv != nil {
 			keep(srv.Close())
 		}
 		if cpuFile != nil {

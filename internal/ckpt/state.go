@@ -13,7 +13,7 @@ import (
 
 // stateMagic identifies one serialized machine state: the portable
 // region checkpoint, and the repository's only machine-state format
-// (parallel.StateCache holds the same State in memory).
+// (plan execution's in-memory rewinds capture the same State).
 var stateMagic = [8]byte{'M', 'L', 'P', 'A', 'C', 'K', 'S', '1'}
 
 // Version is the checkpoint wire-format version. Decoders reject

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"mlpa/internal/isa"
@@ -339,6 +341,74 @@ func TestRunToCompletionBound(t *testing.T) {
 	m := New(p, 0)
 	if _, err := m.RunToCompletion(1000); err == nil {
 		t.Error("RunToCompletion on infinite loop succeeded")
+	}
+}
+
+// TestRunTo pins the fast-forward loop every scratch machine is
+// positioned with: it lands exactly on pos (also across its 2^20-
+// instruction slices), leaves a machine at or past pos untouched,
+// reports a program that halts first, and returns ctx.Err() before
+// running anything under a cancelled context.
+func TestRunTo(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// buildLoop(t, n) retires 3n+2 instructions before it halts.
+	cases := []struct {
+		name      string
+		trips     int64
+		pre, pos  uint64 // instructions run before RunTo, target
+		ctx       context.Context
+		wantDone  uint64
+		wantInsts uint64
+		wantErr   string
+	}{
+		{name: "lands on pos", trips: 1000, pos: 1234, wantDone: 1234, wantInsts: 1234},
+		{name: "across slices", trips: runToSlice, pos: runToSlice + 5, wantDone: runToSlice + 5, wantInsts: runToSlice + 5},
+		{name: "from a later start", trips: 1000, pre: 100, pos: 1234, wantDone: 1134, wantInsts: 1234},
+		{name: "at pos", trips: 1000, pre: 100, pos: 100, wantInsts: 100},
+		{name: "past pos", trips: 1000, pre: 100, pos: 50, wantInsts: 100},
+		{name: "halts first", trips: 10, pos: 100, wantDone: 32, wantInsts: 32, wantErr: "halted"},
+		{name: "cancelled", trips: 1000, pos: 100, ctx: cancelled, wantErr: context.Canceled.Error()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := buildLoop(t, tc.trips)
+			m := New(p, 0)
+			if tc.pre > 0 {
+				if _, err := m.Run(tc.pre); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pc, regs := m.PC, m.IntRegs
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			done, err := m.RunTo(ctx, tc.pos)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("err = %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+			case tc.ctx != nil && err != tc.ctx.Err():
+				t.Fatalf("err = %v, want ctx.Err() itself", err)
+			}
+			if done != tc.wantDone || m.Insts != tc.wantInsts {
+				t.Errorf("executed %d, now at %d; want %d, at %d", done, m.Insts, tc.wantDone, tc.wantInsts)
+			}
+			if done == 0 && (m.PC != pc || m.IntRegs != regs) {
+				t.Error("a RunTo that executed nothing changed the machine")
+			}
+			if tc.wantErr == "" {
+				want := New(p, 0)
+				if _, err := want.Run(max(tc.pre, tc.pos)); err != nil {
+					t.Fatal(err)
+				}
+				if m.PC != want.PC || m.IntRegs != want.IntRegs {
+					t.Errorf("state at %d differs from a plain Run", m.Insts)
+				}
+			}
+		})
 	}
 }
 

@@ -225,9 +225,8 @@ func NewStudy(o Options) (*Study, error) {
 
 // execOpts is the plan-execution policy every Table II evaluation
 // runs under. The suite already fans out benchmark-wide, so each
-// plan's points run sequentially (the machine is not oversubscribed)
-// while the fast-forward cache is shared per benchmark.
-func (st *Study) execOpts(ctx context.Context, cache *parallel.StateCache) pipeline.ExecOptions {
+// plan's points run sequentially (the machine is not oversubscribed).
+func (st *Study) execOpts(ctx context.Context) pipeline.ExecOptions {
 	return pipeline.ExecOptions{
 		Warmup:       st.Opts.Warmup,
 		DetailLeadIn: st.Opts.DetailLeadIn,
@@ -235,7 +234,6 @@ func (st *Study) execOpts(ctx context.Context, cache *parallel.StateCache) pipel
 		Obs:          st.Opts.Obs,
 		Workers:      1,
 		Ctx:          ctx,
-		Cache:        cache,
 	}
 }
 
@@ -378,10 +376,8 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 	// The ground-truth and sampled simulations are independent per
 	// (benchmark, configuration) pair; run the benchmarks in parallel
 	// with each worker covering every configuration and method for its
-	// benchmark — one functional-state cache per benchmark then serves
-	// every point's warm-start state to all of them, since
-	// architectural state is configuration-independent — and aggregate
-	// in suite order so worst cases and averages stay deterministic.
+	// benchmark, and aggregate in suite order so worst cases and averages
+	// stay deterministic.
 	type devs struct{ cpi, l1, l2 [3]float64 }
 	span := st.Opts.Obs.StartSpan("experiments.table2", obs.KV("configs", len(configs)))
 	defer span.End()
@@ -394,7 +390,6 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 		if err != nil {
 			return err
 		}
-		cache := parallel.NewStateCache(p, 0, st.Opts.Obs.Metrics())
 		results[i] = make(map[string]devs, len(configs))
 		for _, cfg := range configs {
 			tspan := bspan.StartSpan("experiments.ground_truth", obs.KV("config", cfg.Name))
@@ -409,7 +404,7 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 				if err != nil {
 					return err
 				}
-				est, err := pipeline.ExecutePlan(p, plan, cfg, st.execOpts(ctx, cache))
+				est, err := pipeline.ExecutePlan(p, plan, cfg, st.execOpts(ctx))
 				if err != nil {
 					return fmt.Errorf("experiments: %s/%s under config %s: %w", pl.Spec.Name, method, cfg.Name, err)
 				}

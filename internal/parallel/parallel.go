@@ -1,8 +1,8 @@
 // Package parallel provides the fan-out machinery shared by the
 // sampling pipeline and the experiment harness: a context-aware
-// indexed worker pool with deterministic error selection, and a
-// single-flight cache of functional machine states that lets
-// concurrent simulation points share fast-forward work.
+// indexed worker pool with deterministic error selection, a bounded
+// concurrency pool, and the cost-aware partitioner that splits a plan's
+// points into chunks.
 //
 // The package deliberately contains no simulation policy: callers
 // decide what runs per index and how results merge. Determinism is the
@@ -59,11 +59,11 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 
 // ForEachOpt is ForEach with scheduler telemetry.
 func ForEachOpt(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error, opt ForEachOptions) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if n <= 0 {
+		return ctx.Err()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -31,11 +31,14 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(context.Background(), 4, 0, func(context.Context, int) error {
-		t.Error("fn called for n=0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	// A nil ctx means context.Background(), for n == 0 as for any n.
+	for _, ctx := range []context.Context{context.Background(), nil} {
+		if err := ForEach(ctx, 4, 0, func(context.Context, int) error {
+			t.Error("fn called for n=0")
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -26,9 +26,10 @@ func ckptExecOpts(workers int) ExecOptions {
 }
 
 // harnessExecOpts is the experiment harness's default warm policy:
-// unbounded warmup pins every warm start to instruction 0, so scratch
-// execution rewinds every point after a chunk's first through the
-// state cache.
+// unbounded warmup pins every warm start to instruction 0, so every
+// point after a chunk's first continues one spine, and scratch
+// execution rewinds the machine to the predecessor's boundary through
+// the spine's capture.
 func harnessExecOpts(workers int) ExecOptions {
 	return ExecOptions{Warmup: math.MaxUint64, DetailLeadIn: 512, Workers: workers}
 }

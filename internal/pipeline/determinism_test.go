@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mlpa/internal/bench"
 	"mlpa/internal/config"
 	"mlpa/internal/cpu"
 	"mlpa/internal/obs"
-	"mlpa/internal/parallel"
 	"mlpa/internal/simpoint"
 )
 
@@ -112,38 +112,55 @@ func TestExecutePlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExecutePlanSharedCacheDeterministic: reusing one state cache
-// across configurations and repeated runs must not change results.
+// TestExecutePlanSharedCacheDeterministic: executions of one plan that
+// run concurrently and repeatedly over the same *prog.Program — what
+// Table II does with a benchmark's plans under both configurations —
+// share only the program's derived state (predecode, dataflow), never
+// machine state, so none of them may change another's results.
 func TestExecutePlanSharedCacheDeterministic(t *testing.T) {
 	p := phasedProgram(t, 30)
 	plan, _, _, err := simpoint.Select(p, simpoint.Config{IntervalLen: 2000, Kmax: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts ExecOptions) *Estimate {
-		t.Helper()
-		est, err := ExecutePlan(p, plan, config.BaseA(), opts)
+	run := func(workers int) (*Estimate, error) {
+		est, err := ExecutePlan(p, plan, config.BaseA(), ExecOptions{Warmup: 3000, Workers: workers})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		return stripWall(est)
+		return stripWall(est), nil
 	}
-	base := run(ExecOptions{Warmup: 3000, Workers: 1})
-	cache := parallel.NewStateCache(p, 0, nil)
-	for _, workers := range []int{1, 4} {
-		got := run(ExecOptions{Warmup: 3000, Workers: workers, Cache: cache})
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d with shared cache differs from private-cache run", workers)
+	base, err := run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		workers := []int{1, 4, 4}
+		got := make([]*Estimate, len(workers))
+		errs := make([]error, len(workers))
+		var wg sync.WaitGroup
+		for i, w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = run(w)
+			}()
 		}
-	}
-	// A second pass over the warm cache must be just as identical.
-	if got := run(ExecOptions{Warmup: 3000, Workers: 4, Cache: cache}); !reflect.DeepEqual(got, base) {
-		t.Error("second shared-cache pass differs")
+		wg.Wait()
+		for i, w := range workers {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(got[i], base) {
+				t.Errorf("pass %d: concurrent run with workers=%d differs from the sequential run", pass, w)
+			}
+		}
 	}
 }
 
-// TestExecutePlanMismatchedCacheIgnored: a cache built for another
-// program must be ignored, not corrupt results.
+// TestExecutePlanMismatchedCacheIgnored: executing another program's
+// plan at the same time must not change this program's results; every
+// derived structure and every machine stays keyed to its own program.
 func TestExecutePlanMismatchedCacheIgnored(t *testing.T) {
 	p := phasedProgram(t, 20)
 	other := phasedProgram(t, 5)
@@ -151,16 +168,31 @@ func TestExecutePlanMismatchedCacheIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExecutePlan(p, plan, config.BaseA(), ExecOptions{Workers: 2})
+	otherPlan, _, _, err := simpoint.Select(other, simpoint.Config{IntervalLen: 1000, Kmax: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecutePlan(p, plan, config.BaseA(), ExecOptions{Workers: 2, Cache: parallel.NewStateCache(other, 0, nil)})
+	opts := ExecOptions{Warmup: 3000, Workers: 2}
+	want, err := ExecutePlan(p, plan, config.BaseA(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var (
+		wg       sync.WaitGroup
+		otherErr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, otherErr = ExecutePlan(other, otherPlan, config.BaseA(), opts)
+	}()
+	got, err := ExecutePlan(p, plan, config.BaseA(), opts)
+	wg.Wait()
+	if err != nil || otherErr != nil {
+		t.Fatal(err, otherErr)
 	}
 	if !reflect.DeepEqual(stripWall(got), stripWall(want)) {
-		t.Error("mismatched cache changed results")
+		t.Error("another program's concurrent execution changed results")
 	}
 }
 

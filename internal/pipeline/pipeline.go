@@ -81,17 +81,12 @@ type ExecOptions struct {
 	// context's error. A nil Ctx means context.Background().
 	Ctx context.Context
 
-	// Cache, when non-nil, is a shared functional-state cache for this
-	// plan's program: concurrent and repeated executions (for example
-	// the same plan under both Table I configurations) reuse each
-	// other's fast-forward work through it. A point restores its warm-
-	// start state from it when its chunk starts there or the machine
-	// must move back to reach it; points inside a spine rewind through
-	// a private capture instead. It must have been created by
-	// parallel.NewStateCache for the same *prog.Program with the
-	// default memory size (memWords 0); a cache for another program
-	// is ignored. Nil gives each ExecutePlan call a private cache. A
-	// non-nil Checkpoints set takes precedence: no cache is consulted.
+	// Cache is ignored: machines are positioned from Checkpoints or by
+	// a forward walk (see executePoints).
+	//
+	// Deprecated: it remains only because perfbench's traced replay
+	// still sets it; the change that moves perfbench onto the
+	// pipeline's own layer counters (ROADMAP.md, item 3) deletes it.
 	Cache *parallel.StateCache
 
 	// Obs, when non-nil, receives per-point journal records, stage
@@ -288,6 +283,15 @@ type spine struct {
 	fork *cpu.Sim
 	// rewind is the machine's state at the last captured boundary.
 	rewind *ckpt.State
+	// start is the machine's state at the spine's warm start, captured
+	// only when the chunk's next spine start rewinds to it.
+	start *ckpt.State
+}
+
+// captureAll captures m's complete state (every register, every written
+// page) for point pi, so restoring it rewinds m exactly.
+func captureAll(m *emu.Machine, pi int) (*ckpt.State, error) {
+	return ckpt.Capture(m, pi, sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true})
 }
 
 // runPoint executes one simulation point. m must sit at the point's
@@ -318,8 +322,7 @@ func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int,
 	// rather than one-time code-fill transients.
 	selfWarm := opts.Warmup > 0 && task.warm < pt.Len()
 	if keep || selfWarm {
-		allLive := sampling.LiveIn{PC: m.PC, Int: ^uint32(0), FP: ^uint32(0), Mem: true}
-		if sp.rewind, err = ckpt.Capture(m, pi, allLive); err != nil {
+		if sp.rewind, err = captureAll(m, pi); err != nil {
 			return PointRecord{}, fmt.Errorf("pipeline: boundary capture at point %d in %s/%s: %w",
 				pi, plan.Benchmark, plan.Method, err)
 		}
@@ -531,11 +534,11 @@ func taskCost(tasks []pointTask, i int, ptLen uint64) float64 {
 // planPartition derives the cost-aware chunk schedule for a plan: a
 // pure function of (plan, tasks, workers) and the host's GOMAXPROCS,
 // so every worker observes the same partition. A chunk's startup
-// estimate is the full fast-forward to its first warm start —
-// pessimistic when a shared cache already holds nearby states, which
-// only biases toward fewer chunks — plus, when the chunk is cut inside
-// a spine, re-warming the spine up to the predecessor's boundary, the
-// part of the point's warm window taskCost does not charge. The worker
+// estimate is the full fast-forward to its first warm start (a chunk
+// without a checkpoint set walks there from instruction 0) plus, when
+// the chunk is cut inside a spine, re-warming the spine up to the
+// predecessor's boundary, the part of the point's warm window taskCost
+// does not charge. The worker
 // budget is clamped to GOMAXPROCS before partitioning: chunks beyond
 // the cores actually available cannot shorten the real makespan, only
 // time-slice against each other, so a -workers value above the machine
@@ -585,7 +588,7 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 }
 
 // executePoints runs the points through the cost-aware chunk
-// scheduler. Each chunk materializes one machine at its first point's
+// scheduler. Each chunk positions one machine at its first point's
 // warm start and carries it, with one continuously warmed cache and
 // predictor context (the spine), through the chunk's points:
 //
@@ -596,13 +599,9 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 //     this point's boundary. Warmed state at position X is a pure
 //     function of the instruction stream [warmStart, X), so this is the
 //     state warming the whole window from the warm start would leave.
-//   - Any other point starts a new spine: the machine chains forward
-//     from the previous point (planTasks guarantees the machine sits at
-//     cursor = pt.End + tail, so a later warm start needs only a fast-
-//     forward) or, for the chunk's first point, a jump the checkpoint
-//     set makes cheaper, or a warm start behind the machine, is restored
-//     from the checkpoint set or the shared state cache; a cold context
-//     then warms the whole window.
+//   - Any other point starts a new spine: positionMachine restores the
+//     machine from the checkpoint set or walks it forward to the warm
+//     start, and a cold context then warms the whole window.
 //
 // When the next point will continue the spine, runPoint captures the
 // machine's state at this boundary (all-live) and runs the detailed
@@ -617,10 +616,6 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 // every worker count and partition.
 func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, workers int, recs []PointRecord) error {
 	set := opts.Checkpoints
-	cache := opts.Cache
-	if set == nil && (cache == nil || cache.Program() != p) {
-		cache = parallel.NewStateCache(p, 0, reg)
-	}
 	chunks := planPartition(plan, tasks, workers, set != nil)
 	reg.Gauge("pipeline.plan_chunks").Set(float64(len(chunks)))
 	warmed := reg.Counter("pipeline.warm_insts")
@@ -646,8 +641,14 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 				warm = spineWarm(tasks, pi)
 			} else {
 				var err error
-				if m, err = positionMachine(ctx, p, m, set, cache, reg, pi, task.warmStart); err != nil {
+				if m, err = positionMachine(ctx, p, m, sp.start, set, reg, pi, task.warmStart); err != nil {
 					return err
+				}
+				sp.start = nil
+				if set == nil && rewindsToSpineStart(plan, tasks, pi, c.End) {
+					if sp.start, err = captureAll(m, pi); err != nil {
+						return fmt.Errorf("pipeline: spine-start capture at point %d in %s: %w", pi, plan.Benchmark, err)
+					}
 				}
 				if sp.warm, err = cpu.New(cfg); err != nil {
 					return err
@@ -689,43 +690,64 @@ func spineWarm(tasks []pointTask, i int) uint64 {
 	return tasks[i].warm
 }
 
-// positionMachine returns a machine at instruction position warmStart
-// for point pi: m itself when it already sits there or only needs a
-// fast-forward, else m (or, when m is nil, a new machine) restored from
-// the checkpoint set or the state cache. A checkpoint set makes a
-// restore cheaper than any fast-forward, so with one it always
-// restores.
-func positionMachine(ctx context.Context, p *prog.Program, m *emu.Machine, set *ckpt.Set, cache *parallel.StateCache, reg *obs.Registry, pi int, warmStart uint64) (*emu.Machine, error) {
-	switch {
-	case m != nil && m.Insts == warmStart:
-		// Chained: the previous point left the machine here.
-		return m, nil
-	case m != nil && m.Insts < warmStart && set == nil:
-		if _, err := m.RunTo(ctx, warmStart); err != nil {
-			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", p.Name, err)
+// rewindsToSpineStart reports whether, in a chunk ending before point
+// end, the next spine start after point pi lies behind the machine: a
+// finite warm window reaching back past the run-ahead end of the point
+// before it, which is where that point leaves the machine. Only then
+// does the spine pi starts need its start captured.
+func rewindsToSpineStart(plan *sampling.Plan, tasks []pointTask, pi, end int) bool {
+	for j := pi + 1; j < end; j++ {
+		if !continuesSpine(tasks, j) {
+			return tasks[j].warmStart < plan.Points[j-1].End+tasks[j-1].tail
 		}
+	}
+	return false
+}
+
+// positionMachine returns a machine at instruction warmStart for point
+// pi, which starts a spine: m itself when the previous point left it
+// there. With a checkpoint set, m (or, when m is nil, a new machine) is
+// restored from the point's state, which is cheaper than any
+// fast-forward. Without one the machine walks forward: a chunk's first
+// point starts a new machine at instruction 0, and a later point
+// continues m from where the previous point's run-ahead left it — or,
+// when a finite warm window reaches behind that, from start, the
+// chunk's previous spine start. Warm starts never decrease, so start is
+// never ahead of warmStart.
+func positionMachine(ctx context.Context, p *prog.Program, m *emu.Machine, start *ckpt.State, set *ckpt.Set, reg *obs.Registry, pi int, warmStart uint64) (*emu.Machine, error) {
+	if m != nil && m.Insts == warmStart {
 		return m, nil
 	}
 	var st *ckpt.State
-	if set != nil {
+	switch {
+	case set != nil:
 		st = set.States[pi]
-	} else {
-		var err error
-		if st, err = cache.StateAt(ctx, warmStart); err != nil {
-			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", p.Name, err)
+	case m == nil:
+		m = emu.New(p, 0)
+		m.Metrics = reg
+	case m.Insts > warmStart:
+		if start == nil {
+			return nil, fmt.Errorf("pipeline: point %d in %s: warm start %d is behind the machine at %d, and no spine start was captured",
+				pi, p.Name, warmStart, m.Insts)
 		}
+		st = start
 	}
-	var err error
-	if m == nil {
-		m, err = st.NewMachine(p)
-	} else {
-		err = st.RestoreInto(m)
+	if st != nil {
+		var err error
+		if m == nil {
+			m, err = st.NewMachine(p)
+		} else {
+			err = st.RestoreInto(m)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: restore of point %d in %s: %w", pi, p.Name, err)
+		}
+		m.Metrics = reg
+		reg.Counter("pipeline.ckpt_restores").Add(1)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: restore of point %d in %s: %w", pi, p.Name, err)
+	if _, err := m.RunTo(ctx, warmStart); err != nil {
+		return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", p.Name, err)
 	}
-	m.Metrics = reg
-	reg.Counter("pipeline.ckpt_restores").Add(1)
 	return m, nil
 }
 

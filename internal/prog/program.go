@@ -28,8 +28,9 @@ type Program struct {
 	// expects to be available starting at address 0.
 	DataSize int64
 
-	blocks  []BasicBlock
-	blockOf []int32 // instruction index -> basic block ID
+	blocksOnce sync.Once // guards the lazy computeBlocks below
+	blocks     []BasicBlock
+	blockOf    []int32 // instruction index -> basic block ID
 
 	// aux caches derived representations keyed by a consumer-specific
 	// key (see Aux). Attaching caches to the Program keeps their
@@ -92,9 +93,7 @@ func (p *Program) Validate() error {
 // BasicBlocks returns the basic-block decomposition, computing and
 // caching it on first use.
 func (p *Program) BasicBlocks() []BasicBlock {
-	if p.blocks == nil {
-		p.computeBlocks()
-	}
+	p.blocksOnce.Do(p.computeBlocks)
 	return p.blocks
 }
 
@@ -104,9 +103,7 @@ func (p *Program) NumBlocks() int { return len(p.BasicBlocks()) }
 // BlockOf returns the ID of the basic block containing instruction
 // index pc. It panics if pc is out of range.
 func (p *Program) BlockOf(pc int64) int {
-	if p.blockOf == nil {
-		p.computeBlocks()
-	}
+	p.blocksOnce.Do(p.computeBlocks)
 	return int(p.blockOf[pc])
 }
 
@@ -114,9 +111,7 @@ func (p *Program) BlockOf(pc int64) int {
 // is the block containing instruction i. The caller must not modify
 // the returned slice.
 func (p *Program) BlockTable() []int32 {
-	if p.blockOf == nil {
-		p.computeBlocks()
-	}
+	p.blocksOnce.Do(p.computeBlocks)
 	return p.blockOf
 }
 

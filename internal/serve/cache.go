@@ -21,92 +21,6 @@ const (
 	dispHit       = "hit"       // served from a completed cache entry
 )
 
-// resultCache is the content-hash response cache with single-flight
-// coalescing: at most one computation runs per key, waiters share its
-// outcome, and completed bodies are replayed byte-for-byte. Failed
-// computations are delivered to their waiters but never cached, so a
-// transient failure (timeout, cancellation) does not poison the key.
-type resultCache struct {
-	reg *obs.Registry
-	max int
-
-	mu      sync.Mutex
-	entries map[string]*resultEntry
-	order   []string // completed keys in insertion order, for eviction
-	bytes   int64
-}
-
-type resultEntry struct {
-	done chan struct{}
-	body []byte
-	err  *apiError
-}
-
-func newResultCache(max int, reg *obs.Registry) *resultCache {
-	return &resultCache{reg: reg, max: max, entries: make(map[string]*resultEntry)}
-}
-
-// do returns the response body for key, computing it single-flight.
-// The context only governs how long this caller waits on an in-flight
-// computation owned by another request; compute itself carries its own
-// deadline so a waiter's disconnection never aborts work other waiters
-// share.
-func (c *resultCache) do(ctx context.Context, key string, compute func() ([]byte, *apiError)) ([]byte, string, *apiError) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		disp := dispCoalesced
-		select {
-		case <-e.done:
-			disp = dispHit
-			c.reg.Counter("serve.cache.hits").Inc()
-		default:
-			c.reg.Counter("serve.cache.coalesced").Inc()
-		}
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, disp, &apiError{Status: http.StatusServiceUnavailable, Code: codeTimeout,
-				Message: "request expired while waiting for an in-flight identical computation: " + ctx.Err().Error()}
-		}
-		return e.body, disp, e.err
-	}
-	e := &resultEntry{done: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-	c.reg.Counter("serve.cache.misses").Inc()
-
-	e.body, e.err = compute()
-	close(e.done)
-
-	c.mu.Lock()
-	if e.err != nil {
-		delete(c.entries, key)
-	} else {
-		c.order = append(c.order, key)
-		c.bytes += int64(len(e.body))
-		c.evictLocked()
-		c.reg.Gauge("serve.cache.entries").Set(float64(len(c.entries)))
-		c.reg.Gauge("serve.cache.bytes").Set(float64(c.bytes))
-	}
-	c.mu.Unlock()
-	return e.body, dispMiss, e.err
-}
-
-// evictLocked drops the oldest completed entries until the bound
-// holds. In-flight entries are never in order, so they survive.
-func (c *resultCache) evictLocked() {
-	for c.max > 0 && len(c.order) > c.max {
-		key := c.order[0]
-		c.order = c.order[1:]
-		if e, ok := c.entries[key]; ok {
-			c.bytes -= int64(len(e.body))
-			delete(c.entries, key)
-			c.reg.Counter("serve.cache.evictions").Inc()
-		}
-	}
-}
-
 // Checkpoint dispositions reported in the X-Mlpa-Ckpt response header
 // (estimate cache misses only: replayed and coalesced responses did no
 // checkpoint work).
@@ -115,54 +29,90 @@ const (
 	ckptReuse = "reuse" // the set already existed (or was being built)
 )
 
-// ckptCache stores built checkpoint sets under the plan-identity key —
-// program content hash plus the plan-determining request fields, the
-// config excluded — with single-flight construction: at most one
-// builder runs per key and every waiter shares its set. Failed builds
-// are not cached. Entries are bounded FIFO like the result cache.
-type ckptCache struct {
-	reg *obs.Registry
-	max int
+// flightNames are the metric names a flightCache reports under.
+type flightNames struct {
+	hit, coalesced, miss string // counters, by disposition
+	prefix               string // <prefix>.entries, <prefix>.bytes gauges; <prefix>.evictions counter
+	wait                 string // what an expired wait was waiting for
+}
+
+// flightCache is a bounded single-flight cache: at most one
+// computation runs per key, waiters share its outcome, and completed
+// values are kept, oldest evicted first, up to max entries. Failed
+// computations are delivered to their waiters but never cached, so a
+// transient failure (timeout, cancellation) does not poison the key.
+type flightCache[V any] struct {
+	reg   *obs.Registry
+	max   int
+	size  func(V) int64
+	names flightNames
 
 	mu      sync.Mutex
-	entries map[string]*ckptEntry
-	order   []string
+	entries map[string]*flight[V]
+	order   []string // completed keys in insertion order, for eviction
 	bytes   int64
 }
 
-type ckptEntry struct {
+type flight[V any] struct {
 	done chan struct{}
-	set  *ckpt.Set
+	val  V
 	err  error
 }
 
-func newCkptCache(max int, reg *obs.Registry) *ckptCache {
-	return &ckptCache{reg: reg, max: max, entries: make(map[string]*ckptEntry)}
+func newFlightCache[V any](max int, reg *obs.Registry, size func(V) int64, names flightNames) *flightCache[V] {
+	return &flightCache[V]{reg: reg, max: max, size: size, names: names, entries: make(map[string]*flight[V])}
 }
 
-// get returns the checkpoint set for key, building it single-flight.
-// The disposition is ckptBuild when this caller ran the build and
-// ckptReuse when the set already existed or another builder's result
-// was shared. The context bounds only this caller's wait on a build in
-// flight elsewhere.
-func (c *ckptCache) get(ctx context.Context, key string, build func() (*ckpt.Set, error)) (*ckpt.Set, string, error) {
+// newResultCache is the content-hash response cache: completed bodies
+// are replayed byte-for-byte.
+func newResultCache(max int, reg *obs.Registry) *flightCache[[]byte] {
+	return newFlightCache(max, reg, func(b []byte) int64 { return int64(len(b)) }, flightNames{
+		hit: "serve.cache.hits", coalesced: "serve.cache.coalesced", miss: "serve.cache.misses",
+		prefix: "serve.cache", wait: "request expired while waiting for an in-flight identical computation",
+	})
+}
+
+// newCkptCache stores built checkpoint sets under the plan-identity key
+// — program content hash plus the plan-determining request fields, the
+// config excluded — so every waiter shares one build.
+func newCkptCache(max int, reg *obs.Registry) *flightCache[*ckpt.Set] {
+	return newFlightCache(max, reg, func(s *ckpt.Set) int64 { return int64(s.ApproxBytes()) }, flightNames{
+		hit: "serve.ckpt.reuses", coalesced: "serve.ckpt.reuses", miss: "serve.ckpt.builds",
+		prefix: "serve.ckpt", wait: "waiting for in-flight checkpoint build",
+	})
+}
+
+// get returns the value for key, computing it single-flight, and this
+// caller's disposition: dispMiss when it ran compute, dispCoalesced
+// when it joined a computation in flight, dispHit when the value was
+// already complete. ctx only bounds this caller's wait on a computation
+// another caller owns; compute carries its own deadline, so a waiter's
+// disconnection never aborts work other waiters share.
+func (c *flightCache[V]) get(ctx context.Context, key string, compute func() (V, error)) (V, string, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
-		c.reg.Counter("serve.ckpt.reuses").Inc()
+		disp, counter := dispCoalesced, c.names.coalesced
+		select {
+		case <-e.done:
+			disp, counter = dispHit, c.names.hit
+		default:
+		}
+		c.reg.Counter(counter).Inc()
 		select {
 		case <-e.done:
 		case <-ctx.Done():
-			return nil, ckptReuse, fmt.Errorf("waiting for in-flight checkpoint build: %w", ctx.Err())
+			var zero V
+			return zero, disp, fmt.Errorf("%s: %w", c.names.wait, ctx.Err())
 		}
-		return e.set, ckptReuse, e.err
+		return e.val, disp, e.err
 	}
-	e := &ckptEntry{done: make(chan struct{})}
+	e := &flight[V]{done: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
-	c.reg.Counter("serve.ckpt.builds").Inc()
+	c.reg.Counter(c.names.miss).Inc()
 
-	e.set, e.err = build()
+	e.val, e.err = compute()
 	close(e.done)
 
 	c.mu.Lock()
@@ -170,25 +120,21 @@ func (c *ckptCache) get(ctx context.Context, key string, build func() (*ckpt.Set
 		delete(c.entries, key)
 	} else {
 		c.order = append(c.order, key)
-		c.bytes += int64(e.set.ApproxBytes())
-		c.evictLocked()
-		c.reg.Gauge("serve.ckpt.entries").Set(float64(len(c.entries)))
-		c.reg.Gauge("serve.ckpt.bytes").Set(float64(c.bytes))
+		c.bytes += c.size(e.val)
+		for c.max > 0 && len(c.order) > c.max {
+			old := c.order[0]
+			c.order = c.order[1:]
+			if victim, ok := c.entries[old]; ok {
+				c.bytes -= c.size(victim.val)
+				delete(c.entries, old)
+				c.reg.Counter(c.names.prefix + ".evictions").Inc()
+			}
+		}
+		c.reg.Gauge(c.names.prefix + ".entries").Set(float64(len(c.entries)))
+		c.reg.Gauge(c.names.prefix + ".bytes").Set(float64(c.bytes))
 	}
 	c.mu.Unlock()
-	return e.set, ckptBuild, e.err
-}
-
-func (c *ckptCache) evictLocked() {
-	for c.max > 0 && len(c.order) > c.max {
-		key := c.order[0]
-		c.order = c.order[1:]
-		if e, ok := c.entries[key]; ok {
-			c.bytes -= int64(e.set.ApproxBytes())
-			delete(c.entries, key)
-			c.reg.Counter("serve.ckpt.evictions").Inc()
-		}
-	}
+	return e.val, dispMiss, e.err
 }
 
 // programEntry is one resolved guest program and the expensive state

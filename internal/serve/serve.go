@@ -126,9 +126,9 @@ type Server struct {
 	rt       *obs.Runtime
 	reg      *obs.Registry
 	pool     *parallel.Pool
-	results  *resultCache
+	results  *flightCache[[]byte]
 	programs *programCache
-	ckpts    *ckptCache
+	ckpts    *flightCache[*ckpt.Set]
 
 	gate *gate
 
@@ -268,11 +268,15 @@ func (s *Server) handle(endpoint string, w http.ResponseWriter, r *http.Request)
 	// and replayed requests did no checkpoint work, so they carry no
 	// X-Mlpa-Ckpt header.
 	var ckptDisp string
-	body, disp, ae := s.results.do(waitCtx, key, func() ([]byte, *apiError) {
-		return s.compute(endpoint, entry, req, &ckptDisp)
+	body, disp, err := s.results.get(waitCtx, key, func() ([]byte, error) {
+		b, ae := s.compute(endpoint, entry, req, &ckptDisp)
+		if ae != nil {
+			return nil, ae
+		}
+		return b, nil // a nil error interface, not a typed nil *apiError
 	})
-	if ae != nil {
-		s.writeError(w, ae)
+	if err != nil {
+		s.writeError(w, asAPIError(err))
 		return
 	}
 	s.reg.Counter("serve.responses.ok").Inc()
@@ -404,7 +408,10 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 	if err != nil {
 		return nil, asAPIError(err)
 	}
-	*ckptDisp = disp
+	*ckptDisp = ckptReuse
+	if disp == dispMiss {
+		*ckptDisp = ckptBuild
+	}
 	s.reg.Counter("serve.executions").Inc()
 	opts := s.execOptions(ctx)
 	opts.Checkpoints = set

@@ -176,7 +176,7 @@ func TestCoalescingIdenticalRequests(t *testing.T) {
 }
 
 // TestConcurrentDistinctMatchSingleShot: distinct concurrent requests
-// served with RequestWorkers > 1 and a shared state cache are
+// served with RequestWorkers > 1 through the server's shared caches are
 // bit-identical to a sequential single-shot ExecutePlan with one
 // worker and no shared state — the service preserves the repo's
 // determinism contract under production concurrency.
