@@ -8,6 +8,7 @@ package mlpa_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -256,8 +257,9 @@ func BenchmarkEmulatorHooked(b *testing.B) {
 	})
 }
 
-// BenchmarkEmulatorStepLoop measures the per-instruction Step loop the
-// fast path is differentially tested against.
+// BenchmarkEmulatorStepLoop measures the per-instruction Step loop: the
+// predecoded step the detailed model's fetch stage and functional
+// warming drive, one instruction at a time.
 func BenchmarkEmulatorStepLoop(b *testing.B) {
 	emuThroughputBench(b, func(m *emu.Machine) (uint64, error) {
 		var n uint64
@@ -310,6 +312,31 @@ func BenchmarkDetailedSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 		insts += res.Insts
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "M-inst/s")
+}
+
+// BenchmarkFunctionalWarming measures functional warming (cpu.Sim.Warm:
+// the predecoded Step plus the cache and predictor updates) over tiny
+// gzip under configuration A, run to halt. The machine and the context
+// are built outside the timed region.
+func BenchmarkFunctionalWarming(b *testing.B) {
+	spec, err := bench.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := spec.MustProgram(bench.SizeTiny)
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := emu.New(p, 0)
+		sim := cpu.MustNew(config.BaseA())
+		b.StartTimer()
+		if err := sim.Warm(m, math.MaxUint64); err != nil {
+			b.Fatal(err)
+		}
+		insts += m.Insts
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "M-inst/s")
 }

@@ -188,6 +188,42 @@ func TestForkIntoReusedContext(t *testing.T) {
 	})
 }
 
+// TestForkNeverRunIntoUsedContext: a chunk's later spine starts fork a
+// never-run context into the previous spine's dead one. The result warms
+// and runs a window exactly as MustNew(cfg) does, and the never-run
+// source is left as MustNew(cfg) made it. (TestForkIntoReusedContext
+// covers reuse from a warmed source.)
+func TestForkNeverRunIntoUsedContext(t *testing.T) {
+	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
+		m, used := warmedAt(t, p, cfg, forkWarmA)
+		if _, err := used.RunWindow(m, forkLead, forkWindow, forkTail); err != nil {
+			t.Fatal(err)
+		}
+		cold := MustNew(cfg)
+		s, err := cold.ForkInto(used)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold, MustNew(cfg)) {
+			t.Error("forking changed the never-run context")
+		}
+		fresh := MustNew(cfg)
+		var res [2]Result
+		for i, sim := range []*Sim{s, fresh} {
+			m := emu.New(p, 0)
+			if err := sim.Warm(m, forkWarmB); err != nil {
+				t.Fatal(err)
+			}
+			if res[i], err = sim.RunWindow(m, forkLead, forkWindow, forkTail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res[0] != res[1] || !reflect.DeepEqual(s, fresh) {
+			t.Errorf("restarted context's result %+v, new context %+v, or its state after the window differs", res[0], res[1])
+		}
+	})
+}
+
 // TestForkIntoOtherConfig: a dst built for another configuration is
 // replaced, never partially overwritten.
 func TestForkIntoOtherConfig(t *testing.T) {

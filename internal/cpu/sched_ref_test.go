@@ -374,7 +374,7 @@ func (s *refSim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, er
 		if err != nil {
 			return false, fmt.Errorf("cpu: functional step: %w", err)
 		}
-		op := info.Inst.Op
+		op := m.Prog.Code[info.PC].Op
 		isMem := op.IsMem()
 
 		idx := s.robTail
@@ -387,7 +387,7 @@ func (s *refSim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, er
 		s.nextSeq++
 
 		var srcBuf [4]isa.Reg
-		srcs := info.Inst.Sources(srcBuf[:0])
+		srcs := m.Prog.Code[info.PC].Sources(srcBuf[:0])
 		for _, r := range srcs {
 			if e.numDeps >= 2 {
 				break
@@ -399,7 +399,7 @@ func (s *refSim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, er
 				e.numDeps++
 			}
 		}
-		if rd, ok := info.Inst.Dests(); ok {
+		if rd, ok := m.Prog.Code[info.PC].Dests(); ok {
 			e.hasDst = true
 			e.dst = rd
 			s.regProducer[rd] = int32(idx)

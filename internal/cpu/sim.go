@@ -93,8 +93,10 @@ type Sim struct {
 
 	// Metrics, if non-nil, receives per-window telemetry from
 	// RunWindow: gauge cpu.kips, gauges cpu.rob_occupancy /
-	// cpu.lsq_occupancy (average entries per cycle) and counter
-	// cpu.flushes (branch-mispredict pipeline redirects).
+	// cpu.lsq_occupancy (average entries per cycle), counter
+	// cpu.flushes (branch-mispredict pipeline redirects) and the layer
+	// counters cpu.detail.{calls,ns}; warming adds cpu.warm.{calls,
+	// insts,ns}. All are counted per call, never per instruction.
 	Metrics *obs.Registry
 
 	// Front-end state.
@@ -277,6 +279,7 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 		startRobOcc, startLsqOcc, startFlushes = s.robOccSum, s.lsqOccSum, s.flushes
 	}
 
+	attrs := attrTable(m.Prog)
 	fetchDone := false // stop fetching: budget reached or program halted
 	var sinceCommit uint64
 
@@ -350,7 +353,7 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 		// Fetch/dispatch stage.
 		seq, blk := s.nextSeq, s.lastFetchBlock
 		if !fetchDone {
-			halted, err := s.fetch(m, total, startInsts)
+			halted, err := s.fetch(m, attrs, total, startInsts)
 			if err != nil {
 				return Result{}, err
 			}
@@ -395,7 +398,8 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 	}
 	if s.Metrics != nil {
 		windowInsts := s.committed - startInsts
-		if secs := time.Since(t0).Seconds(); secs > 0 && windowInsts > 0 {
+		elapsed := time.Since(t0)
+		if secs := elapsed.Seconds(); secs > 0 && windowInsts > 0 {
 			s.Metrics.Gauge("cpu.kips").Set(float64(windowInsts) / secs / 1e3)
 		}
 		if cycles := s.cycle - startCycles; cycles > 0 {
@@ -404,6 +408,8 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 		}
 		s.Metrics.Counter("cpu.flushes").Add(int64(s.flushes - startFlushes))
 		s.Metrics.Counter("cpu.window_insts").Add(int64(windowInsts))
+		s.Metrics.Counter("cpu.detail.calls").Add(1)
+		s.Metrics.Counter("cpu.detail.ns").Add(elapsed.Nanoseconds())
 	}
 	return res, nil
 }
@@ -670,7 +676,24 @@ func (s *Sim) warm(m *emu.Machine, insts uint64, data bool) error {
 	return nil
 }
 
+// warmRun is the warming loop behind Warm, WarmCode and WarmMeasured.
+// When Metrics is set it counts the call, the instructions it stepped
+// and its wall time (cpu.warm.calls, cpu.warm.insts, cpu.warm.ns).
 func (s *Sim) warmRun(m *emu.Machine, insts uint64, data bool) error {
+	if s.Metrics == nil {
+		return s.warmSteps(m, insts, data)
+	}
+	t0 := time.Now() //mlpalint:allow time-now (metrics wall clock, not simulated state)
+	start := m.Insts
+	err := s.warmSteps(m, insts, data)
+	s.Metrics.Counter("cpu.warm.calls").Add(1)
+	s.Metrics.Counter("cpu.warm.insts").Add(int64(m.Insts - start))
+	s.Metrics.Counter("cpu.warm.ns").Add(time.Since(t0).Nanoseconds())
+	return err
+}
+
+func (s *Sim) warmSteps(m *emu.Machine, insts uint64, data bool) error {
+	attrs := attrTable(m.Prog)
 	for i := uint64(0); i < insts && !m.Halted; i++ {
 		info, err := m.Step()
 		if err != nil {
@@ -681,12 +704,13 @@ func (s *Sim) warmRun(m *emu.Machine, insts uint64, data bool) error {
 			s.hier.IL1.Access(info.PC*isa.InstBytes, false)
 			s.lastFetchBlock = blk
 		}
-		op := info.Inst.Op
-		if data && op.IsMem() {
-			s.hier.DL1.Access(info.MemAddr&blockMask, op.IsStore())
-		}
-		if op.IsBranch() {
-			switch op {
+		switch a := &attrs[info.PC]; a.class {
+		case isa.ClassLoad, isa.ClassStore:
+			if data {
+				s.hier.DL1.Access(info.MemAddr&blockMask, a.class == isa.ClassStore)
+			}
+		case isa.ClassBranch:
+			switch a.op {
 			case isa.OpJal:
 				s.bu.PredictCall(info.PC, info.NextPC, info.PC+1)
 			case isa.OpJr:
@@ -704,14 +728,15 @@ func (s *Sim) warmRun(m *emu.Machine, insts uint64, data bool) error {
 // fetch dispatches up to FetchWidth instructions from the emulator
 // into the ROB, honoring I-cache and branch-redirect stalls. Returns
 // true when the program has halted.
-func (s *Sim) fetch(m *emu.Machine, maxInsts, startInsts uint64) (bool, error) {
+func (s *Sim) fetch(m *emu.Machine, attrs []instAttr, maxInsts, startInsts uint64) (bool, error) {
 	if s.cycle < s.fetchReadyAt || s.fetchBlockSeq != 0 {
 		return m.Halted, nil
 	}
-	return s.fetchRun(m, maxInsts, startInsts)
+	return s.fetchRun(m, attrs, maxInsts, startInsts)
 }
 
-func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error) {
+// fetchRun is fetch's dispatch loop. attrs is m.Prog's attribute table.
+func (s *Sim) fetchRun(m *emu.Machine, attrs []instAttr, maxInsts, startInsts uint64) (bool, error) {
 	for f := 0; f < s.cfg.FetchWidth; f++ {
 		if m.Halted {
 			return true, nil
@@ -725,7 +750,7 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 		// Stall before consuming a memory instruction when the LSQ is
 		// full (peek at the next opcode without stepping; an out-of-
 		// range PC is left for Step to report).
-		if s.lsqCount >= s.cfg.LSQSize && m.PC >= 0 && m.PC < int64(len(m.Prog.Code)) && m.Prog.Code[m.PC].Op.IsMem() {
+		if s.lsqCount >= s.cfg.LSQSize && m.PC >= 0 && m.PC < int64(len(attrs)) && attrs[m.PC].isMem() {
 			return false, nil
 		}
 		// Instruction cache: one access per block transition.
@@ -742,15 +767,15 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 		if err != nil {
 			return false, fmt.Errorf("cpu: functional step: %w", err)
 		}
-		op := info.Inst.Op
-		class := op.Class()
+		a := &attrs[info.PC]
+		class := a.class
 
 		idx := s.robTail
 		e := &s.rob[idx]
 		*e = robEntry{
 			seq:     s.nextSeq,
 			class:   class,
-			latency: int32(op.Latency()),
+			latency: int32(a.latency),
 		}
 		s.nextSeq++
 
@@ -758,8 +783,7 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 		// instruction has at most two sources).
 		wk := &s.wake[idx]
 		*wk = wakeState{}
-		var srcBuf [2]isa.Reg
-		for k, r := range info.Inst.Sources(srcBuf[:0]) {
+		for k, r := range a.src[:a.nsrc] {
 			pi := s.regProducer[r]
 			if pi < 0 {
 				continue
@@ -779,11 +803,11 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 		if wk.waits == 0 {
 			s.ready[idx>>6] |= bit
 		}
-		if rd, ok := info.Inst.Dests(); ok {
+		if a.hasDst {
 			e.hasDst = true
-			e.dst = rd
-			s.regProducer[rd] = int32(idx)
-			s.regSeq[rd] = e.seq
+			e.dst = a.dst
+			s.regProducer[a.dst] = int32(idx)
+			s.regSeq[a.dst] = e.seq
 		}
 
 		if class == isa.ClassLoad || class == isa.ClassStore {
@@ -797,7 +821,7 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 		stopFetch := false
 		if class == isa.ClassBranch {
 			correct := true
-			switch op {
+			switch a.op {
 			case isa.OpJal:
 				correct = s.bu.PredictCall(info.PC, info.NextPC, info.PC+1)
 			case isa.OpJr:
@@ -817,7 +841,7 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 				stopFetch = true
 			}
 		}
-		if op == isa.OpHalt {
+		if a.op == isa.OpHalt {
 			stopFetch = true
 		}
 

@@ -100,8 +100,8 @@ func slotEffect(d dinst) (eff dataflow.Effect, ok bool) {
 }
 
 // destFile reports which register file an opcode writes its
-// destination through: 'i' (setInt / integer slots), 'f' (setFP / FP
-// slots), or 0 for opcodes with no destination.
+// destination through: 'i' (integer slots), 'f' (FP slots), or 0 for
+// opcodes with no destination.
 func destFile(op isa.Op) byte {
 	switch op {
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,

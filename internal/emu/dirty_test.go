@@ -43,7 +43,7 @@ func TestDirtyPagesSupersetOfNonZero(t *testing.T) {
 }
 
 // TestDirtyPagesMatchStepLoop: the batched fast path (traces included)
-// and the Step reference must mark the identical dirty set.
+// and the reference interpreter must mark the identical dirty set.
 func TestDirtyPagesMatchStepLoop(t *testing.T) {
 	for _, p := range prog.Examples() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -53,7 +53,7 @@ func TestDirtyPagesMatchStepLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			for !ref.Halted && ref.Insts < 100_000 {
-				if _, err := ref.Step(); err != nil {
+				if _, err := ref.refStep(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,10 +1,11 @@
 package emu
 
 // Differential tests of the predecoded fast path: Run (the block-
-// batched runFast loop) must be bit-identical to driving the machine with
-// Step — same registers, memory, PC, counters, halt state, errors, and
-// identical hook observations. The fuzz target in fuzz_test.go chews
-// on the same comparison with adversarial programs.
+// batched runFast loop) must be bit-identical to driving the machine
+// with the frozen reference interpreter, refStep (ref_test.go) — same
+// registers, memory, PC, counters, halt state, errors, and identical
+// hook observations. The fuzz target in fuzz_test.go chews on the same
+// comparison with adversarial programs.
 
 import (
 	"fmt"
@@ -289,12 +290,14 @@ func TestRunMatchesStepRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestRunEdgeCases pins the interesting control-flow corners directly.
-func TestRunEdgeCases(t *testing.T) {
+// edgeCasePrograms are the interesting control-flow and register
+// corners, pinned directly by TestRunEdgeCases and
+// TestStepMatchesReferenceEdgeCases.
+func edgeCasePrograms() []*prog.Program {
 	mk := func(name string, code ...isa.Inst) *prog.Program {
 		return &prog.Program{Name: name, Code: code}
 	}
-	cases := []*prog.Program{
+	return []*prog.Program{
 		// Halt in the middle of a straight-line block.
 		mk("midblock-halt",
 			isa.Inst{Op: isa.OpAddi, Rd: 1, Rs1: isa.RZero, Imm: 3},
@@ -367,7 +370,12 @@ func TestRunEdgeCases(t *testing.T) {
 			isa.Inst{Op: isa.OpHalt},
 		),
 	}
-	for _, p := range cases {
+}
+
+// TestRunEdgeCases runs the edge-case programs under several chunk
+// schedules.
+func TestRunEdgeCases(t *testing.T) {
+	for _, p := range edgeCasePrograms() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			for _, chunks := range [][]uint64{

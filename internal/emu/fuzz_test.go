@@ -1,13 +1,15 @@
 package emu
 
 // FuzzRunVsStep is the differential fuzz target for the predecoded
-// fast path: arbitrary bytes become a short program (including invalid
-// opcodes, cross-namespace register names, and out-of-range branch
-// targets), and the fast Run loop — superblock traces included —
+// interpreters: arbitrary bytes become a short program (including
+// invalid opcodes, cross-namespace register names, and out-of-range
+// branch targets), and the fast Run loop — superblock traces included —
 // must produce bit-identical machine state, counts, errors, and hook
-// observations to the Step reference loop under the same budget
-// schedule. Hooked inputs additionally attach and detach the hook
-// between chunks, at whatever trace-interior PC the budget expired on.
+// observations to the reference loop (runStep over the frozen refStep)
+// under the same budget schedule. Hooked inputs additionally attach and
+// detach the hook between chunks, at whatever trace-interior PC the
+// budget expired on. A second leg drives Step and refStep in lockstep
+// over the same program (see step_test.go).
 
 import (
 	"encoding/binary"
@@ -130,6 +132,10 @@ func FuzzRunVsStep(f *testing.F) {
 				t.Fatalf("hook event %d: %+v != reference %+v", i, evFast[i], evRef[i])
 			}
 		}
+
+		// Second leg: Step against the reference, one instruction at a
+		// time over the same program.
+		lockstep(t, p, 1<<8, 4096, hooked)
 	})
 }
 

@@ -30,10 +30,9 @@ import (
 type BranchHook func(from, to int64)
 
 // StepInfo describes one committed instruction for execution-driven
-// timing simulation.
+// timing simulation. The instruction is the program's Code[PC].
 type StepInfo struct {
 	PC      int64
-	Inst    isa.Inst
 	NextPC  int64
 	MemAddr int64 // virtual byte address for loads/stores, else -1
 	Taken   bool  // control transfer taken (always true for jumps)
@@ -81,7 +80,6 @@ type Machine struct {
 	memMask int64
 	written []int64              // allocated page indices, first-write order
 	free    []*[PageWords]uint64 // zeroed pages ready for reuse
-	code    []isa.Inst
 	blockOf []int32
 	dec     *predecoded // shared per-program fast-path representation
 }
@@ -113,7 +111,6 @@ func New(p *prog.Program, memWords int64) *Machine {
 		Prog:        p,
 		pages:       pages,
 		memMask:     words - 1,
-		code:        p.Code,
 		blockOf:     p.BlockTable(),
 		BlockCounts: make([]uint64, p.NumBlocks()),
 		dec:         predecode(p),
@@ -136,7 +133,6 @@ func (m *Machine) Clone() *Machine {
 		pages:       slices.Clone(m.pages),
 		memMask:     m.memMask,
 		written:     slices.Clone(m.written),
-		code:        m.code,
 		blockOf:     m.blockOf,
 		BlockCounts: slices.Clone(m.BlockCounts),
 		dec:         m.dec,
@@ -200,149 +196,152 @@ func (m *Machine) StoreWord(addr int64, v uint64) {
 }
 
 // Step executes a single instruction and reports what happened. It is
-// the execution-driven interface used by the detailed timing model.
+// the execution-driven interface the detailed timing model drives, for
+// its fetch stage and for functional warming alike, and it executes
+// from the same per-program predecoded form as Run (see predecode.go):
+// register slots already resolved, shift and LUI immediates already
+// applied, branch targets in imm. The instruction itself is
+// m.Prog.Code[info.PC]. A Branch hook sees the full state current: the
+// registers written, Insts and BlockCounts counting the transfer, and
+// PC still at the transferring instruction.
 func (m *Machine) Step() (StepInfo, error) {
 	if m.Halted {
 		return StepInfo{}, fmt.Errorf("emu: program %q already halted", m.Prog.Name)
 	}
 	pc := m.PC
-	if pc < 0 || pc >= int64(len(m.code)) {
+	dc := m.dec.code
+	if pc < 0 || pc >= int64(len(dc)) {
 		m.Halted = true
 		return StepInfo{}, fmt.Errorf("emu: program %q: PC %d out of range", m.Prog.Name, pc)
 	}
-	in := m.code[pc]
-	info := StepInfo{PC: pc, Inst: in, MemAddr: -1}
+	d := &dc[pc]
 
 	m.BlockCounts[m.blockOf[pc]]++
 	m.Insts++
 
 	next := pc + 1
+	addr := int64(-1)
 	taken := false
+	F := &m.FPRegs
 
-	switch in.Op {
+	op := isa.Op(d.op)
+	switch op {
 	case isa.OpNop:
 	case isa.OpHalt:
 		m.Halted = true
 		next = pc
 	case isa.OpAdd:
-		m.setInt(in.Rd, m.geti(in.Rs1)+m.geti(in.Rs2))
+		m.wi(d.rd, m.ri(d.rs1)+m.ri(d.rs2))
 	case isa.OpSub:
-		m.setInt(in.Rd, m.geti(in.Rs1)-m.geti(in.Rs2))
+		m.wi(d.rd, m.ri(d.rs1)-m.ri(d.rs2))
 	case isa.OpMul:
-		m.setInt(in.Rd, m.geti(in.Rs1)*m.geti(in.Rs2))
+		m.wi(d.rd, m.ri(d.rs1)*m.ri(d.rs2))
 	case isa.OpDiv:
-		d := m.geti(in.Rs2)
-		if d == 0 {
-			m.setInt(in.Rd, 0)
+		if v := m.ri(d.rs2); v == 0 {
+			m.wi(d.rd, 0)
 		} else {
-			m.setInt(in.Rd, m.geti(in.Rs1)/d)
+			m.wi(d.rd, m.ri(d.rs1)/v)
 		}
 	case isa.OpRem:
-		d := m.geti(in.Rs2)
-		if d == 0 {
-			m.setInt(in.Rd, 0)
+		if v := m.ri(d.rs2); v == 0 {
+			m.wi(d.rd, 0)
 		} else {
-			m.setInt(in.Rd, m.geti(in.Rs1)%d)
+			m.wi(d.rd, m.ri(d.rs1)%v)
 		}
 	case isa.OpAnd:
-		m.setInt(in.Rd, m.geti(in.Rs1)&m.geti(in.Rs2))
+		m.wi(d.rd, m.ri(d.rs1)&m.ri(d.rs2))
 	case isa.OpOr:
-		m.setInt(in.Rd, m.geti(in.Rs1)|m.geti(in.Rs2))
+		m.wi(d.rd, m.ri(d.rs1)|m.ri(d.rs2))
 	case isa.OpXor:
-		m.setInt(in.Rd, m.geti(in.Rs1)^m.geti(in.Rs2))
+		m.wi(d.rd, m.ri(d.rs1)^m.ri(d.rs2))
 	case isa.OpShl:
-		m.setInt(in.Rd, m.geti(in.Rs1)<<(uint64(m.geti(in.Rs2))&63))
+		m.wi(d.rd, m.ri(d.rs1)<<(uint64(m.ri(d.rs2))&63))
 	case isa.OpShr:
-		m.setInt(in.Rd, int64(uint64(m.geti(in.Rs1))>>(uint64(m.geti(in.Rs2))&63)))
+		m.wi(d.rd, int64(uint64(m.ri(d.rs1))>>(uint64(m.ri(d.rs2))&63)))
 	case isa.OpSlt:
-		m.setInt(in.Rd, b2i(m.geti(in.Rs1) < m.geti(in.Rs2)))
+		m.wi(d.rd, b2i(m.ri(d.rs1) < m.ri(d.rs2)))
 	case isa.OpAddi:
-		m.setInt(in.Rd, m.geti(in.Rs1)+in.Imm)
+		m.wi(d.rd, m.ri(d.rs1)+d.imm)
 	case isa.OpAndi:
-		m.setInt(in.Rd, m.geti(in.Rs1)&in.Imm)
+		m.wi(d.rd, m.ri(d.rs1)&d.imm)
 	case isa.OpOri:
-		m.setInt(in.Rd, m.geti(in.Rs1)|in.Imm)
+		m.wi(d.rd, m.ri(d.rs1)|d.imm)
 	case isa.OpXori:
-		m.setInt(in.Rd, m.geti(in.Rs1)^in.Imm)
+		m.wi(d.rd, m.ri(d.rs1)^d.imm)
 	case isa.OpShli:
-		m.setInt(in.Rd, m.geti(in.Rs1)<<(uint64(in.Imm)&63))
+		m.wi(d.rd, m.ri(d.rs1)<<uint64(d.imm))
 	case isa.OpShri:
-		m.setInt(in.Rd, int64(uint64(m.geti(in.Rs1))>>(uint64(in.Imm)&63)))
+		m.wi(d.rd, int64(uint64(m.ri(d.rs1))>>uint64(d.imm)))
 	case isa.OpSlti:
-		m.setInt(in.Rd, b2i(m.geti(in.Rs1) < in.Imm))
+		m.wi(d.rd, b2i(m.ri(d.rs1) < d.imm))
 	case isa.OpLui:
-		m.setInt(in.Rd, in.Imm<<16)
+		m.wi(d.rd, d.imm)
 	case isa.OpLd:
-		addr := m.geti(in.Rs1) + in.Imm
-		info.MemAddr = addr
-		m.setInt(in.Rd, int64(m.LoadWord(addr)))
+		addr = m.ri(d.rs1) + d.imm
+		m.wi(d.rd, int64(m.LoadWord(addr)))
 	case isa.OpSt:
-		addr := m.geti(in.Rs1) + in.Imm
-		info.MemAddr = addr
-		m.StoreWord(addr, uint64(m.geti(in.Rs2)))
+		addr = m.ri(d.rs1) + d.imm
+		m.StoreWord(addr, uint64(m.ri(d.rs2)))
 	case isa.OpFld:
-		addr := m.geti(in.Rs1) + in.Imm
-		info.MemAddr = addr
-		m.setFP(in.Rd, math.Float64frombits(m.LoadWord(addr)))
+		addr = m.ri(d.rs1) + d.imm
+		m.wf(d.fd, math.Float64frombits(m.LoadWord(addr)))
 	case isa.OpFst:
-		addr := m.geti(in.Rs1) + in.Imm
-		info.MemAddr = addr
-		m.StoreWord(addr, math.Float64bits(m.getf(in.Rs2)))
+		addr = m.ri(d.rs1) + d.imm
+		m.StoreWord(addr, math.Float64bits(F[d.fs2&31]))
 	case isa.OpFadd:
-		m.setFP(in.Rd, m.getf(in.Rs1)+m.getf(in.Rs2))
+		m.wf(d.fd, F[d.fs1&31]+F[d.fs2&31])
 	case isa.OpFsub:
-		m.setFP(in.Rd, m.getf(in.Rs1)-m.getf(in.Rs2))
+		m.wf(d.fd, F[d.fs1&31]-F[d.fs2&31])
 	case isa.OpFmul:
-		m.setFP(in.Rd, m.getf(in.Rs1)*m.getf(in.Rs2))
+		m.wf(d.fd, F[d.fs1&31]*F[d.fs2&31])
 	case isa.OpFdiv:
-		m.setFP(in.Rd, m.getf(in.Rs1)/m.getf(in.Rs2))
+		m.wf(d.fd, F[d.fs1&31]/F[d.fs2&31])
 	case isa.OpFneg:
-		m.setFP(in.Rd, -m.getf(in.Rs1))
+		m.wf(d.fd, -F[d.fs1&31])
 	case isa.OpFmov:
-		m.setFP(in.Rd, m.getf(in.Rs1))
+		m.wf(d.fd, F[d.fs1&31])
 	case isa.OpCvtIF:
-		m.setFP(in.Rd, float64(m.geti(in.Rs1)))
+		m.wf(d.fd, float64(m.ri(d.rs1)))
 	case isa.OpCvtFI:
-		f := m.getf(in.Rs1)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			m.setInt(in.Rd, 0)
+		if f := F[d.fs1&31]; math.IsNaN(f) || math.IsInf(f, 0) {
+			m.wi(d.rd, 0)
 		} else {
-			m.setInt(in.Rd, int64(f))
+			m.wi(d.rd, int64(f))
 		}
 	case isa.OpFcmpLt:
-		m.setInt(in.Rd, b2i(m.getf(in.Rs1) < m.getf(in.Rs2)))
+		m.wi(d.rd, b2i(F[d.fs1&31] < F[d.fs2&31]))
 	case isa.OpFcmpEq:
-		m.setInt(in.Rd, b2i(m.getf(in.Rs1) == m.getf(in.Rs2)))
+		m.wi(d.rd, b2i(F[d.fs1&31] == F[d.fs2&31]))
 	case isa.OpBeq:
-		taken = m.geti(in.Rs1) == m.geti(in.Rs2)
+		taken = m.ri(d.rs1) == m.ri(d.rs2)
 	case isa.OpBne:
-		taken = m.geti(in.Rs1) != m.geti(in.Rs2)
+		taken = m.ri(d.rs1) != m.ri(d.rs2)
 	case isa.OpBlt:
-		taken = m.geti(in.Rs1) < m.geti(in.Rs2)
+		taken = m.ri(d.rs1) < m.ri(d.rs2)
 	case isa.OpBge:
-		taken = m.geti(in.Rs1) >= m.geti(in.Rs2)
+		taken = m.ri(d.rs1) >= m.ri(d.rs2)
 	case isa.OpJmp:
 		taken = true
 	case isa.OpJal:
-		m.setInt(in.Rd, pc+1)
+		m.wi(d.rd, pc+1)
 		taken = true
 	case isa.OpJr:
 		taken = true
-		next = m.geti(in.Rs1)
+		next = m.ri(d.rs1)
 	default:
-		return info, fmt.Errorf("emu: program %q: unimplemented opcode %v at pc %d", m.Prog.Name, in.Op, pc)
+		return StepInfo{PC: pc, MemAddr: -1}, fmt.Errorf("emu: program %q: unimplemented opcode %v at pc %d", m.Prog.Name, op, pc)
 	}
 
-	if taken && in.Op != isa.OpJr {
-		next = in.Targ
+	if taken {
+		if op != isa.OpJr {
+			next = d.imm
+		}
+		if m.Branch != nil {
+			m.Branch(pc, next)
+		}
 	}
-	if taken && m.Branch != nil {
-		m.Branch(pc, next)
-	}
-	info.Taken = taken
-	info.NextPC = next
 	m.PC = next
-	return info, nil
+	return StepInfo{PC: pc, NextPC: next, MemAddr: addr, Taken: taken}, nil
 }
 
 // Run executes up to maxInsts instructions (or until halt if maxInsts
@@ -361,11 +360,8 @@ func (m *Machine) Run(maxInsts uint64) (uint64, error) {
 	var err error
 	switch {
 	case m.Halted:
-		// Nothing to do; like the Step loop, a halted machine runs
+		// Nothing to do; like a Step loop, a halted machine runs
 		// zero instructions without error.
-	case m.dec == nil:
-		// Machines not built by New have no predecoded program.
-		done, err = m.runStep(maxInsts)
 	default:
 		done, err = m.runFast(maxInsts)
 	}
@@ -418,31 +414,28 @@ func (m *Machine) RunToCompletion(bound uint64) (uint64, error) {
 	return n, nil
 }
 
-func (m *Machine) geti(r isa.Reg) int64 {
-	if r == isa.RZero {
+// ri reads predecoded integer source slot s; the constant-zero slot
+// intZero (a read of R0) reads as zero.
+func (m *Machine) ri(s uint8) int64 {
+	if s >= isa.NumIntRegs {
 		return 0
 	}
-	return m.IntRegs[r&31]
+	return m.IntRegs[s]
 }
 
-func (m *Machine) getf(r isa.Reg) float64 {
-	return m.FPRegs[r&31]
-}
-
-func (m *Machine) setInt(r isa.Reg, v int64) {
-	if r != isa.RZero && !r.IsFP() {
-		m.IntRegs[r&31] = v
+// wi writes predecoded integer destination slot s; the sink slot
+// intSink (a write to R0 or to an FP register name) is discarded.
+func (m *Machine) wi(s uint8, v int64) {
+	if s < isa.NumIntRegs {
+		m.IntRegs[s] = v
 	}
 }
 
-// setFP writes FP register r, discarding writes whose destination is
-// not an FP register name — symmetric with setInt, which discards
-// writes to R0 and to FP register names. Verifier-passing programs
-// never hit the guard; it exists so malformed programs behave
-// identically under Step and the predecoded fast path.
-func (m *Machine) setFP(r isa.Reg, v float64) {
-	if r.IsFP() {
-		m.FPRegs[r&31] = v
+// wf writes predecoded FP destination slot s; the sink slot fpSink (a
+// write to an integer register name) is discarded.
+func (m *Machine) wf(s uint8, v float64) {
+	if s < isa.NumFPRegs {
+		m.FPRegs[s] = v
 	}
 }
 

@@ -26,11 +26,12 @@ import (
 // 64-entry array: slots 0..31 are the architectural registers,
 // intZero is a constant-zero slot reads of R0 resolve to (never
 // written), and intSink absorbs discarded writes (destinations of R0
-// or a floating-point register name on an integer-writing opcode,
-// mirroring setInt). The FP file works the same way with fpSink
-// absorbing writes whose destination is not an FP register (mirroring
-// setFP). Slot values are always < 64, so the loops index with &63
-// and the compiler drops every bounds check.
+// or a floating-point register name on an integer-writing opcode).
+// The FP file works the same way with fpSink absorbing writes whose
+// destination is not an FP register. Slot values are always < 64, so
+// the loops index with &63 and the compiler drops every bounds check.
+// Step works on the Machine's 32-entry files directly: its ri, wi and
+// wf treat every slot from 32 up as the zero or sink slot.
 const (
 	intZero = 32
 	intSink = 33

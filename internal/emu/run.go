@@ -8,31 +8,18 @@ package emu
 // publishes PC and Insts before each taken-transfer call (see
 // BranchHook for the contract).
 //
-// runFast is bit-identical to driving the machine with Step: same
-// final registers, memory, PC, Insts, BlockCounts, halt state, same
-// returned instruction count, same errors on the same inputs, and the
-// same (from, to, PC, Insts, BlockCounts) at every hook call.
-// TestRunMatchesStepLoop and FuzzRunVsStep enforce the contract.
+// runFast is bit-identical to driving the machine one instruction at a
+// time: same final registers, memory, PC, Insts, BlockCounts, halt
+// state, same returned instruction count, same errors on the same
+// inputs, and the same (from, to, PC, Insts, BlockCounts) at every hook
+// call. TestRunMatchesStepLoop and FuzzRunVsStep enforce the contract
+// against the frozen reference interpreter in the package's tests.
 
 import (
 	"fmt"
 
 	"mlpa/internal/isa"
 )
-
-// runStep is the legacy per-instruction loop, retained as the
-// reference semantics (and the fallback for machines constructed
-// without New, which have no predecoded program).
-func (m *Machine) runStep(maxInsts uint64) (uint64, error) {
-	var done uint64
-	for !m.Halted && (maxInsts == 0 || done < maxInsts) {
-		if _, err := m.Step(); err != nil {
-			return done, err
-		}
-		done++
-	}
-	return done, nil
-}
 
 // runFast is the batched loop. The register files live in local
 // 64-entry arrays (slots 32/33 implement the zero and sink registers,
@@ -107,7 +94,7 @@ loop:
 			// excludes it (Run never increments done on an error).
 			bc[blockOf[pc]]++
 			uncounted = 1
-			err = fmt.Errorf("emu: program %q: unimplemented opcode %v at pc %d", m.Prog.Name, m.code[pc].Op, pc)
+			err = fmt.Errorf("emu: program %q: unimplemented opcode %v at pc %d", m.Prog.Name, isa.Op(dc[pc].op), pc)
 			break
 		}
 		if maxInsts != 0 {

@@ -286,6 +286,34 @@ type spine struct {
 	// start is the machine's state at the spine's warm start, captured
 	// only when the chunk's next spine start rewinds to it.
 	start *ckpt.State
+	// cold is a context that never runs, created at the chunk's second
+	// spine start: every spine start after the first forks it into
+	// the previous spine's context instead of allocating a new one.
+	cold *cpu.Sim
+}
+
+// restart gives the spine a cold context for a new warm start. The
+// chunk's first spine allocates it. A later spine forks cold into the
+// previous spine's context, which ran the previous point's window and
+// is dead, so it reuses that context's cache and predictor storage and
+// starts exactly as a new context would.
+func (sp *spine) restart(cfg cpu.Config, reg *obs.Registry) error {
+	var err error
+	if sp.warm == nil {
+		sp.warm, err = cpu.New(cfg)
+	} else {
+		if sp.cold == nil {
+			if sp.cold, err = cpu.New(cfg); err != nil {
+				return err
+			}
+		}
+		sp.warm, err = sp.cold.ForkInto(sp.warm)
+	}
+	if err != nil {
+		return err
+	}
+	sp.warm.Metrics = reg
+	return nil
 }
 
 // captureAll captures m's complete state (every register, every written
@@ -601,7 +629,9 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 //     state warming the whole window from the warm start would leave.
 //   - Any other point starts a new spine: positionMachine restores the
 //     machine from the checkpoint set or walks it forward to the warm
-//     start, and a cold context then warms the whole window.
+//     start, and a cold context then warms the whole window. Only a
+//     chunk's first spine allocates that context; later ones reuse the
+//     previous spine's (spine.restart).
 //
 // When the next point will continue the spine, runPoint captures the
 // machine's state at this boundary (all-live) and runs the detailed
@@ -650,10 +680,9 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 						return fmt.Errorf("pipeline: spine-start capture at point %d in %s: %w", pi, plan.Benchmark, err)
 					}
 				}
-				if sp.warm, err = cpu.New(cfg); err != nil {
+				if err := sp.restart(cfg, reg); err != nil {
 					return err
 				}
-				sp.warm.Metrics = reg
 			}
 			if warm > 0 {
 				if err := sp.warm.Warm(m, warm); err != nil {

@@ -260,6 +260,48 @@ func TestWarmInstsCount(t *testing.T) {
 	}
 }
 
+// TestLayerCounters: on a finite-warm plan with self-warming points,
+// the detailed model counts one window per executed point, and the
+// instructions functional warming counts are the pipeline's warm
+// windows plus the points' code self-warming dry runs.
+func TestLayerCounters(t *testing.T) {
+	spec := bench.Suite()[0]
+	p := spec.MustProgram(bench.SizeTiny)
+	plan, _, _, err := simpoint.Select(p, simpoint.Config{
+		IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ExecOptions{Warmup: bench.FineInterval(bench.SizeTiny) / 2, DetailLeadIn: 256, Workers: 2, Obs: obs.New(nil)}
+	est, err := ExecutePlan(p, plan, config.BaseA(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var selfWarmed uint64
+	for _, r := range est.PointRecords {
+		if n := r.End - r.Start; r.Warmed < n {
+			selfWarmed += n
+		}
+	}
+	if selfWarmed == 0 {
+		t.Fatal("no point self-warms; the check needs one")
+	}
+	reg := opts.Obs.Metrics()
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+	if got := count("cpu.detail.calls"); got != int64(est.Points) {
+		t.Errorf("cpu.detail.calls = %d, want %d points", got, est.Points)
+	}
+	if got, want := count("cpu.warm.insts"), count("pipeline.warm_insts")+int64(selfWarmed); got != want {
+		t.Errorf("cpu.warm.insts = %d, want pipeline.warm_insts %d + self-warmed %d", got, count("pipeline.warm_insts"), selfWarmed)
+	}
+	for _, name := range []string{"cpu.warm.calls", "cpu.warm.ns", "cpu.detail.ns"} {
+		if count(name) <= 0 {
+			t.Errorf("%s = %d, want > 0", name, count(name))
+		}
+	}
+}
+
 // TestSpineCostModel: on a hand-built task list, a point that continues
 // its predecessor's spine is charged only its warm increment, and a
 // chunk starting at such a point is charged the re-warming up to the
