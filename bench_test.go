@@ -217,16 +217,6 @@ func BenchmarkEmulatorFastPath(b *testing.B) {
 	})
 }
 
-// BenchmarkEmulatorBlockBatched measures the same loop with superblock
-// traces disabled — the PR-4 engine — so the trace dispatcher's win is
-// an A/B on identical hardware in every run.
-func BenchmarkEmulatorBlockBatched(b *testing.B) {
-	emuThroughputBench(b, func(m *emu.Machine) (uint64, error) {
-		m.NoTraces = true
-		return m.RunToCompletion(1 << 40)
-	})
-}
-
 // BenchmarkEmulatorSuperblock measures trace dispatch on a branchy
 // diamond-loop kernel whose per-iteration path crosses four basic
 // blocks — the shape superblock chaining exists for (the loop-nest

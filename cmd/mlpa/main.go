@@ -470,9 +470,11 @@ func runMotivation(f *flags) error {
 	return nil
 }
 
-// runAblations prints the design-choice sweeps: interval granularity
-// (the Section III tradeoff), coarse Kmax, the re-sampling threshold,
-// the projection dimension, and the cold-start policy.
+// runAblations prints the design-choice sweeps and comparisons:
+// interval granularity (the Section III tradeoff), coarse Kmax, the
+// re-sampling threshold, the projection dimension, the cold-start
+// policy, EarlySP, variable-length intervals and SMARTS-style
+// systematic sampling.
 func runAblations(f *flags) error {
 	o, err := f.options()
 	if err != nil {
@@ -573,7 +575,27 @@ func runAblations(f *flags) error {
 			fmt.Sprintf("%.2fx", r.CoastsSpeedup))
 	}
 	fmt.Print(t.String())
-	return printVLI(o)
+	if err := printVLI(o); err != nil {
+		return err
+	}
+
+	sys, err := experiments.StatisticalSamplingComparison(o, []string{benchName})
+	if err != nil {
+		return err
+	}
+	t = report.NewTable(
+		fmt.Sprintf("\nAblation: SMARTS-style systematic sampling vs COASTS and SimPoint on %s", benchName),
+		"Units", "CPI Deviation", "Functional", "Modeled Time", "COASTS Time", "SimPoint Time")
+	for _, r := range sys {
+		t.AddRow(fmt.Sprintf("%d", r.Units),
+			stats.FormatPct(r.CPIDev),
+			stats.FormatPct(r.FunctionalPct),
+			fmt.Sprintf("%.2fs", r.ModeledTime),
+			fmt.Sprintf("%.2fs", r.CoastsTime),
+			fmt.Sprintf("%.2fs", r.SimPointTime))
+	}
+	fmt.Print(t.String())
+	return nil
 }
 
 // printVLI renders the VLI-vs-fixed comparison appended to ablations.

@@ -88,6 +88,64 @@ func TestRunMeasuredRates(t *testing.T) {
 	}
 }
 
+// TestRunAblation runs every ablation on one benchmark: each table is
+// printed, and the caller's journal holds one estimate record per
+// executed plan — five projection dimensions, three methods cold and
+// warmed, and one systematic-sampling plan.
+func TestRunAblation(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.jsonl")
+	out, err := os.Create(filepath.Join(dir, "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"ablation", "-size", "tiny", "-bench", "gzip", "-journal", journal})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, title := range []string{
+		"Ablation: interval granularity on gzip",
+		"Ablation: COASTS Kmax on gzip",
+		"Ablation: multi-level re-sampling threshold on gzip",
+		"Ablation: BBV projection dimension on gzip",
+		"Ablation: cold-start vs warmed point execution on gzip",
+		"Ablation: EarlySP",
+		"Ablation: variable-length intervals vs fixed SimPoint",
+		"Ablation: SMARTS-style systematic sampling vs COASTS and SimPoint on gzip",
+	} {
+		if !strings.Contains(string(text), title) {
+			t.Errorf("output lacks the table %q", title)
+		}
+	}
+
+	jf, err := os.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadJournal(jf)
+	jf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimates := 0
+	for _, rec := range recs {
+		if rec["ev"] == "estimate" {
+			estimates++
+		}
+	}
+	if estimates != 5+3*2+1 {
+		t.Errorf("journal holds %d estimate records, want %d", estimates, 5+3*2+1)
+	}
+}
+
 // TestRunCheckpoint drives the checkpoint flow end to end: save a
 // portable set, verify it and estimate from it. The retired
 // `checkpoint` subcommand must fail as an unknown command.

@@ -91,37 +91,3 @@ func (p *Projector) Signature(counts []uint64) ([]float64, error) {
 	linalg.NormalizeL1(v)
 	return v, nil
 }
-
-// Concat concatenates per-chunk projected vectors into one signature
-// and L1-normalizes the result. The paper's COASTS metric collection
-// concatenates the projected BBVs of an iteration instance into a
-// signature vector and then normalizes by the element sum.
-func Concat(chunks [][]float64) []float64 {
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]float64, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	linalg.NormalizeL1(out)
-	return out
-}
-
-// Frequencies converts a raw count vector to block frequencies (an
-// unprojected normalized BBV, useful for inspection and tests).
-func Frequencies(counts []uint64) []float64 {
-	var sum uint64
-	for _, c := range counts {
-		sum += c
-	}
-	out := make([]float64, len(counts))
-	if sum == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(sum)
-	}
-	return out
-}

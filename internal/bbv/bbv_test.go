@@ -148,34 +148,3 @@ func TestSignatureSeparation(t *testing.T) {
 		t.Errorf("distinct mixes projected to same signature (dist %v)", dist)
 	}
 }
-
-func TestConcat(t *testing.T) {
-	sig := Concat([][]float64{{1, 1}, {2}})
-	if len(sig) != 3 {
-		t.Fatalf("len = %d", len(sig))
-	}
-	var sum float64
-	for _, x := range sig {
-		sum += math.Abs(x)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("concat L1 norm = %v", sum)
-	}
-	if math.Abs(sig[0]-0.25) > 1e-9 || math.Abs(sig[2]-0.5) > 1e-9 {
-		t.Errorf("concat = %v", sig)
-	}
-	if got := Concat(nil); len(got) != 0 {
-		t.Errorf("Concat(nil) = %v", got)
-	}
-}
-
-func TestFrequencies(t *testing.T) {
-	f := Frequencies([]uint64{1, 3, 0})
-	if f[0] != 0.25 || f[1] != 0.75 || f[2] != 0 {
-		t.Errorf("Frequencies = %v", f)
-	}
-	z := Frequencies([]uint64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Errorf("Frequencies(zero) = %v", z)
-	}
-}

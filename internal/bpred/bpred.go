@@ -1,7 +1,8 @@
-// Package bpred implements the branch predictors of the detailed
-// simulator: bimodal, gshare (2-level), and the combined predictor
-// with a meta-chooser that Table I configures ("Combined, 8K BHT
-// entries"), plus a branch target buffer and return-address stack.
+// Package bpred implements the branch predictors of Table I's two
+// configurations: the combined predictor (bimodal and gshare under a
+// meta-chooser, "Combined, 8K BHT entries") of configuration A and the
+// bimodal predictor of configuration B, plus a branch target buffer and
+// return-address stack.
 package bpred
 
 import "fmt"
@@ -163,25 +164,6 @@ func (c *Combined) Update(pc int64, taken bool) {
 	c.gsh.Update(pc, taken)
 }
 
-// Static predictors for ablation baselines.
-
-// Static always predicts a fixed direction.
-type Static struct{ Taken bool }
-
-// Name implements DirPredictor.
-func (s Static) Name() string {
-	if s.Taken {
-		return "always-taken"
-	}
-	return "always-not-taken"
-}
-
-// Predict implements DirPredictor.
-func (s Static) Predict(int64) bool { return s.Taken }
-
-// Update implements DirPredictor (no state).
-func (s Static) Update(int64, bool) {}
-
 // BTB is a direct-mapped, tagged branch target buffer.
 type BTB struct {
 	tags    []int64
@@ -271,27 +253,20 @@ func (s Stats) Accuracy() float64 {
 // Unit bundles direction predictor, BTB and RAS into the front-end
 // branch unit used by the detailed simulator.
 type Unit struct {
-	Dir     DirPredictor
-	BTB     *BTB
-	RAS     *RAS
-	perfect bool
-	stats   Stats
+	Dir   DirPredictor
+	BTB   *BTB
+	RAS   *RAS
+	stats Stats
 }
 
 // Kind selects a direction predictor family for NewUnit.
 type Kind string
 
-// Supported predictor kinds.
+// Supported predictor kinds: Table I's configuration A uses the
+// combined predictor, configuration B the bimodal one.
 const (
 	KindCombined Kind = "combined"
 	KindBimodal  Kind = "bimodal"
-	KindGShare   Kind = "gshare"
-	KindPAg      Kind = "pag"
-	KindTaken    Kind = "taken"
-	KindNotTaken Kind = "nottaken"
-	// KindPerfect is the oracle: every prediction is correct. It
-	// bounds how much of a workload's CPI is branch-induced.
-	KindPerfect Kind = "perfect"
 )
 
 // NewUnit builds a branch unit with bhtEntries direction entries, a
@@ -303,29 +278,19 @@ func NewUnit(kind Kind, bhtEntries int) (*Unit, error) {
 		dir = NewCombined(bhtEntries)
 	case KindBimodal:
 		dir = NewBimodal(bhtEntries)
-	case KindGShare:
-		dir = NewGShare(bhtEntries, 12)
-	case KindPAg:
-		dir = NewPAg(bhtEntries, 10)
-	case KindTaken:
-		dir = Static{Taken: true}
-	case KindNotTaken:
-		dir = Static{Taken: false}
-	case KindPerfect:
-		dir = Static{Taken: true} // unused; the unit short-circuits
 	default:
-		return nil, fmt.Errorf("bpred: unknown predictor kind %q", kind)
+		return nil, fmt.Errorf("bpred: unknown predictor kind %q (want %q or %q)", kind, KindCombined, KindBimodal)
 	}
-	return &Unit{Dir: dir, BTB: NewBTB(512), RAS: NewRAS(8), perfect: kind == KindPerfect}, nil
+	return &Unit{Dir: dir, BTB: NewBTB(512), RAS: NewRAS(8)}, nil
 }
 
 // CopyFrom overwrites u's predictor state with src's — direction
-// tables and global or local histories, BTB, RAS and statistics —
+// tables and global history, BTB, RAS and statistics —
 // reusing u's storage, so u predicts exactly as src would from here
 // on. Both units must come from NewUnit with the same kind and entry
 // count.
 func (u *Unit) CopyFrom(src *Unit) error {
-	if u.perfect != src.perfect || len(u.BTB.tags) != len(src.BTB.tags) || u.RAS.size != src.RAS.size {
+	if len(u.BTB.tags) != len(src.BTB.tags) || u.RAS.size != src.RAS.size {
 		return fmt.Errorf("bpred: copy between units of different shape (%s, %s)", u.Dir.Name(), src.Dir.Name())
 	}
 	if !copyDir(u.Dir, src.Dir) {
@@ -363,16 +328,6 @@ func copyDir(dst, src DirPredictor) bool {
 			return false
 		}
 		copy(d.meta, s.meta)
-	case *PAg:
-		s, ok := src.(*PAg)
-		if !ok || len(d.histories) != len(s.histories) || len(d.table) != len(s.table) || d.bits != s.bits {
-			return false
-		}
-		copy(d.histories, s.histories)
-		copy(d.table, s.table)
-	case Static:
-		s, ok := src.(Static)
-		return ok && s == d
 	default:
 		return false
 	}
@@ -391,9 +346,6 @@ func (u *Unit) ResetStats() { u.stats = Stats{} }
 // penalty separately). Returns whether the prediction was correct.
 func (u *Unit) PredictCond(pc int64, taken bool, target int64) bool {
 	u.stats.Lookups++
-	if u.perfect {
-		return true
-	}
 	pred := u.Dir.Predict(pc)
 	u.Dir.Update(pc, taken)
 	correct := pred == taken
@@ -419,9 +371,6 @@ func (u *Unit) PredictCond(pc int64, taken bool, target int64) bool {
 // from BTB on first sight).
 func (u *Unit) PredictJump(pc, target int64) bool {
 	u.stats.Lookups++
-	if u.perfect {
-		return true
-	}
 	t, ok := u.BTB.Lookup(pc)
 	correct := ok && t == target
 	if !correct {
@@ -440,69 +389,10 @@ func (u *Unit) PredictCall(pc, target, returnAddr int64) bool {
 // PredictReturn predicts an indirect jump via the RAS.
 func (u *Unit) PredictReturn(pc, target int64) bool {
 	u.stats.Lookups++
-	if u.perfect {
-		return true
-	}
 	t, ok := u.RAS.Pop()
 	correct := ok && t == target
 	if !correct {
 		u.stats.TargetMisses++
 	}
 	return correct
-}
-
-// PAg is a two-level local-history predictor: a per-branch history
-// table feeds a shared pattern table of 2-bit counters (the "PAg"
-// organization of Yeh & Patt).
-type PAg struct {
-	histories []uint16 // per-branch local histories
-	histMask  int64
-	bits      uint
-	table     []counter
-	tableMask int64
-}
-
-// NewPAg creates a local-history predictor with the given number of
-// per-branch history entries and history bits; the pattern table has
-// 2^historyBits counters.
-func NewPAg(entries int, historyBits uint) *PAg {
-	n := 1
-	for n < entries {
-		n <<= 1
-	}
-	if historyBits == 0 || historyBits > 16 {
-		historyBits = 10
-	}
-	t := make([]counter, 1<<historyBits)
-	for i := range t {
-		t[i] = 2
-	}
-	return &PAg{
-		histories: make([]uint16, n),
-		histMask:  int64(n - 1),
-		bits:      historyBits,
-		table:     t,
-		tableMask: int64(len(t) - 1),
-	}
-}
-
-// Name implements DirPredictor.
-func (p *PAg) Name() string { return "pag" }
-
-// Predict implements DirPredictor.
-func (p *PAg) Predict(pc int64) bool {
-	h := int64(p.histories[pc&p.histMask]) & p.tableMask
-	return p.table[h].taken()
-}
-
-// Update implements DirPredictor.
-func (p *PAg) Update(pc int64, taken bool) {
-	i := pc & p.histMask
-	h := int64(p.histories[i]) & p.tableMask
-	p.table[h] = p.table[h].update(taken)
-	p.histories[i] <<= 1
-	if taken {
-		p.histories[i] |= 1
-	}
-	p.histories[i] &= uint16(1<<p.bits - 1)
 }

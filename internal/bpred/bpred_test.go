@@ -87,18 +87,6 @@ func TestCombinedBeatsWorstComponent(t *testing.T) {
 	}
 }
 
-func TestStaticPredictors(t *testing.T) {
-	if !(Static{Taken: true}).Predict(0) {
-		t.Error("always-taken predicted not-taken")
-	}
-	if (Static{Taken: false}).Predict(0) {
-		t.Error("always-not-taken predicted taken")
-	}
-	if (Static{Taken: true}).Name() != "always-taken" {
-		t.Error("name wrong")
-	}
-}
-
 func TestBTB(t *testing.T) {
 	b := NewBTB(512)
 	if _, ok := b.Lookup(0x40); ok {
@@ -152,7 +140,7 @@ func TestRASOverflowWraps(t *testing.T) {
 }
 
 func TestNewUnitKinds(t *testing.T) {
-	for _, k := range []Kind{KindCombined, KindBimodal, KindGShare, KindTaken, KindNotTaken} {
+	for _, k := range []Kind{KindCombined, KindBimodal} {
 		u, err := NewUnit(k, 8192)
 		if err != nil {
 			t.Errorf("NewUnit(%q): %v", k, err)
@@ -242,67 +230,6 @@ func TestUnitRandomStream(t *testing.T) {
 	}
 }
 
-func TestPAgLearnsLocalPattern(t *testing.T) {
-	// Two branches with different local patterns: a global-history
-	// predictor sees interleaved noise, per-branch histories separate
-	// them cleanly.
-	p := NewPAg(1024, 10)
-	correct, total := 0, 0
-	for i := 0; i < 4000; i++ {
-		// Branch A: period-3 pattern T,T,N.
-		takenA := i%3 != 2
-		if p.Predict(0x40) == takenA {
-			correct++
-		}
-		p.Update(0x40, takenA)
-		total++
-		// Branch B: alternating.
-		takenB := i%2 == 0
-		if p.Predict(0x84) == takenB {
-			correct++
-		}
-		p.Update(0x84, takenB)
-		total++
-	}
-	if acc := float64(correct) / float64(total); acc < 0.9 {
-		t.Errorf("PAg accuracy = %v, want > 0.9", acc)
-	}
-}
-
-func TestPAgUnitConstruction(t *testing.T) {
-	u, err := NewUnit(KindPAg, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Dir.Name() != "pag" {
-		t.Errorf("name = %q", u.Dir.Name())
-	}
-	u.PredictCond(0x10, true, 0x40)
-	if u.Stats().Lookups != 1 {
-		t.Error("stats not tracked")
-	}
-}
-
-func TestPerfectPredictor(t *testing.T) {
-	u, err := NewUnit(KindPerfect, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 1000; i++ {
-		pc := int64(rng.Intn(128)) * 4
-		if !u.PredictCond(pc, rng.Intn(2) == 0, pc+int64(rng.Intn(50))) {
-			t.Fatal("perfect predictor mispredicted a branch")
-		}
-		if !u.PredictJump(pc, pc+9) || !u.PredictReturn(pc, pc+1) {
-			t.Fatal("perfect predictor mispredicted a jump/return")
-		}
-	}
-	if s := u.Stats(); s.Mispredicts() != 0 || s.Accuracy() != 1 {
-		t.Errorf("perfect stats = %+v", s)
-	}
-}
-
 // driveUnit replays n pseudo-random conditional branches, jumps, calls
 // and returns over a few dozen PCs (seeded by seed) and returns the
 // correctness of every prediction.
@@ -330,12 +257,12 @@ func driveUnit(u *Unit, seed uint64, n int) []bool {
 }
 
 // TestUnitCopyFrom: for every predictor kind, a copy of a trained unit
-// equals the original — direction tables, global and local histories,
+// equals the original — direction tables, global history,
 // BTB, RAS and statistics — and then predicts a continued stream
 // exactly as the original does, while training the copy leaves the
 // original untouched.
 func TestUnitCopyFrom(t *testing.T) {
-	for _, k := range []Kind{KindCombined, KindBimodal, KindGShare, KindPAg, KindTaken, KindNotTaken, KindPerfect} {
+	for _, k := range []Kind{KindCombined, KindBimodal} {
 		t.Run(string(k), func(t *testing.T) {
 			newU := func() *Unit {
 				u, err := NewUnit(k, 1024)
@@ -382,11 +309,9 @@ func TestUnitCopyFromRejectsOtherShape(t *testing.T) {
 		return u
 	}
 	for _, c := range []struct{ dst, src *Unit }{
-		{mk(KindCombined, 1024), mk(KindGShare, 1024)},
-		{mk(KindGShare, 1024), mk(KindGShare, 2048)},
-		{mk(KindPAg, 1024), mk(KindPAg, 512)},
-		{mk(KindTaken, 1024), mk(KindNotTaken, 1024)},
-		{mk(KindTaken, 1024), mk(KindPerfect, 1024)},
+		{mk(KindCombined, 1024), mk(KindBimodal, 1024)},
+		{mk(KindCombined, 1024), mk(KindCombined, 2048)},
+		{mk(KindBimodal, 1024), mk(KindBimodal, 512)},
 	} {
 		if err := c.dst.CopyFrom(c.src); err == nil {
 			t.Errorf("copy of %s into %s accepted", c.src.Dir.Name(), c.dst.Dir.Name())

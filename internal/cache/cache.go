@@ -7,21 +7,6 @@ package cache
 
 import "fmt"
 
-// Replacement selects the victim policy of a set-associative cache.
-type Replacement string
-
-// Replacement policies.
-const (
-	// LRU evicts the least recently used block (the default, matching
-	// sim-outorder's "l").
-	LRU Replacement = "lru"
-	// FIFO evicts the oldest-inserted block regardless of reuse.
-	FIFO Replacement = "fifo"
-	// Random evicts a deterministic pseudo-random way (xorshift), like
-	// sim-outorder's "r" but reproducible.
-	Random Replacement = "random"
-)
-
 // Config describes one cache level.
 type Config struct {
 	Name       string
@@ -29,8 +14,6 @@ type Config struct {
 	Assoc      int   // ways; 1 = direct mapped
 	BlockBytes int64
 	Latency    int // access latency in cycles on a hit
-	// Policy selects the replacement policy; empty means LRU.
-	Policy Replacement
 }
 
 // Validate checks the configuration for consistency.
@@ -50,11 +33,6 @@ func (c Config) Validate() error {
 	}
 	if c.Latency < 1 {
 		return fmt.Errorf("cache %q: latency %d < 1", c.Name, c.Latency)
-	}
-	switch c.Policy {
-	case "", LRU, FIFO, Random:
-	default:
-		return fmt.Errorf("cache %q: unknown replacement policy %q", c.Name, c.Policy)
 	}
 	return nil
 }
@@ -99,10 +77,8 @@ type Cache struct {
 	blkShift uint
 	tags     []int64 // sets*assoc; -1 = invalid
 	dirty    []bool
-	stamp    []uint64 // LRU or FIFO timestamps
+	stamp    []uint64 // LRU timestamps
 	clock    uint64
-	policy   Replacement
-	rngState uint64 // xorshift state for Random
 	stats    Stats
 }
 
@@ -120,10 +96,6 @@ func New(cfg Config, next Level) (*Cache, error) {
 		shift++
 	}
 	n := int(sets) * cfg.Assoc
-	policy := cfg.Policy
-	if policy == "" {
-		policy = LRU
-	}
 	c := &Cache{
 		cfg:      cfg,
 		next:     next,
@@ -132,8 +104,6 @@ func New(cfg Config, next Level) (*Cache, error) {
 		tags:     make([]int64, n),
 		dirty:    make([]bool, n),
 		stamp:    make([]uint64, n),
-		policy:   policy,
-		rngState: 0x9e3779b97f4a7c15,
 	}
 	for i := range c.tags {
 		c.tags[i] = -1
@@ -162,31 +132,18 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes statistics without flushing contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Flush invalidates all blocks and zeroes statistics.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = -1
-		c.dirty[i] = false
-		c.stamp[i] = 0
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
-
-// CopyFrom overwrites c's contents with src's — tags, dirty bits,
-// replacement stamps, the LRU/FIFO clock, the Random policy's xorshift
-// state and the statistics — reusing c's storage, so c continues
-// exactly as src would. The configuration and next-level link are not
-// copied. The two caches must have the same geometry and policy.
+// CopyFrom overwrites c's contents with src's — tags, dirty bits, LRU
+// stamps and clock, and the statistics — reusing c's storage, so c
+// continues exactly as src would. The configuration and next-level link
+// are not copied. The two caches must have the same geometry.
 func (c *Cache) CopyFrom(src *Cache) error {
-	if len(c.tags) != len(src.tags) || c.cfg.Assoc != src.cfg.Assoc || c.blkShift != src.blkShift || c.policy != src.policy {
-		return fmt.Errorf("cache %q: copy from a %q cache of another geometry or policy", c.cfg.Name, src.cfg.Name)
+	if len(c.tags) != len(src.tags) || c.cfg.Assoc != src.cfg.Assoc || c.blkShift != src.blkShift {
+		return fmt.Errorf("cache %q: copy from a %q cache of another geometry", c.cfg.Name, src.cfg.Name)
 	}
 	copy(c.tags, src.tags)
 	copy(c.dirty, src.dirty)
 	copy(c.stamp, src.stamp)
 	c.clock = src.clock
-	c.rngState = src.rngState
 	c.stats = src.stats
 	return nil
 }
@@ -204,9 +161,7 @@ func (c *Cache) Access(addr int64, write bool) int {
 	for w := 0; w < c.cfg.Assoc; w++ {
 		i := base + w
 		if c.tags[i] == block {
-			if c.policy == LRU {
-				c.stamp[i] = c.clock
-			}
+			c.stamp[i] = c.clock
 			if write {
 				c.dirty[i] = true
 			}
@@ -214,22 +169,6 @@ func (c *Cache) Access(addr int64, write bool) int {
 		}
 		if c.stamp[i] < c.stamp[victim] {
 			victim = i
-		}
-	}
-	if c.policy == Random {
-		// Prefer an invalid way; otherwise evict pseudo-randomly.
-		victim = -1
-		for w := 0; w < c.cfg.Assoc; w++ {
-			if c.tags[base+w] < 0 {
-				victim = base + w
-				break
-			}
-		}
-		if victim < 0 {
-			c.rngState ^= c.rngState << 13
-			c.rngState ^= c.rngState >> 7
-			c.rngState ^= c.rngState << 17
-			victim = base + int(c.rngState%uint64(c.cfg.Assoc))
 		}
 	}
 
@@ -276,9 +215,6 @@ func (m *Memory) Name() string { return "mem" }
 
 // Stats returns access statistics.
 func (m *Memory) Stats() Stats { return m.stats }
-
-// ResetStats zeroes statistics.
-func (m *Memory) ResetStats() { m.stats = Stats{} }
 
 // Access implements Level: every access is a miss to DRAM.
 func (m *Memory) Access(addr int64, write bool) int {
@@ -335,23 +271,4 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) error {
 	}
 	h.Mem.stats = src.Mem.stats
 	return nil
-}
-
-// Flush invalidates every level.
-func (h *Hierarchy) Flush() {
-	h.IL1.Flush()
-	h.DL1.Flush()
-	h.L2.Flush()
-	h.Mem.ResetStats()
-}
-
-// L1Stats returns the combined IL1+DL1 statistics (the paper's "L1
-// cache hit rate" aggregates both).
-func (h *Hierarchy) L1Stats() Stats {
-	i, d := h.IL1.Stats(), h.DL1.Stats()
-	return Stats{
-		Accesses:   i.Accesses + d.Accesses,
-		Misses:     i.Misses + d.Misses,
-		Writebacks: i.Writebacks + d.Writebacks,
-	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // forkProgram mixes everything the warm structures remember: pseudo-
 // random loads and stores over 128 KiB (evictions at every cache level
-// of forkConfig, so the replacement policy decides victims), a data-
-// dependent conditional branch, and calls and returns (BTB and RAS).
+// of forkConfig, so LRU decides victims), a data-dependent conditional
+// branch, and calls and returns (BTB and RAS).
 const forkProgram = `
     addi r9, r0, 4000
     addi r5, r0, 12345
@@ -44,35 +45,36 @@ fn:
     jr   r31
 `
 
-// forkConfig is testConfig with small caches under one replacement
-// policy and the given direction predictor.
-func forkConfig(kind bpred.Kind, pol cache.Replacement) Config {
+// forkConfig is testConfig with small caches and the given direction
+// predictor over bht entries.
+func forkConfig(kind bpred.Kind, bht int) Config {
 	cfg := testConfig()
-	cfg.Name = string(kind) + "/" + string(pol)
+	cfg.Name = fmt.Sprintf("%s/bht%d", kind, bht)
 	cfg.Predictor = kind
-	cfg.BHTEntries = 1024
-	cfg.Caches.IL1 = cache.Config{Name: "il1", TotalBytes: 1 << 10, Assoc: 2, BlockBytes: 32, Latency: 1, Policy: pol}
-	cfg.Caches.DL1 = cache.Config{Name: "dl1", TotalBytes: 2 << 10, Assoc: 4, BlockBytes: 32, Latency: 2, Policy: pol}
-	cfg.Caches.L2 = cache.Config{Name: "ul2", TotalBytes: 16 << 10, Assoc: 4, BlockBytes: 64, Latency: 12, Policy: pol}
+	cfg.BHTEntries = bht
+	cfg.Caches.IL1 = cache.Config{Name: "il1", TotalBytes: 1 << 10, Assoc: 2, BlockBytes: 32, Latency: 1}
+	cfg.Caches.DL1 = cache.Config{Name: "dl1", TotalBytes: 2 << 10, Assoc: 4, BlockBytes: 32, Latency: 2}
+	cfg.Caches.L2 = cache.Config{Name: "ul2", TotalBytes: 16 << 10, Assoc: 4, BlockBytes: 64, Latency: 12}
 	return cfg
 }
 
 var (
-	forkKinds = []bpred.Kind{bpred.KindCombined, bpred.KindBimodal, bpred.KindGShare, bpred.KindPAg,
-		bpred.KindTaken, bpred.KindNotTaken, bpred.KindPerfect}
-	forkPolicies = []cache.Replacement{cache.LRU, cache.FIFO, cache.Random}
+	forkKinds = []bpred.Kind{bpred.KindCombined, bpred.KindBimodal}
+	// forkBHTEntries gives each kind a mispredict-light front end and a
+	// mispredict-heavy one, whose two counters every branch aliases.
+	forkBHTEntries = []int{1024, 2}
 )
 
-// forEachForkConfig runs f once per (predictor kind, replacement
-// policy) pair.
+// forEachForkConfig runs f once per (predictor kind, BHT entries)
+// pair.
 func forEachForkConfig(t *testing.T, f func(t *testing.T, p *prog.Program, cfg Config)) {
 	p, err := prog.Assemble("fork", forkProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range forkKinds {
-		for _, pol := range forkPolicies {
-			cfg := forkConfig(kind, pol)
+		for _, bht := range forkBHTEntries {
+			cfg := forkConfig(kind, bht)
 			t.Run(cfg.Name, func(t *testing.T) { f(t, p, cfg) })
 		}
 	}
@@ -154,72 +156,69 @@ func TestForkMatchesFreshContext(t *testing.T) {
 
 // TestForkIntoReusedContext: forking into a context that already ran a
 // window reuses its storage and leaves no pipeline state behind — ROB,
-// load/store queue, register producers and counters all start over.
+// load/store queue, register producers and counters all start over —
+// and leaves the source as it was. There are two sources: a spine
+// warmed over [0, forkWarmA), whose fork runs a window at once, and a
+// never-run context, as when a chunk's later spine start forks one into
+// the previous spine's dead context, whose fork first warms forkWarmB
+// instructions. Either fork's result and state after the window match
+// a new context's with the same history.
 func TestForkIntoReusedContext(t *testing.T) {
 	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
-		m, spine := warmedAt(t, p, cfg, forkWarmA)
-		used := MustNew(cfg)
-		um := emu.New(p, 0)
-		if _, err := used.RunWindow(um, 0, forkWindow, 0); err != nil {
-			t.Fatal(err)
-		}
-		fork, err := spine.ForkInto(used)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fork != used {
-			t.Error("ForkInto allocated although dst fits the configuration")
-		}
-		got, err := fork.RunWindow(m, forkLead, forkWindow, forkTail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fm, fresh := warmedAt(t, p, cfg, forkWarmA)
-		want, err := fresh.RunWindow(fm, forkLead, forkWindow, forkTail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("reused fork result %+v, fresh context %+v", got, want)
-		}
-		if !reflect.DeepEqual(fork, fresh) {
-			t.Error("reused fork's state after the window differs from the fresh context's")
-		}
-	})
-}
-
-// TestForkNeverRunIntoUsedContext: a chunk's later spine starts fork a
-// never-run context into the previous spine's dead one. The result warms
-// and runs a window exactly as MustNew(cfg) does, and the never-run
-// source is left as MustNew(cfg) made it. (TestForkIntoReusedContext
-// covers reuse from a warmed source.)
-func TestForkNeverRunIntoUsedContext(t *testing.T) {
-	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
-		m, used := warmedAt(t, p, cfg, forkWarmA)
-		if _, err := used.RunWindow(m, forkLead, forkWindow, forkTail); err != nil {
-			t.Fatal(err)
-		}
-		cold := MustNew(cfg)
-		s, err := cold.ForkInto(used)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cold, MustNew(cfg)) {
-			t.Error("forking changed the never-run context")
-		}
-		fresh := MustNew(cfg)
-		var res [2]Result
-		for i, sim := range []*Sim{s, fresh} {
-			m := emu.New(p, 0)
-			if err := sim.Warm(m, forkWarmB); err != nil {
-				t.Fatal(err)
+		// source returns a machine at instruction warm and a context
+		// warmed over [0, warm); warm 0 is a never-run context.
+		source := func(warm uint64) (*emu.Machine, *Sim) {
+			if warm == 0 {
+				return emu.New(p, 0), MustNew(cfg)
 			}
-			if res[i], err = sim.RunWindow(m, forkLead, forkWindow, forkTail); err != nil {
-				t.Fatal(err)
-			}
+			return warmedAt(t, p, cfg, warm)
 		}
-		if res[0] != res[1] || !reflect.DeepEqual(s, fresh) {
-			t.Errorf("restarted context's result %+v, new context %+v, or its state after the window differs", res[0], res[1])
+		for _, c := range []struct {
+			name            string
+			warm, warmAfter uint64
+		}{
+			{"warmed-spine", forkWarmA, 0},
+			{"never-run", 0, forkWarmB},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				m, src := source(c.warm)
+				_, before := source(c.warm)
+				used := MustNew(cfg)
+				if _, err := used.RunWindow(emu.New(p, 0), 0, forkWindow, 0); err != nil {
+					t.Fatal(err)
+				}
+				fork, err := src.ForkInto(used)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fork != used {
+					t.Error("ForkInto allocated although dst fits the configuration")
+				}
+				if !reflect.DeepEqual(src, before) {
+					t.Error("forking changed the source")
+				}
+				fm, fresh := source(c.warm)
+				var res [2]Result
+				for i, run := range []struct {
+					m *emu.Machine
+					s *Sim
+				}{{m, fork}, {fm, fresh}} {
+					if c.warmAfter > 0 {
+						if err := run.s.Warm(run.m, c.warmAfter); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if res[i], err = run.s.RunWindow(run.m, forkLead, forkWindow, forkTail); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if res[0] != res[1] {
+					t.Errorf("reused fork result %+v, fresh context %+v", res[0], res[1])
+				}
+				if !reflect.DeepEqual(fork, fresh) {
+					t.Error("reused fork's state after the window differs from the fresh context's")
+				}
+			})
 		}
 	})
 }
@@ -231,8 +230,8 @@ func TestForkIntoOtherConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, spine := warmedAt(t, p, forkConfig(bpred.KindGShare, cache.LRU), forkWarmA)
-	other := MustNew(forkConfig(bpred.KindBimodal, cache.FIFO))
+	_, spine := warmedAt(t, p, forkConfig(bpred.KindCombined, 1024), forkWarmA)
+	other := MustNew(forkConfig(bpred.KindBimodal, 2))
 	fork, err := spine.ForkInto(other)
 	if err != nil {
 		t.Fatal(err)

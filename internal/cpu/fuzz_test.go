@@ -66,10 +66,10 @@ func fuzzWarm(code []byte) uint64 {
 
 // fuzzSchedConfig derives a machine from two knob bytes: ROB size (not
 // always a multiple of 64), LSQ size, issue width and scheduler window,
-// predictor kind and replacement policy, all over forkConfig's small
-// caches so misses and evictions are frequent.
+// predictor kind and BHT entries, all over forkConfig's small caches so
+// misses and evictions are frequent.
 func fuzzSchedConfig(k0, k1 byte) Config {
-	cfg := forkConfig(forkKinds[int(k1)%len(forkKinds)], forkPolicies[int(k1>>3)%len(forkPolicies)])
+	cfg := forkConfig(forkKinds[int(k1)%len(forkKinds)], forkBHTEntries[int(k1>>3)%len(forkBHTEntries)])
 	cfg.ROBSize = []int{2, 3, 8, 37, 64, 100, 128, 300}[k0&7]
 	cfg.LSQSize = max(1, cfg.ROBSize>>(k0>>3&3))
 	width := [][2]int{{8, 32}, {8, 8}, {2, 2}, {1, 1}}[k0>>5&3]
@@ -116,7 +116,8 @@ func FuzzSchedulerVsReference(f *testing.F) {
 	// block (forwarding and ordering) on a narrow machine; an FP chain
 	// with a divide on a tiny ROB; a wild jr; and a wild jr behind a
 	// missing load that keeps a one-entry LSQ full (three-entry ROB),
-	// so fetch peeks at the wild PC. None warms.
+	// so fetch peeks at the wild PC. None warms. Between them the knob
+	// bytes 0, 9, 1 and 10 put seeds on all four forkConfig cells.
 	f.Add(seed(0, 0, loop...))
 	f.Add(seed(0x66, 9, mem...))
 	f.Add(seed(0xa1, 20,

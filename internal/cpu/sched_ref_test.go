@@ -547,7 +547,7 @@ const (
 // TestSchedulerMatchesReference: over every tiny suite program under
 // Table I's configurations A and B (both as one run to halt and as
 // chained windows with lead-in and run-ahead), the fork test program
-// under every predictor kind and replacement policy, and ROB sizes on
+// under both predictor kinds at two BHT sizes, and ROB sizes on
 // both sides of the scheduler's 64-entry mask words (with SchedWindow
 // above and equal to IssueWidth), the event-driven scheduler matches
 // the rescanning reference window by window.
@@ -595,7 +595,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				continue
 			}
 			for _, width := range [][2]int{{8, 32}, {8, 8}, {1, 1}} {
-				cfg := forkConfig(bpred.KindGShare, cache.LRU)
+				cfg := forkConfig(bpred.KindCombined, 1024)
 				cfg.ROBSize = rob
 				cfg.LSQSize = max(1, rob/2)
 				cfg.IssueWidth, cfg.SchedWindow = width[0], width[1]
@@ -627,7 +627,7 @@ skip:
 		t.Fatal(err)
 	}
 	penalty := testConfig()
-	penalty.Predictor = bpred.KindNotTaken
+	penalty.Predictor = bpred.KindBimodal
 	penalty.MispredictPenalty = 2 * watchdogLimit
 	for _, c := range []struct {
 		name     string

@@ -217,7 +217,7 @@ const watchdogLimit = 1 << 20
 // timing result for exactly this region. The machine's architectural
 // state advances with the simulation.
 func (s *Sim) Run(m *emu.Machine, maxInsts uint64) (Result, error) {
-	return s.RunWithLeadIn(m, 0, maxInsts)
+	return s.RunWindow(m, 0, maxInsts, 0)
 }
 
 // snapshot captures the counters needed to delimit a measured region.
@@ -239,15 +239,6 @@ func (s *Sim) snap() snapshot {
 		l2:     s.hier.L2.Stats(),
 		branch: s.bu.Stats(),
 	}
-}
-
-// RunWithLeadIn simulates lead+maxInsts committed instructions as one
-// continuous pipeline run (maxInsts 0 = until halt) but reports the
-// timing result only for the portion after the first lead
-// instructions. The pipeline stays filled across the lead boundary, so
-// the measured region is free of start-up ramp (detailed warmup).
-func (s *Sim) RunWithLeadIn(m *emu.Machine, lead, maxInsts uint64) (Result, error) {
-	return s.RunWindow(m, lead, maxInsts, 0)
 }
 
 // RunWindow simulates lead+maxInsts+tail committed instructions as one

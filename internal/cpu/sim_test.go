@@ -140,6 +140,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("New accepted invalid config")
 	}
+	// Only Table I's two predictor kinds exist, and the error names
+	// them.
+	for _, kind := range []bpred.Kind{"pag", "perfect"} {
+		bad = cfg
+		bad.Predictor = kind
+		_, err := New(bad)
+		if err == nil || !strings.Contains(err.Error(), `"combined"`) || !strings.Contains(err.Error(), `"bimodal"`) {
+			t.Errorf("predictor kind %q: error %v, want one naming both supported kinds", kind, err)
+		}
+	}
 }
 
 func TestRunCommitsAllInstructions(t *testing.T) {

@@ -67,12 +67,6 @@ type Machine struct {
 	// branch per Run call, not per instruction.
 	Metrics *obs.Registry
 
-	// NoTraces disables superblock-trace dispatch in Run's fast path,
-	// forcing pure block-batched execution. Results are bit-identical
-	// either way (the differential suite proves it); the knob exists
-	// for A/B measurement and tests.
-	NoTraces bool
-
 	// Data memory is memMask+1 words (a power of two), paged (see
 	// dirty.go): pages[i] backs words [i*PageWords, (i+1)*PageWords)
 	// and points at zeroPage until the page is first written.
@@ -136,7 +130,6 @@ func (m *Machine) Clone() *Machine {
 		blockOf:     m.blockOf,
 		BlockCounts: slices.Clone(m.BlockCounts),
 		dec:         m.dec,
-		NoTraces:    m.NoTraces,
 	}
 	slab := make([][PageWords]uint64, len(m.written))
 	for i, pi := range m.written {

@@ -40,7 +40,7 @@ func (m *Machine) runFast(maxInsts uint64) (uint64, error) {
 	spans := d.span
 	hook := m.Branch
 	traces := d.traces
-	if m.NoTraces || hook != nil {
+	if hook != nil {
 		traces = nil
 	}
 	codeLen := int64(len(dc))

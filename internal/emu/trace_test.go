@@ -124,26 +124,3 @@ func TestTraceInvariantsFuzzPrograms(t *testing.T) {
 		checkTraceInvariants(t, p)
 	}
 }
-
-// TestNoTracesKnobIdentical runs the same program with the superblock
-// tier enabled and disabled; NoTraces is a measurement knob and must
-// not change a single architectural observable.
-func TestNoTracesKnobIdentical(t *testing.T) {
-	for _, p := range prog.Examples() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			withTraces := New(p, 1<<12)
-			noTraces := New(p, 1<<12)
-			noTraces.NoTraces = true
-			for _, budget := range []uint64{101, 1009, 0} {
-				nA, errA := withTraces.Run(budget)
-				nB, errB := noTraces.Run(budget)
-				compareOutcome(t, p.Name, nA, nB, errA, errB)
-				compareMachines(t, withTraces, noTraces, p.Name)
-				if errA != nil || withTraces.Halted {
-					break
-				}
-			}
-		})
-	}
-}

@@ -199,12 +199,7 @@ func ProjectionDimSweep(o Options, benchmark string, dims []int) ([]DimRow, erro
 		if err != nil {
 			return nil, err
 		}
-		est, err := pipeline.ExecutePlan(p, plan, config.BaseA(), pipeline.ExecOptions{
-			Warmup:       o.Warmup,
-			DetailLeadIn: o.DetailLeadIn,
-			Workers:      o.Workers,
-			Ctx:          o.Ctx,
-		})
+		est, err := pipeline.ExecutePlan(p, plan, config.BaseA(), o.ablationExecOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -238,10 +233,9 @@ func ColdStartAblation(o Options, benchmark string) ([]ColdStartRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := NewStudy(Options{
-		Size: o.Size, Seed: o.Seed, Benchmarks: []string{benchmark},
-		Warmup: o.Warmup, DetailLeadIn: o.DetailLeadIn,
-	})
+	inner := o
+	inner.Benchmarks = []string{benchmark}
+	st, err := NewStudy(inner)
 	if err != nil {
 		return nil, err
 	}
@@ -251,19 +245,13 @@ func ColdStartAblation(o Options, benchmark string) ([]ColdStartRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cold, err := pipeline.ExecutePlan(p, plan, config.BaseA(), pipeline.ExecOptions{
-			Workers: o.Workers,
-			Ctx:     o.Ctx,
-		})
+		coldOpts := o.ablationExecOpts()
+		coldOpts.Warmup, coldOpts.DetailLeadIn = 0, 0
+		cold, err := pipeline.ExecutePlan(p, plan, config.BaseA(), coldOpts)
 		if err != nil {
 			return nil, err
 		}
-		warm, err := pipeline.ExecutePlan(p, plan, config.BaseA(), pipeline.ExecOptions{
-			Warmup:       o.Warmup,
-			DetailLeadIn: o.DetailLeadIn,
-			Workers:      o.Workers,
-			Ctx:          o.Ctx,
-		})
+		warm, err := pipeline.ExecutePlan(p, plan, config.BaseA(), o.ablationExecOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -428,12 +416,7 @@ func StatisticalSamplingComparison(o Options, benchmarks []string) ([]StatSampli
 		if err != nil {
 			return nil, err
 		}
-		est, err := pipeline.ExecutePlan(p, smPlan, config.BaseA(), pipeline.ExecOptions{
-			Warmup:       o.Warmup,
-			DetailLeadIn: o.DetailLeadIn,
-			Workers:      o.Workers,
-			Ctx:          o.Ctx,
-		})
+		est, err := pipeline.ExecutePlan(p, smPlan, config.BaseA(), o.ablationExecOpts())
 		if err != nil {
 			return nil, err
 		}

@@ -237,6 +237,19 @@ func (st *Study) execOpts(ctx context.Context) pipeline.ExecOptions {
 	}
 }
 
+// ablationExecOpts is the plan-execution policy of the single-benchmark
+// ablations: the study's warming policy with the caller's journal and
+// context, and Workers passed down to parallelize across points.
+func (o Options) ablationExecOpts() pipeline.ExecOptions {
+	return pipeline.ExecOptions{
+		Warmup:       o.Warmup,
+		DetailLeadIn: o.DetailLeadIn,
+		Obs:          o.Obs,
+		Workers:      o.Workers,
+		Ctx:          o.Ctx,
+	}
+}
+
 // ctx returns the study's context (never nil).
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRegString(t *testing.T) {
 	cases := []struct {
@@ -123,92 +120,6 @@ func TestLatencyPositive(t *testing.T) {
 	}
 	if OpFdiv.Latency() <= OpFmul.Latency() {
 		t.Error("fdiv should be slower than fmul")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	cases := []Inst{
-		{Op: OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
-		{Op: OpAddi, Rd: 1, Rs1: 2, Imm: -42},
-		{Op: OpLd, Rd: 4, Rs1: 5, Imm: 1 << 40},
-		{Op: OpBeq, Rs1: 1, Rs2: 2, Targ: 123456},
-		{Op: OpJal, Rd: RRA, Targ: 7},
-		{Op: OpHalt},
-		{Op: OpFmul, Rd: F(1), Rs1: F(2), Rs2: F(3)},
-	}
-	var buf [EncodedSize]byte
-	for _, in := range cases {
-		Encode(in, buf[:])
-		got, err := Decode(buf[:])
-		if err != nil {
-			t.Fatalf("Decode(%v): %v", in, err)
-		}
-		if got != in {
-			t.Errorf("round trip %v -> %v", in, got)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, 3)); err == nil {
-		t.Error("Decode(short) succeeded")
-	}
-	bad := make([]byte, EncodedSize)
-	bad[0] = byte(NumOps) + 10
-	if _, err := Decode(bad); err == nil {
-		t.Error("Decode(invalid opcode) succeeded")
-	}
-}
-
-func TestEncodeDecodeProgram(t *testing.T) {
-	prog := []Inst{
-		{Op: OpAddi, Rd: 1, Rs1: RZero, Imm: 10},
-		{Op: OpAdd, Rd: 2, Rs1: 1, Rs2: 1},
-		{Op: OpBne, Rs1: 2, Rs2: RZero, Targ: 1},
-		{Op: OpHalt},
-	}
-	data := EncodeProgram(prog)
-	if len(data) != len(prog)*EncodedSize {
-		t.Fatalf("encoded length %d", len(data))
-	}
-	back, err := DecodeProgram(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(prog) {
-		t.Fatalf("decoded %d instructions, want %d", len(back), len(prog))
-	}
-	for i := range prog {
-		if back[i] != prog[i] {
-			t.Errorf("inst %d: %v != %v", i, back[i], prog[i])
-		}
-	}
-	if _, err := DecodeProgram(data[:EncodedSize-1]); err == nil {
-		t.Error("DecodeProgram(misaligned) succeeded")
-	}
-}
-
-// Property: encode/decode round-trips for arbitrary valid instructions.
-func TestEncodeDecodeQuick(t *testing.T) {
-	f := func(op uint8, rd, rs1, rs2 uint8, payload int64) bool {
-		in := Inst{
-			Op:  Op(op % uint8(NumOps)),
-			Rd:  Reg(rd % 64),
-			Rs1: Reg(rs1 % 64),
-			Rs2: Reg(rs2 % 64),
-		}
-		if usesTarget(in.Op) {
-			in.Targ = payload
-		} else {
-			in.Imm = payload
-		}
-		var buf [EncodedSize]byte
-		Encode(in, buf[:])
-		got, err := Decode(buf[:])
-		return err == nil && got == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -209,15 +209,3 @@ func CollectFixedRange(p *prog.Program, proj *bbv.Projector, intervalLen, start,
 	tr.TotalInsts = cur
 	return tr, tr.Validate()
 }
-
-// SliceByInstructions returns the sub-range of trace intervals fully
-// contained in the instruction range [start, end).
-func (t *Trace) SliceByInstructions(start, end uint64) []Interval {
-	var out []Interval
-	for _, iv := range t.Intervals {
-		if iv.Start >= start && iv.End <= end {
-			out = append(out, iv)
-		}
-	}
-	return out
-}

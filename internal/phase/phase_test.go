@@ -220,24 +220,6 @@ func TestVectors(t *testing.T) {
 	}
 }
 
-func TestSliceByInstructions(t *testing.T) {
-	tr := &Trace{
-		TotalInsts: 30,
-		Intervals: []Interval{
-			{Index: 0, Start: 0, End: 10},
-			{Index: 1, Start: 10, End: 20},
-			{Index: 2, Start: 20, End: 30},
-		},
-	}
-	got := tr.SliceByInstructions(10, 30)
-	if len(got) != 2 || got[0].Index != 1 {
-		t.Errorf("SliceByInstructions = %+v", got)
-	}
-	if got := tr.SliceByInstructions(5, 15); len(got) != 0 {
-		t.Errorf("partial overlap returned %+v", got)
-	}
-}
-
 func TestFixedAndIterationTotalsAgree(t *testing.T) {
 	p := twoPhaseProgram(t, 5)
 	proj := projFor(p)

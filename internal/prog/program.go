@@ -165,33 +165,6 @@ func (p *Program) computeBlocks() {
 	}
 }
 
-// Successors returns the IDs of the possible successor blocks of block
-// id: fall-through and/or branch target. Indirect jumps (jr) report no
-// static successors.
-func (p *Program) Successors(id int) []int {
-	blocks := p.BasicBlocks()
-	b := blocks[id]
-	last := p.Code[b.End-1]
-	var succ []int
-	n := int64(len(p.Code))
-	switch {
-	case last.Op == isa.OpJmp || last.Op == isa.OpJal:
-		succ = append(succ, p.BlockOf(last.Targ))
-	case last.Op == isa.OpJr || last.Op == isa.OpHalt:
-		// unknown / none
-	case last.Op.IsCondBranch():
-		succ = append(succ, p.BlockOf(last.Targ))
-		if b.End < n {
-			succ = append(succ, p.BlockOf(b.End))
-		}
-	default:
-		if b.End < n {
-			succ = append(succ, p.BlockOf(b.End))
-		}
-	}
-	return succ
-}
-
 // Disassemble renders the whole program, annotating labels.
 func (p *Program) Disassemble() string {
 	byIdx := make(map[int64][]string)
@@ -209,21 +182,4 @@ func (p *Program) Disassemble() string {
 		out = append(out, fmt.Sprintf("%6d:  %s\n", i, in)...)
 	}
 	return string(out)
-}
-
-// StaticLoopAt returns the innermost static loop containing pc, if the
-// Builder recorded any.
-func (p *Program) StaticLoopAt(pc int64) (LoopInfo, bool) {
-	best := -1
-	for i, l := range p.Loops {
-		if pc >= l.Head && pc < l.End {
-			if best < 0 || l.Depth > p.Loops[best].Depth {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return LoopInfo{}, false
-	}
-	return p.Loops[best], true
 }

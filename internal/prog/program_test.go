@@ -104,9 +104,6 @@ func TestCountedLoopMetadata(t *testing.T) {
 	if !(outer.Head <= inner.Head && inner.End <= outer.End) {
 		t.Errorf("inner [%d,%d) not nested in outer [%d,%d)", inner.Head, inner.End, outer.Head, outer.End)
 	}
-	if got, ok := p.StaticLoopAt(inner.Head); !ok || got.Name != "inner" {
-		t.Errorf("StaticLoopAt(inner.Head) = %v, %v", got, ok)
-	}
 }
 
 func TestValidate(t *testing.T) {
@@ -166,27 +163,6 @@ func TestBlockInvariants(t *testing.T) {
 	}
 	if total != int64(len(p.Code)) {
 		t.Errorf("blocks cover %d instructions, program has %d", total, len(p.Code))
-	}
-}
-
-func TestSuccessors(t *testing.T) {
-	p := simpleLoopProgram(t)
-	// Block 1 ends with bne -> successors are loop head (block 1) and
-	// fall-through (block 2).
-	succ := p.Successors(1)
-	if len(succ) != 2 {
-		t.Fatalf("Successors(1) = %v", succ)
-	}
-	has := map[int]bool{}
-	for _, s := range succ {
-		has[s] = true
-	}
-	if !has[1] || !has[2] {
-		t.Errorf("Successors(1) = %v, want {1,2}", succ)
-	}
-	// Halt block: no successors.
-	if s := p.Successors(2); len(s) != 0 {
-		t.Errorf("Successors(halt) = %v", s)
 	}
 }
 

@@ -177,12 +177,6 @@ func (tm TimeModel) PlanTime(pl *Plan) float64 {
 	return tm.Time(pl.DetailedInsts(), pl.FunctionalInsts())
 }
 
-// FullDetailedTime returns the modeled time for the non-sampled
-// baseline: every instruction in detail.
-func (tm TimeModel) FullDetailedTime(totalInsts uint64) float64 {
-	return tm.Time(totalInsts, 0)
-}
-
 // Speedup returns how much faster plan a is than plan b under the
 // model (b time / a time).
 func (tm TimeModel) Speedup(a, b *Plan) float64 {

@@ -101,9 +101,6 @@ func TestTimeModel(t *testing.T) {
 	if got := tm.PlanTime(p); got != want {
 		t.Errorf("PlanTime = %v, want %v", got, want)
 	}
-	if got := tm.FullDetailedTime(1000); got != 100 {
-		t.Errorf("FullDetailedTime = %v", got)
-	}
 }
 
 func TestSpeedupOrdering(t *testing.T) {

@@ -17,7 +17,7 @@ type liveFact struct {
 // program. Jal/jr call linkage is part of the CFG as a path superset
 // of real executions, which keeps the may-analysis sound.
 func (d *Dataflow) solveLiveness() {
-	ins, outs := Solve(d.CFG, Backward,
+	ins, outs := Solve(d.CFG,
 		func(int) liveFact { return liveFact{} },
 		func(acc, x liveFact) liveFact {
 			return liveFact{acc.regs | x.regs, acc.mem || x.mem}

@@ -2,40 +2,29 @@ package dataflow
 
 import "mlpa/internal/staticanalysis"
 
-// Direction orients a dataflow problem: Forward propagates facts along
-// CFG edges, Backward against them (liveness).
-type Direction int
-
-// Solver directions.
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Solve runs an iterative worklist fixpoint of a monotone dataflow
-// framework over g and returns the per-block entry and exit facts.
+// Solve runs an iterative worklist fixpoint of a monotone backward
+// dataflow framework over g — facts flow against CFG edges, from a
+// block's successors into its exit — and returns the per-block entry
+// and exit facts.
 //
 //   - boundary(b) is the fact flowing into the iteration at blocks with
-//     no incoming edges in the chosen direction (and the identity the
-//     edge join starts from everywhere else) — for a may-analysis this
-//     is the lattice bottom.
-//   - join folds one neighbour's fact into an accumulator; it must be
-//     the lattice join (commutative, associative, idempotent).
-//   - transfer maps a block's incoming fact to its outgoing one
-//     (entry→exit for Forward, exit→entry for Backward) and must be
+//     no successors (and the identity the edge join starts from
+//     everywhere else) — for a may-analysis this is the lattice bottom.
+//   - join folds one successor's entry fact into an accumulator; it
+//     must be the lattice join (commutative, associative, idempotent).
+//   - transfer maps a block's exit fact to its entry fact and must be
 //     monotone with respect to join, or the iteration need not
 //     terminate.
 //   - equal tests facts for equality; it gates propagation.
 //
-// Blocks are seeded in reverse postorder for Forward problems and its
-// reverse for Backward ones, which makes acyclic regions converge in
-// one pass; unreachable blocks are appended so every block receives a
-// solution. The worklist is a deterministic FIFO, so the solution —
-// already unique as the least fixpoint — is also reproduced by an
-// identical visit sequence on every run.
+// Blocks are seeded in reverse of reverse postorder, which makes
+// acyclic regions converge in one pass; unreachable blocks are seeded
+// first so every block receives a solution. The worklist is a
+// deterministic FIFO, so the solution — already unique as the least
+// fixpoint — is also reproduced by an identical visit sequence on every
+// run.
 func Solve[F any](
 	g *staticanalysis.CFG,
-	dir Direction,
 	boundary func(b int) F,
 	join func(acc, x F) F,
 	transfer func(b int, x F) F,
@@ -56,10 +45,8 @@ func Solve[F any](
 			order = append(order, b)
 		}
 	}
-	if dir == Backward {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
 	}
 
 	queue := append(make([]int, 0, n), order...)
@@ -79,27 +66,14 @@ func Solve[F any](
 		queue = queue[1:]
 		queued[b] = false
 		acc := boundary(b)
-		if dir == Forward {
+		for _, s := range g.Succs[b] {
+			acc = join(acc, in[s])
+		}
+		out[b] = acc
+		if next := transfer(b, acc); !equal(next, in[b]) {
+			in[b] = next
 			for _, p := range g.Preds[b] {
-				acc = join(acc, out[p])
-			}
-			in[b] = acc
-			if next := transfer(b, acc); !equal(next, out[b]) {
-				out[b] = next
-				for _, s := range g.Succs[b] {
-					enqueue(s)
-				}
-			}
-		} else {
-			for _, s := range g.Succs[b] {
-				acc = join(acc, in[s])
-			}
-			out[b] = acc
-			if next := transfer(b, acc); !equal(next, in[b]) {
-				in[b] = next
-				for _, p := range g.Preds[b] {
-					enqueue(p)
-				}
+				enqueue(p)
 			}
 		}
 	}
