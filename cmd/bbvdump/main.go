@@ -102,16 +102,9 @@ func obtainTrace(benchName, in, size, granularity string, dims int, seed int64, 
 	if err != nil {
 		return nil, err
 	}
-	var sz bench.Size
-	switch size {
-	case "tiny":
-		sz = bench.SizeTiny
-	case "small":
-		sz = bench.SizeSmall
-	case "ref":
-		sz = bench.SizeRef
-	default:
-		return nil, fmt.Errorf("unknown size %q", size)
+	sz, err := bench.ParseSize(size)
+	if err != nil {
+		return nil, err
 	}
 	p, err := spec.Program(sz)
 	if err != nil {

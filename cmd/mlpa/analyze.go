@@ -8,7 +8,6 @@ import (
 
 	"mlpa/internal/bench"
 	"mlpa/internal/emu"
-	"mlpa/internal/isa"
 	"mlpa/internal/prog"
 	"mlpa/internal/staticanalysis"
 	"mlpa/internal/staticanalysis/dataflow"
@@ -56,11 +55,11 @@ func runAnalyze(f *flags) error {
 }
 
 // dataflowReport renders the register dataflow solution: per-block
-// live/gen/kill sets with memory flags, the statically-dead writes, a
-// whole-program region summary, and the result of cross-checking the
-// static model against the emulator's predecoded register slots. It
-// returns an error — failing the command — if the cross-check finds a
-// disagreement between the two models.
+// live/gen/kill sets with memory flags, the statically-dead writes,
+// and the result of cross-checking the static model against the
+// emulator's predecoded register slots. It returns an error — failing
+// the command — if the cross-check finds a disagreement between the
+// two models.
 func dataflowReport(p *prog.Program) (string, error) {
 	d := dataflow.For(p)
 	var sb strings.Builder
@@ -93,30 +92,11 @@ func dataflowReport(p *prog.Program) (string, error) {
 			fmt.Fprintf(&sb, "    pc %d: %s  %s\n", dw.PC, dw.Reg, p.Code[dw.PC])
 		}
 	}
-	if halt := firstHalt(p); halt > 0 {
-		rs, err := d.RegionSummary(0, halt)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "  region [0,%d): liveIn=%s memLiveIn=%v defs=%s blocks=%d insts=%d\n",
-			halt, rs.LiveIn, rs.LiveInMem, rs.Defs, len(rs.Blocks), rs.Insts)
-	}
 	if err := emu.CrossCheckDataflow(p); err != nil {
 		return "", fmt.Errorf("predecode cross-check: %w", err)
 	}
 	sb.WriteString("  predecode cross-check: ok\n")
 	return sb.String(), nil
-}
-
-// firstHalt returns the PC of the program's first halt instruction, or
-// 0 if there is none (or it is the entry instruction).
-func firstHalt(p *prog.Program) int64 {
-	for pc, in := range p.Code {
-		if in.Op == isa.OpHalt {
-			return int64(pc)
-		}
-	}
-	return 0
 }
 
 // analyzeTarget resolves the program to analyze: a positional .s file
@@ -135,7 +115,7 @@ func analyzeTarget(f *flags) (*prog.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	size, err := f.suiteSize()
+	size, err := bench.ParseSize(f.size)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,6 @@ Dataflow:
   dead writes: 2
     pc 7: {r6}  ld r6, 0(r4)
     pc 8: {r5}  addi r5, r0, 7
-  region [0,9): liveIn={} memLiveIn=true defs={r1 r2 r3 r4 r5 r6} blocks=3 insts=9
   predecode cross-check: ok
 `
 

@@ -18,7 +18,6 @@ import (
 	"mlpa/internal/bench"
 	"mlpa/internal/experiments"
 	"mlpa/internal/parallel"
-	"mlpa/internal/pipeline"
 )
 
 // benchSchema is the BENCH_<date>.json document version. Schema 7
@@ -141,10 +140,11 @@ func runBench(f *flags) error {
 	}
 
 	// Benchmarks are independent: fan the suite out over the worker
-	// budget, with each worker covering every configuration and method
-	// for its benchmark (selection, ground truth, plan execution).
-	// Entries land in slot order, so the report is byte-identical for
-	// every -workers value (wall fields excepted).
+	// budget, with each worker selecting its benchmark and running
+	// Table II on it (ground truth and plan execution for every
+	// configuration and method), the code `mlpa table2` runs. Entries
+	// land in slot order, so the report is byte-identical for every
+	// -workers value (wall fields excepted).
 	t0 := time.Now()
 	entries := make([]benchEntry, len(names))
 	err = parallel.ForEachOpt(f.ctx, f.workers, len(names), func(ctx context.Context, i int) error {
@@ -165,44 +165,25 @@ func runBench(f *flags) error {
 			WallSelection: time.Since(selStart).Nanoseconds(),
 			WallTruth:     make(map[string]int64),
 		}
-		pl := st.Plans[0]
-		p, err := pl.Spec.Program(o.Size)
+		res, err := st.Table2(configs)
 		if err != nil {
-			return err
+			return fmt.Errorf("bench %s: %w", name, err)
 		}
-		for _, cfg := range configs {
-			truth, truthWall, err := pipeline.FullDetailed(p, cfg)
-			if err != nil {
-				return fmt.Errorf("bench %s config %s: %w", name, cfg.Name, err)
-			}
-			entry.WallTruth[cfg.Name] = truthWall.Nanoseconds()
-			for _, method := range experiments.Methods() {
-				plan, err := pl.ByMethod(method)
-				if err != nil {
-					return err
-				}
-				est, err := pipeline.ExecutePlan(p, plan, cfg, pipeline.ExecOptions{
-					Warmup: st.Opts.Warmup, DetailLeadIn: st.Opts.DetailLeadIn,
-					Obs: f.rt, Workers: 1, Ctx: ctx,
-				})
-				if err != nil {
-					return fmt.Errorf("bench %s/%s config %s: %w", name, method, cfg.Name, err)
-				}
-				cpiDev, l1Dev, l2Dev := pipeline.Deviations(est, truth)
-				entry.Methods = append(entry.Methods, benchMethod{
-					Method:           method,
-					Config:           cfg.Name,
-					Points:           est.Points,
-					DetailedFraction: est.DetailedFraction(),
-					TrueCPI:          truth.CPI(),
-					EstCPI:           est.CPI,
-					CPIDev:           cpiDev,
-					L1Dev:            l1Dev,
-					L2Dev:            l2Dev,
-					WallEstimate:     est.Wall().Nanoseconds(),
-				})
-				entry.TotalInsts = est.TotalInsts
-			}
+		for _, r := range res.Runs {
+			entry.WallTruth[r.Config] = r.TruthWall.Nanoseconds()
+			entry.Methods = append(entry.Methods, benchMethod{
+				Method:           r.Method,
+				Config:           r.Config,
+				Points:           r.Est.Points,
+				DetailedFraction: r.Est.DetailedFraction(),
+				TrueCPI:          r.Truth.CPI(),
+				EstCPI:           r.Est.CPI,
+				CPIDev:           r.CPIDev,
+				L1Dev:            r.L1Dev,
+				L2Dev:            r.L2Dev,
+				WallEstimate:     r.Est.Wall().Nanoseconds(),
+			})
+			entry.TotalInsts = r.Est.TotalInsts
 		}
 		entries[i] = entry
 		return nil

@@ -11,19 +11,6 @@ import (
 	"mlpa/internal/stats"
 )
 
-// Warm policy the `ckpt save` flow bakes into a set. Finite warmup is
-// what gives checkpoints something to skip: each point's warm start
-// then sits deep inside the program, and restoring it replaces the
-// functional fast-forward that position would otherwise cost. `ckpt
-// exec` never consults these constants — it replays under the policy
-// stored in the set's manifest, so a set built by any producer
-// executes consistently.
-const (
-	ckptSaveWarmup   = 1 << 16
-	ckptSaveLeadIn   = 512
-	ckptSaveRunAhead = 0
-)
-
 // runCkpt dispatches the portable-checkpoint subcommands:
 //
 //	mlpa ckpt save -dir d [-bench -method -size -seed]  build + persist a set
@@ -47,17 +34,11 @@ func runCkpt(f *flags, sub string) error {
 	return fmt.Errorf("unknown ckpt subcommand %q (want save, exec or info)", sub)
 }
 
-// ckptExecOptions is the execution policy a set prescribes: the warm
-// policy from its manifest plus this invocation's runtime knobs.
-func ckptExecOptions(f *flags, pol ckpt.Policy) pipeline.ExecOptions {
-	return pipeline.ExecOptions{
-		Warmup:       pol.Warmup,
-		DetailLeadIn: pol.DetailLeadIn,
-		RunAhead:     pol.RunAhead,
-		Workers:      f.workers,
-		Ctx:          f.ctx,
-		Obs:          f.rt,
-	}
+// execOptions adds this invocation's runtime knobs (workers, context,
+// journal) to a warm policy.
+func (f *flags) execOptions(policy pipeline.ExecOptions) pipeline.ExecOptions {
+	policy.Workers, policy.Ctx, policy.Obs = f.workers, f.ctx, f.rt
+	return policy
 }
 
 func runCkptSave(f *flags) error {
@@ -78,8 +59,10 @@ func runCkptSave(f *flags) error {
 	if err != nil {
 		return err
 	}
-	pol := ckpt.Policy{Warmup: ckptSaveWarmup, DetailLeadIn: ckptSaveLeadIn, RunAhead: ckptSaveRunAhead}
-	set, err := pipeline.BuildCheckpointSet(p, plan, ckptExecOptions(f, pol))
+	// The harness's finite warm policy: each point's warm start then
+	// sits inside the program, and restoring it replaces the functional
+	// fast-forward that position would otherwise cost.
+	set, err := pipeline.BuildCheckpointSet(p, plan, f.execOptions(experiments.CheckpointExec()))
 	if err != nil {
 		return err
 	}
@@ -125,7 +108,10 @@ func runCkptExec(f *flags) error {
 		if err != nil {
 			return err
 		}
-		opts := ckptExecOptions(f, set.Policy)
+		// Replay under the policy stored in the set's manifest, so a set
+		// built by any producer executes consistently.
+		opts := f.execOptions(pipeline.ExecOptions{Warmup: set.Policy.Warmup,
+			DetailLeadIn: set.Policy.DetailLeadIn, RunAhead: set.Policy.RunAhead})
 		opts.Checkpoints = set
 		est, err := pipeline.ExecutePlan(set.Program, set.Plan, cfg, opts)
 		if err != nil {

@@ -15,7 +15,7 @@
 //	mlpa bench -compare old.json new.json  gate on significant perf regressions
 //	mlpa inspect <run.jsonl>        render a recorded run journal
 //	mlpa analyze [-bench name | file.s] static analysis: verifier, CFG, dominators, loops
-//	mlpa analyze -dataflow ...      add liveness/reaching-defs: live sets, dead writes
+//	mlpa analyze -dataflow ...      add liveness: live sets, dead writes, predecode cross-check
 //	mlpa serve [-addr host:port]    sampling-as-a-service HTTP daemon (docs/SERVICE.md)
 //	mlpa loadtest [-addr -clients -requests -dup -min-hit-rate] load harness for serve
 //	mlpa all                        figures and tables above
@@ -157,20 +157,8 @@ func parseFlags(cmd string, args []string) (*flags, error) {
 	return f, nil
 }
 
-func (f *flags) suiteSize() (bench.Size, error) {
-	switch f.size {
-	case "tiny":
-		return bench.SizeTiny, nil
-	case "small":
-		return bench.SizeSmall, nil
-	case "ref":
-		return bench.SizeRef, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", f.size)
-}
-
 func (f *flags) options() (experiments.Options, error) {
-	size, err := f.suiteSize()
+	size, err := bench.ParseSize(f.size)
 	if err != nil {
 		return experiments.Options{}, err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -238,10 +239,13 @@ func TestRunJournalAndInspect(t *testing.T) {
 	}
 }
 
-// TestRunBench checks the machine-readable harness output.
+// TestRunBench checks the machine-readable harness output, and that
+// its cells come from the Table II loop: the journal holds one
+// deviation record per report cell, with the cell's numbers.
 func TestRunBench(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"bench", "-size", "tiny", "-benchmarks", "gzip", "-config", "A", "-dir", dir}); err != nil {
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := run([]string{"bench", "-size", "tiny", "-benchmarks", "gzip", "-config", "A", "-dir", dir, "-journal", journal}); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
@@ -281,6 +285,37 @@ func TestRunBench(t *testing.T) {
 	for _, m := range e.Methods {
 		if m.EstCPI <= 0 || m.TrueCPI <= 0 || m.WallEstimate <= 0 {
 			t.Errorf("bench method %s/%s has empty measurements: %+v", m.Method, m.Config, m)
+		}
+	}
+
+	jf, err := os.Open(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadJournal(jf)
+	jf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := map[string][]map[string]any{}
+	for _, rec := range recs {
+		if rec["ev"] == "deviation" {
+			key := fmt.Sprintf("%v/%v/%v", rec["benchmark"], rec["method"], rec["config"])
+			devs[key] = append(devs[key], rec)
+		}
+	}
+	if len(devs) != len(e.Methods) {
+		t.Errorf("journal has deviation records for %d cells, report has %d", len(devs), len(e.Methods))
+	}
+	for _, m := range e.Methods {
+		key := fmt.Sprintf("%s/%s/%s", e.Benchmark, m.Method, m.Config)
+		got := devs[key]
+		if len(got) != 1 {
+			t.Errorf("%s: %d deviation records, want 1", key, len(got))
+			continue
+		}
+		if got[0]["cpi_dev"] != m.CPIDev || got[0]["true_cpi"] != m.TrueCPI || got[0]["est_cpi"] != m.EstCPI {
+			t.Errorf("%s: deviation record %v disagrees with the report cell %+v", key, got[0], m)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"mlpa/internal/ckpt"
 	"mlpa/internal/experiments"
 	"mlpa/internal/pipeline"
 )
@@ -38,10 +37,11 @@ var microPlanWorkers = []int{1, 2, 4, 8}
 
 func runMicro(f *flags) (*microReport, error) {
 	// The first configured benchmark's SimPoint plan under `mlpa ckpt
-	// save`'s warm policy, restored from a checkpoint set built once
-	// before any timing. Restores make chunk startup cheap, so the
-	// scheduler splits this plan across workers; a scratch plan under
-	// the harness policy stays one spine, one chunk, at every count.
+	// save`'s warm policy (experiments.CheckpointExec), restored from a
+	// checkpoint set built once before any timing. Restores make chunk
+	// startup cheap, so the scheduler splits this plan across workers;
+	// a scratch plan under the harness policy stays one spine, one
+	// chunk, at every count.
 	o, err := f.options()
 	if err != nil {
 		return nil, err
@@ -74,14 +74,14 @@ func runMicro(f *flags) (*microReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := ckpt.Policy{Warmup: ckptSaveWarmup, DetailLeadIn: ckptSaveLeadIn, RunAhead: ckptSaveRunAhead}
-	set, err := pipeline.BuildCheckpointSet(p, plan, ckptExecOptions(f, pol))
+	opts := f.execOptions(experiments.CheckpointExec())
+	set, err := pipeline.BuildCheckpointSet(p, plan, opts)
 	if err != nil {
 		return nil, err
 	}
 	planCurve := make([]string, 0, len(microPlanWorkers))
 	for _, workers := range microPlanWorkers {
-		execOpts := ckptExecOptions(f, pol)
+		execOpts := opts
 		execOpts.Workers = workers
 		execOpts.Checkpoints = set
 		chunks, err := pipeline.PlanChunks(plan, execOpts, workers)

@@ -199,16 +199,9 @@ func loadProgram(benchName, file, size string) (*prog.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sz bench.Size
-		switch size {
-		case "tiny":
-			sz = bench.SizeTiny
-		case "small":
-			sz = bench.SizeSmall
-		case "ref":
-			sz = bench.SizeRef
-		default:
-			return nil, fmt.Errorf("unknown size %q", size)
+		sz, err := bench.ParseSize(size)
+		if err != nil {
+			return nil, err
 		}
 		return spec.Program(sz)
 	}

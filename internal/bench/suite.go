@@ -37,6 +37,17 @@ func (s Size) String() string {
 	return fmt.Sprintf("size(%d)", int(s))
 }
 
+// ParseSize is the inverse of String: it returns the preset with the
+// given name.
+func ParseSize(name string) (Size, error) {
+	for _, s := range []Size{SizeTiny, SizeSmall, SizeRef} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown size %q (want tiny, small or ref)", name)
+}
+
 type sizeParams struct {
 	unit int64 // kernel trip multiplier (quantum ~1500*unit insts)
 	// iterScale multiplies each spec's outer iteration count (except

@@ -199,4 +199,12 @@ func TestSizeString(t *testing.T) {
 	if Size(9).String() == "" {
 		t.Error("unknown size has empty label")
 	}
+	for _, s := range []Size{SizeTiny, SizeSmall, SizeRef} {
+		if got, err := ParseSize(s.String()); got != s || err != nil {
+			t.Errorf("ParseSize(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	if _, err := ParseSize("huge"); err == nil {
+		t.Error("ParseSize accepted an unknown size")
+	}
 }

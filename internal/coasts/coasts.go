@@ -33,13 +33,6 @@ type Config struct {
 	// Seed drives projection and clustering determinism.
 	Seed int64
 
-	// MinCoverage discards cyclic structures below this execution
-	// share during boundary collection (paper: 1%).
-	MinCoverage float64
-
-	// BICFraction is the model-selection threshold (default 0.9).
-	BICFraction float64
-
 	// Obs, if non-nil, receives stage spans, clustering metrics and a
 	// per-selection journal record.
 	Obs *obs.Runtime
@@ -52,14 +45,16 @@ func (c Config) withDefaults() Config {
 	if c.Dims <= 0 {
 		c.Dims = bbv.DefaultDims
 	}
-	if c.MinCoverage <= 0 {
-		c.MinCoverage = 0.01
-	}
-	if c.BICFraction <= 0 {
-		c.BICFraction = 0.9
-	}
 	return c
 }
+
+const (
+	// minCoverage discards cyclic structures below this execution share
+	// during boundary collection (the paper's 1%).
+	minCoverage = 0.01
+	// bicFraction is the model-selection threshold, SimPoint's 0.9.
+	bicFraction = 0.9
+)
 
 // MethodName is the plan label for COASTS.
 const MethodName = "coasts"
@@ -109,8 +104,8 @@ func CollectBoundaries(p *prog.Program, cfg Config) (*Boundary, error) {
 	}
 	lp.Finish()
 	b := &Boundary{Head: -1, TotalInsts: m.Insts}
-	b.All = lp.Significant(m.Insts, cfg.MinCoverage)
-	if sel := lp.SelectCoarse(m.Insts, cfg.MinCoverage); sel != nil {
+	b.All = lp.Significant(m.Insts, minCoverage)
+	if sel := lp.SelectCoarse(m.Insts, minCoverage); sel != nil {
 		b.Head = sel.Head
 		b.Structure = sel
 	}
@@ -200,7 +195,7 @@ func SelectFromTrace(tr *phase.Trace, cfg Config) (*sampling.Plan, *kmeans.Resul
 	defer span.End()
 	km, err := kmeans.Best(tr.Vectors(), cfg.Kmax, kmeans.Options{
 		Seed:        cfg.Seed,
-		BICFraction: cfg.BICFraction,
+		BICFraction: bicFraction,
 		Metrics:     cfg.Obs.Metrics(),
 	})
 	if err != nil {

@@ -137,7 +137,7 @@ func ThresholdSweep(o Options, benchmark string, multipliers []float64) ([]Thres
 		return nil, err
 	}
 	fine := o.fineConfig()
-	baseThreshold := fine.IntervalLen * uint64(o.FineKmax)
+	baseThreshold := fine.IntervalLen * uint64(fine.Kmax)
 	var out []ThresholdRow
 	for _, mult := range multipliers {
 		cfg := multilevel.Config{
@@ -296,10 +296,10 @@ func VLIComparison(o Options, benchmarks []string) ([]VLIRow, error) {
 		}
 		vliPlan, vliTrace, _, err := vli.Select(p, vli.Config{
 			TargetLen:   bench.FineInterval(o.Size),
-			Kmax:        o.FineKmax,
+			Kmax:        fineKmax,
 			Seed:        o.Seed,
-			BICFraction: o.FineBICFraction,
-			SampleCap:   o.SampleCap,
+			BICFraction: fineBICFraction,
+			SampleCap:   fineSampleCap,
 		})
 		if err != nil {
 			return nil, err

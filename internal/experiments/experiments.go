@@ -42,37 +42,12 @@ type Options struct {
 	Size bench.Size
 	// Seed drives all randomized stages (default 1).
 	Seed int64
-	// Warmup is the functional-warming window per point; 0 chooses
-	// unbounded warming, from instruction 0 to each point's lead-in
-	// (SMARTS-style; see pipeline.ExecOptions on why scaled points need
-	// warming and how one warm pass serves every point).
-	Warmup uint64
-	// DetailLeadIn is the discarded detailed warmup per point; 0
-	// chooses 512 instructions (4x the reorder buffer).
-	DetailLeadIn uint64
-	// RunAhead is the discarded detailed run-ahead past each point
-	// (an ablation knob: it lets tail latencies overlap successor
-	// work, but pollutes the measured region's fetch-side cache and
-	// branch statistics with successor instructions; default 0).
-	RunAhead uint64
-	// SampleCap bounds fine-grained clustering input (default 2000).
-	SampleCap int
 	// TimeModel converts instruction splits to simulation time
 	// (default sampling.SimpleScalarRates; see DESIGN.md).
 	TimeModel sampling.TimeModel
 	// Benchmarks restricts the suite (nil = all).
 	Benchmarks []string
-	// FineKmax is SimPoint's Kmax (default 30, the release default).
-	FineKmax int
-	// FineBICFraction is the BIC selection fraction for the
-	// fine-grained clustering. The harness default is 0.99 rather than
-	// SimPoint's 0.9: the synthetic suite's BBVs are noiseless, so the
-	// BIC curve saturates at very small k under the 0.9 rule, merging
-	// unlike intervals; 0.99 yields cluster counts (~16-25) matching
-	// SimPoint's observed behavior on SPEC2000 (20.1 points on
-	// average). The ablation benchmark sweeps this fraction.
-	FineBICFraction float64
-	// CoarseKmax is COASTS's Kmax (default 3, the paper default).
+	// CoarseKmax is COASTS's Kmax (default CoarseKmax, the paper's 3).
 	CoarseKmax int
 	// Obs, if non-nil, threads the observability runtime through every
 	// stage: selection spans, per-point journal records, deviation
@@ -96,39 +71,17 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Warmup == 0 {
-		o.Warmup = math.MaxUint64
-	}
-	if o.DetailLeadIn == 0 {
-		o.DetailLeadIn = 512
-	}
-	if o.SampleCap == 0 {
-		o.SampleCap = 2000
-	}
 	if o.TimeModel.DetailedRate == 0 {
 		o.TimeModel = sampling.SimpleScalarRates
 	}
-	if o.FineKmax == 0 {
-		o.FineKmax = 30
-	}
 	if o.CoarseKmax == 0 {
-		o.CoarseKmax = 3
-	}
-	if o.FineBICFraction == 0 {
-		o.FineBICFraction = 0.99
+		o.CoarseKmax = CoarseKmax
 	}
 	return o
 }
 
 func (o Options) fineConfig() simpoint.Config {
-	return simpoint.Config{
-		IntervalLen: bench.FineInterval(o.Size),
-		Kmax:        o.FineKmax,
-		Seed:        o.Seed,
-		SampleCap:   o.SampleCap,
-		BICFraction: o.FineBICFraction,
-		Obs:         o.Obs,
-	}
+	return FineConfig(bench.FineInterval(o.Size), o.Seed, o.Obs)
 }
 
 func (o Options) coarseConfig() coasts.Config {
@@ -227,27 +180,18 @@ func NewStudy(o Options) (*Study, error) {
 // runs under. The suite already fans out benchmark-wide, so each
 // plan's points run sequentially (the machine is not oversubscribed).
 func (st *Study) execOpts(ctx context.Context) pipeline.ExecOptions {
-	return pipeline.ExecOptions{
-		Warmup:       st.Opts.Warmup,
-		DetailLeadIn: st.Opts.DetailLeadIn,
-		RunAhead:     st.Opts.RunAhead,
-		Obs:          st.Opts.Obs,
-		Workers:      1,
-		Ctx:          ctx,
-	}
+	opts := HarnessExec()
+	opts.Obs, opts.Workers, opts.Ctx = st.Opts.Obs, 1, ctx
+	return opts
 }
 
 // ablationExecOpts is the plan-execution policy of the single-benchmark
-// ablations: the study's warming policy with the caller's journal and
-// context, and Workers passed down to parallelize across points.
+// ablations: the harness policy with the caller's journal and context,
+// and Workers passed down to parallelize across points.
 func (o Options) ablationExecOpts() pipeline.ExecOptions {
-	return pipeline.ExecOptions{
-		Warmup:       o.Warmup,
-		DetailLeadIn: o.DetailLeadIn,
-		Obs:          o.Obs,
-		Workers:      o.Workers,
-		Ctx:          o.Ctx,
-	}
+	opts := HarnessExec()
+	opts.Obs, opts.Workers, opts.Ctx = o.Obs, o.Workers, o.Ctx
+	return opts
 }
 
 // ctx returns the study's context (never nil).
@@ -363,6 +307,25 @@ type DevCell struct {
 type Table2Result struct {
 	Metrics []string // "CPI", "L1 Cache Hit", "L2 Cache Hit"
 	Cells   map[string]map[string]map[string]DevCell
+	// Runs holds every evaluation behind the cells, in suite, config,
+	// method order.
+	Runs []Table2Run
+}
+
+// Table2Run is one (benchmark, configuration, method) evaluation: the
+// plan's estimate, the ground truth it is judged against, the ground
+// truth's wall time, and the relative CPI, L1 and L2 hit-rate
+// deviations.
+type Table2Run struct {
+	Benchmark string
+	Config    string
+	Method    string
+	Est       *pipeline.Estimate
+	Truth     cpu.Result
+	TruthWall time.Duration
+	CPIDev    float64
+	L1Dev     float64
+	L2Dev     float64
 }
 
 // Table2 reproduces Table II: it runs ground-truth full detailed
@@ -370,31 +333,14 @@ type Table2Result struct {
 // configuration, reporting average and worst relative deviations of
 // CPI and cache hit rates.
 func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
-	metrics := []string{"CPI", "L1 Cache Hit", "L2 Cache Hit"}
-	res := &Table2Result{Metrics: metrics}
-	res.Cells = make(map[string]map[string]map[string]DevCell)
-	aggs := make(map[string]map[string]map[string]*stats.Agg)
-	for _, m := range metrics {
-		res.Cells[m] = make(map[string]map[string]DevCell)
-		aggs[m] = make(map[string]map[string]*stats.Agg)
-		for _, method := range Methods() {
-			res.Cells[m][method] = make(map[string]DevCell)
-			aggs[m][method] = make(map[string]*stats.Agg)
-			for _, cfg := range configs {
-				aggs[m][method][cfg.Name] = &stats.Agg{}
-			}
-		}
-	}
-
 	// The ground-truth and sampled simulations are independent per
 	// (benchmark, configuration) pair; run the benchmarks in parallel
 	// with each worker covering every configuration and method for its
 	// benchmark, and aggregate in suite order so worst cases and averages
 	// stay deterministic.
-	type devs struct{ cpi, l1, l2 [3]float64 }
 	span := st.Opts.Obs.StartSpan("experiments.table2", obs.KV("configs", len(configs)))
 	defer span.End()
-	results := make([]map[string]devs, len(st.Plans))
+	runs := make([][]Table2Run, len(st.Plans))
 	err := st.Opts.forEach("experiments.table2", len(st.Plans), func(ctx context.Context, i int) error {
 		pl := st.Plans[i]
 		bspan := span.StartSpan("experiments.table2_benchmark", obs.KV("benchmark", pl.Spec.Name))
@@ -403,7 +349,6 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 		if err != nil {
 			return err
 		}
-		results[i] = make(map[string]devs, len(configs))
 		for _, cfg := range configs {
 			tspan := bspan.StartSpan("experiments.ground_truth", obs.KV("config", cfg.Name))
 			truth, truthWall, err := pipeline.FullDetailed(p, cfg)
@@ -411,8 +356,7 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 			if err != nil {
 				return err
 			}
-			var r devs
-			for mi, method := range Methods() {
+			for _, method := range Methods() {
 				plan, err := pl.ByMethod(method)
 				if err != nil {
 					return err
@@ -421,45 +365,50 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 				if err != nil {
 					return fmt.Errorf("experiments: %s/%s under config %s: %w", pl.Spec.Name, method, cfg.Name, err)
 				}
-				cpiDev, l1Dev, l2Dev := pipeline.Deviations(est, truth)
-				r.cpi[mi], r.l1[mi], r.l2[mi] = cpiDev, l1Dev, l2Dev
+				r := Table2Run{Benchmark: pl.Spec.Name, Config: cfg.Name, Method: method,
+					Est: est, Truth: truth, TruthWall: truthWall}
+				r.CPIDev, r.L1Dev, r.L2Dev = pipeline.Deviations(est, truth)
 				st.Opts.Obs.Emit("deviation", map[string]any{
 					"benchmark": pl.Spec.Name,
 					"method":    method,
 					"config":    cfg.Name,
-					"cpi_dev":   cpiDev,
-					"l1_dev":    l1Dev,
-					"l2_dev":    l2Dev,
+					"cpi_dev":   r.CPIDev,
+					"l1_dev":    r.L1Dev,
+					"l2_dev":    r.L2Dev,
 					"true_cpi":  truth.CPI(),
 					"est_cpi":   est.CPI,
 				})
 				st.Opts.Obs.Logf("table2 %s/%s config %s: CPI dev %.4f%% (est %.4f true %.4f, truth wall %v)",
-					pl.Spec.Name, method, cfg.Name, 100*cpiDev, est.CPI, truth.CPI(), truthWall.Round(time.Millisecond))
+					pl.Spec.Name, method, cfg.Name, 100*r.CPIDev, est.CPI, truth.CPI(), truthWall.Round(time.Millisecond))
+				runs[i] = append(runs[i], r)
 			}
-			results[i][cfg.Name] = r
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, cfg := range configs {
-		for i, pl := range st.Plans {
-			r := results[i][cfg.Name]
-			for mi, method := range Methods() {
-				aggs["CPI"][method][cfg.Name].Add(pl.Spec.Name, r.cpi[mi])
-				aggs["L1 Cache Hit"][method][cfg.Name].Add(pl.Spec.Name, r.l1[mi])
-				aggs["L2 Cache Hit"][method][cfg.Name].Add(pl.Spec.Name, r.l2[mi])
-			}
-		}
-	}
 
-	for _, m := range metrics {
-		for _, method := range Methods() {
-			for _, cfg := range configs {
-				a := aggs[m][method][cfg.Name]
+	res := &Table2Result{Metrics: []string{"CPI", "L1 Cache Hit", "L2 Cache Hit"}}
+	for _, br := range runs {
+		res.Runs = append(res.Runs, br...)
+	}
+	// Each cell aggregates its benchmarks in suite order, so a
+	// worst-case tie resolves to the benchmark the suite lists first.
+	nm := len(Methods())
+	res.Cells = make(map[string]map[string]map[string]DevCell)
+	for di, metric := range res.Metrics {
+		res.Cells[metric] = make(map[string]map[string]DevCell)
+		for mi, method := range Methods() {
+			res.Cells[metric][method] = make(map[string]DevCell)
+			for ci, cfg := range configs {
+				var a stats.Agg
+				for _, br := range runs {
+					r := br[ci*nm+mi]
+					a.Add(r.Benchmark, [...]float64{r.CPIDev, r.L1Dev, r.L2Dev}[di])
+				}
 				worst, bench := a.Worst()
-				res.Cells[m][method][cfg.Name] = DevCell{Avg: a.Avg(), Worst: worst, WorstBench: bench}
+				res.Cells[metric][method][cfg.Name] = DevCell{Avg: a.Avg(), Worst: worst, WorstBench: bench}
 			}
 		}
 	}

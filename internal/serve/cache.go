@@ -215,7 +215,7 @@ func (pc *programCache) resolve(req Request) (*programEntry, *apiError) {
 		if err != nil {
 			return nil, badRequest(codeBadField, "%v", err)
 		}
-		size, serr := parseSize(req.Size)
+		size, serr := bench.ParseSize(req.Size)
 		if serr != nil {
 			return nil, badRequest(codeBadField, "%v", serr)
 		}

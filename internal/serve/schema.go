@@ -152,7 +152,7 @@ func normalize(req Request) (Request, *apiError) {
 	if req.Size == "" {
 		req.Size = "tiny"
 	}
-	if _, err := parseSize(req.Size); err != nil {
+	if _, err := bench.ParseSize(req.Size); err != nil {
 		return req, badRequest(codeBadField, "%v", err)
 	}
 	if req.Method == "" {
@@ -171,18 +171,6 @@ func normalize(req Request) (Request, *apiError) {
 		req.Seed = 1
 	}
 	return req, nil
-}
-
-func parseSize(s string) (bench.Size, error) {
-	switch s {
-	case "tiny":
-		return bench.SizeTiny, nil
-	case "small":
-		return bench.SizeSmall, nil
-	case "ref":
-		return bench.SizeRef, nil
-	}
-	return 0, fmt.Errorf("unknown size %q (want tiny, small or ref)", s)
 }
 
 // progHash is the content hash of a guest program: SHA-256 over its

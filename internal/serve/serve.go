@@ -14,6 +14,7 @@ import (
 	"mlpa/internal/ckpt"
 	"mlpa/internal/coasts"
 	"mlpa/internal/config"
+	"mlpa/internal/experiments"
 	"mlpa/internal/multilevel"
 	"mlpa/internal/obs"
 	"mlpa/internal/parallel"
@@ -24,23 +25,16 @@ import (
 	"mlpa/internal/staticanalysis"
 )
 
-// Execution policy constants. These are part of the service contract:
-// together with the request they determine every response bit, so they
-// must not vary per request or per deployment without invalidating the
-// content-hash cache semantics.
+// Cache bounds, in entries; the oldest entry is evicted first.
 const (
-	// execWarmup is the functional-warming window per point (64k
-	// instructions, generous next to the service's tiny/small guests).
-	// It is finite so every point has a warm start strictly inside the
-	// program: that is what lets checkpoint sets replace the functional
-	// fast-forward to each point — an unbounded window would pin every
-	// warm start to instruction zero and leave nothing for a checkpoint
-	// to skip. Like every policy constant it is part of the service
-	// contract: changing it changes response bits and the goldens.
-	execWarmup = 1 << 16
-	// execDetailLeadIn is the detailed-mode lead-in discarded before
-	// each point's measurement.
-	execDetailLeadIn = 512
+	// maxCachedResults bounds the response cache.
+	maxCachedResults = 1024
+	// maxCachedPrograms bounds the program registry.
+	maxCachedPrograms = 64
+	// maxCachedCkptSets bounds the checkpoint-set cache. One entry holds
+	// a whole plan's portable checkpoints — the fast-forward work every
+	// config evaluation of that plan would otherwise re-pay.
+	maxCachedCkptSets = 64
 )
 
 // Options configures a Server. The zero value is usable: every field
@@ -76,19 +70,6 @@ type Options struct {
 	// execution uses (default 1). Results are bit-identical for any
 	// value — the repo-wide determinism contract.
 	RequestWorkers int
-
-	// MaxCachedResults bounds the response cache entry count
-	// (default 1024).
-	MaxCachedResults int
-
-	// MaxCachedPrograms bounds the program registry (default 64).
-	MaxCachedPrograms int
-
-	// MaxCachedCkptSets bounds the checkpoint-set cache entry count
-	// (default 64). One entry holds a whole plan's portable checkpoints
-	// — the fast-forward work every config evaluation of that plan
-	// would otherwise re-pay.
-	MaxCachedCkptSets int
 }
 
 func (o Options) withDefaults() Options {
@@ -106,15 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestWorkers <= 0 {
 		o.RequestWorkers = 1
-	}
-	if o.MaxCachedResults == 0 {
-		o.MaxCachedResults = 1024
-	}
-	if o.MaxCachedPrograms == 0 {
-		o.MaxCachedPrograms = 64
-	}
-	if o.MaxCachedCkptSets == 0 {
-		o.MaxCachedCkptSets = 64
 	}
 	return o
 }
@@ -166,9 +138,9 @@ func New(o Options) *Server {
 		rt:         rt,
 		reg:        reg,
 		pool:       parallel.NewPool(o.MaxConcurrent, reg),
-		results:    newResultCache(o.MaxCachedResults, reg),
-		programs:   newProgramCache(o.MaxCachedPrograms, o.MaxProgramCode, reg),
-		ckpts:      newCkptCache(o.MaxCachedCkptSets, reg),
+		results:    newResultCache(maxCachedResults, reg),
+		programs:   newProgramCache(maxCachedPrograms, o.MaxProgramCode, reg),
+		ckpts:      newCkptCache(maxCachedCkptSets, reg),
 		gate:       newGate(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -426,18 +398,15 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 	return b, nil
 }
 
-// execOptions is the server's fixed execution policy. Everything that
-// can influence result bits is a package constant or a server-lifetime
-// option, never per-request, so cached replays stay byte-identical
-// with fresh executions.
+// execOptions is the server's fixed execution policy, the harness's
+// finite one (experiments.CheckpointExec), which lets checkpoint sets
+// replace fast-forward. Everything that can influence result bits is
+// that policy or a server-lifetime option, never per-request, so
+// cached replays stay byte-identical with fresh executions.
 func (s *Server) execOptions(ctx context.Context) pipeline.ExecOptions {
-	return pipeline.ExecOptions{
-		Warmup:       execWarmup,
-		DetailLeadIn: execDetailLeadIn,
-		Workers:      s.opts.RequestWorkers,
-		Ctx:          ctx,
-		Obs:          s.rt,
-	}
+	opts := experiments.CheckpointExec()
+	opts.Workers, opts.Ctx, opts.Obs = s.opts.RequestWorkers, ctx, s.rt
+	return opts
 }
 
 // intervalFor picks the fine interval length: an explicit override, the
@@ -447,7 +416,7 @@ func intervalFor(req Request, total uint64) uint64 {
 	iv := req.IntervalLen
 	if iv == 0 {
 		if req.Benchmark != "" {
-			size, err := parseSize(req.Size)
+			size, err := bench.ParseSize(req.Size)
 			if err == nil {
 				iv = bench.FineInterval(size)
 			}
@@ -467,35 +436,20 @@ func intervalFor(req Request, total uint64) uint64 {
 	return iv
 }
 
-func (s *Server) coastsConfig(req Request) coasts.Config {
-	return coasts.Config{Kmax: 3, Seed: req.Seed, Obs: s.rt}
-}
-
-func (s *Server) simpointConfig(req Request, interval uint64) simpoint.Config {
-	return simpoint.Config{
-		IntervalLen: interval,
-		Kmax:        30,
-		Seed:        req.Seed,
-		SampleCap:   2000,
-		BICFraction: 0.99,
-		Obs:         s.rt,
-	}
-}
-
 func (s *Server) selectPlan(e *programEntry, req Request, interval uint64) (*sampling.Plan, error) {
 	p := e.prog
+	// The harness's selection policy at the request's seed.
+	coarse := coasts.Config{Kmax: experiments.CoarseKmax, Seed: req.Seed, Obs: s.rt}
+	fine := experiments.FineConfig(interval, req.Seed, s.rt)
 	switch req.Method {
 	case coasts.MethodName:
-		plan, _, _, err := coasts.Select(p, s.coastsConfig(req))
+		plan, _, _, err := coasts.Select(p, coarse)
 		return plan, err
 	case simpoint.MethodName:
-		plan, _, _, err := simpoint.Select(p, s.simpointConfig(req, interval))
+		plan, _, _, err := simpoint.Select(p, fine)
 		return plan, err
 	case multilevel.MethodName:
-		plan, _, err := multilevel.Select(p, multilevel.Config{
-			Coarse: s.coastsConfig(req),
-			Fine:   s.simpointConfig(req, interval),
-		})
+		plan, _, err := multilevel.Select(p, multilevel.Config{Coarse: coarse, Fine: fine})
 		return plan, err
 	case smarts.MethodName:
 		plan, err := smarts.Select(p, smarts.Config{UnitLen: interval, Period: interval * 25})

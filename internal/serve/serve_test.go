@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mlpa/internal/config"
+	"mlpa/internal/experiments"
 	"mlpa/internal/obs"
 	"mlpa/internal/pipeline"
 )
@@ -221,11 +222,9 @@ func TestConcurrentDistinctMatchSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := pipeline.ExecutePlan(entry.prog, plan, cfg, pipeline.ExecOptions{
-			Warmup:       execWarmup,
-			DetailLeadIn: execDetailLeadIn,
-			Workers:      1,
-		})
+		opts := experiments.CheckpointExec()
+		opts.Workers = 1
+		est, err := pipeline.ExecutePlan(entry.prog, plan, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,10 +24,8 @@ type Config struct {
 	// (SMARTS uses ~1000).
 	UnitLen uint64
 	// Period is the sampling period: one unit is measured every
-	// Period instructions.
+	// Period instructions, the first at instruction 0.
 	Period uint64
-	// Offset shifts the first unit (0 = start at the beginning).
-	Offset uint64
 }
 
 func (c Config) validate() error {
@@ -63,7 +61,7 @@ func Select(p *prog.Program, cfg Config) (*sampling.Plan, error) {
 		Method:     MethodName,
 		TotalInsts: total,
 	}
-	for start := cfg.Offset; start+cfg.UnitLen <= total; start += cfg.Period {
+	for start := uint64(0); start+cfg.UnitLen <= total; start += cfg.Period {
 		plan.Points = append(plan.Points, sampling.Point{
 			Start:  start,
 			End:    start + cfg.UnitLen,
@@ -73,7 +71,7 @@ func Select(p *prog.Program, cfg Config) (*sampling.Plan, error) {
 		})
 	}
 	if len(plan.Points) == 0 {
-		// Program shorter than one period: measure it whole.
+		// Program shorter than one unit: measure it whole.
 		plan.Points = append(plan.Points, sampling.Point{
 			Start: 0, End: total, Weight: 1, Level: 1, Parent: -1,
 		})
@@ -85,17 +83,19 @@ func Select(p *prog.Program, cfg Config) (*sampling.Plan, error) {
 	return plan, nil
 }
 
-// SampleSize returns the number of units a (UnitLen, Period) design
-// yields on a program of the given length.
+// SampleSize returns the number of units Select places for a
+// (UnitLen, Period) design on a program of the given length: one at
+// each multiple of Period whose unit ends by the program's end, or the
+// whole program as one unit when it is shorter than a unit. An invalid
+// design yields 0.
 func SampleSize(totalInsts uint64, cfg Config) int {
-	if cfg.Period == 0 {
+	if cfg.validate() != nil {
 		return 0
 	}
-	n := int((totalInsts - cfg.Offset) / cfg.Period)
-	if n < 1 {
-		n = 1
+	if totalInsts < cfg.UnitLen {
+		return 1
 	}
-	return n
+	return int((totalInsts-cfg.UnitLen)/cfg.Period) + 1
 }
 
 // ConfidenceHalfWidth returns the half-width of the (approximate)

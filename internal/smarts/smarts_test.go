@@ -40,13 +40,40 @@ func TestSelectSystematicPlan(t *testing.T) {
 			t.Errorf("unit %d weight %v differs", i, pt.Weight)
 		}
 	}
-	want := SampleSize(plan.TotalInsts, cfg)
-	if diff := len(plan.Points) - want; diff < -1 || diff > 1 {
+	if want := SampleSize(plan.TotalInsts, cfg); len(plan.Points) != want {
 		t.Errorf("points = %d, SampleSize = %d", len(plan.Points), want)
 	}
 	// Systematic sampling fast-forwards essentially the whole program.
 	if plan.LastPosition() < 0.9 {
 		t.Errorf("last unit at %v, want near program end", plan.LastPosition())
+	}
+}
+
+// TestSampleSizeMatchesSelect: SampleSize counts exactly the units
+// Select places, over the tiny suite under this package's test design,
+// the SMARTS ablation's (half a fine interval every 25) and the
+// service's (one fine interval every 25).
+func TestSampleSizeMatchesSelect(t *testing.T) {
+	fine := bench.FineInterval(bench.SizeTiny)
+	designs := []Config{
+		{UnitLen: 100, Period: 10_000},
+		{UnitLen: fine / 2, Period: 25 * fine},
+		{UnitLen: fine, Period: 25 * fine},
+	}
+	for _, spec := range bench.Suite() {
+		p := spec.MustProgram(bench.SizeTiny)
+		for _, cfg := range designs {
+			plan, err := Select(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := SampleSize(plan.TotalInsts, cfg); got != len(plan.Points) {
+				t.Errorf("%s %+v: SampleSize = %d, Select placed %d units", spec.Name, cfg, got, len(plan.Points))
+			}
+		}
+	}
+	if got := SampleSize(100, Config{UnitLen: 0, Period: 10}); got != 0 {
+		t.Errorf("invalid design: SampleSize = %d, want 0", got)
 	}
 }
 
@@ -70,6 +97,9 @@ func TestShortProgramSingleUnit(t *testing.T) {
 	}
 	if len(plan.Points) != 1 || plan.Points[0].Len() != plan.TotalInsts {
 		t.Errorf("plan = %+v", plan.Points)
+	}
+	if n := SampleSize(plan.TotalInsts, Config{UnitLen: 1 << 30, Period: 1 << 31}); n != 1 {
+		t.Errorf("SampleSize = %d, want 1", n)
 	}
 }
 

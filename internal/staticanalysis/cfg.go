@@ -36,11 +36,10 @@ type CFG struct {
 	Reachable []bool
 }
 
-// BuildCFG constructs the control-flow graph. Unlike
-// prog.Program.Successors it never panics on malformed branch targets,
-// and it models jal/jr call linkage: a jal edge goes to the callee,
-// and each jr through register r gains return edges to the
-// instruction after every jal that links through r.
+// BuildCFG constructs the control-flow graph. It never panics on
+// malformed branch targets, and it models jal/jr call linkage: a jal
+// edge goes to the callee, and each jr through register r gains return
+// edges to the instruction after every jal that links through r.
 func BuildCFG(p *prog.Program) *CFG {
 	blocks := p.BasicBlocks()
 	n := int64(len(p.Code))

@@ -198,98 +198,6 @@ func TestLivenessMemoryBit(t *testing.T) {
 	}
 }
 
-func TestRegionSummaryStraightLine(t *testing.T) {
-	p := mustAssemble(t, "straight", `
-    add  r3, r1, r2
-    addi r3, r3, 5
-    st   r3, (r4)
-    halt
-`)
-	d := New(p)
-	rs, err := d.RegionSummary(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Insts != 2 || len(rs.Blocks) != 1 {
-		t.Errorf("Insts/Blocks = %d/%v", rs.Insts, rs.Blocks)
-	}
-	// The region [0,2) reads r1/r2, writes r3, no memory: the store at
-	// pc 2 is outside.
-	if want := Of(1, 2); rs.LiveIn != want {
-		t.Errorf("LiveIn = %v, want %v", rs.LiveIn, want)
-	}
-	if rs.Defs != Of(3) || rs.Loads || rs.Stores || rs.LiveInMem {
-		t.Errorf("Defs/Loads/Stores/mem = %v/%v/%v/%v", rs.Defs, rs.Loads, rs.Stores, rs.LiveInMem)
-	}
-
-	if _, err := d.RegionSummary(2, 2); err == nil {
-		t.Error("empty same-block region did not fail")
-	}
-	if _, err := d.RegionSummary(2, 0); err == nil {
-		t.Error("backwards same-block region did not fail")
-	}
-	if _, err := d.RegionSummary(0, 99); err == nil {
-		t.Error("out-of-range exit did not fail")
-	}
-}
-
-func TestRegionSummaryLoop(t *testing.T) {
-	p := mustAssemble(t, "regionloop", asmLoopStore)
-	d := New(p)
-
-	// Region from the loop head (pc 1) to the store block (pc 4): the
-	// whole loop plus nothing of the exit block. r2 feeds the adds, r1
-	// counts, r4 is NOT live in (the store at pc 4 is outside the
-	// region) but r3 IS defined.
-	rs, err := d.RegionSummary(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := Of(1, 2); rs.LiveIn != want {
-		t.Errorf("LiveIn = %v, want %v", rs.LiveIn, want)
-	}
-	if want := Of(1, 3); rs.Defs != want {
-		t.Errorf("Defs = %v, want %v", rs.Defs, want)
-	}
-	if rs.Stores || rs.Loads || rs.LiveInMem {
-		t.Errorf("memory flags = %v/%v/%v, want none", rs.Loads, rs.Stores, rs.LiveInMem)
-	}
-	// Loop block (pcs 1..3) in full plus the empty prefix of the exit
-	// block.
-	if rs.Insts != 3 {
-		t.Errorf("Insts = %d, want 3", rs.Insts)
-	}
-
-	// A region whose exit precedes its entry with no path back fails.
-	if _, err := d.RegionSummary(4, 1); err == nil {
-		t.Error("unreachable exit did not fail")
-	}
-}
-
-func TestRegionSummaryWholeProgram(t *testing.T) {
-	for _, p := range prog.Examples() {
-		d := For(p)
-		halt := int64(len(p.Code) - 1)
-		rs, err := d.RegionSummary(0, halt)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		// The whole-program region live-in must match LiveInAt(0)
-		// modulo uses beyond the halt (there are none).
-		live, mem, err := d.LiveInAt(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.LiveIn != live || rs.LiveInMem != mem {
-			t.Errorf("%s: region live-in %v/%v != program live-in %v/%v",
-				p.Name, rs.LiveIn, rs.LiveInMem, live, mem)
-		}
-		if rs.Insts <= 0 || len(rs.Blocks) == 0 {
-			t.Errorf("%s: degenerate region %+v", p.Name, rs)
-		}
-	}
-}
-
 func TestForCachesPerProgram(t *testing.T) {
 	p := prog.ExampleNested(3, 3)
 	if For(p) != For(p) {

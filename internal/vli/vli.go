@@ -28,17 +28,17 @@ type Config struct {
 	TargetLen uint64
 	// Kmax bounds the cluster count (default 30, as for SimPoint).
 	Kmax int
-	// Dims is the projected BBV dimensionality (default 15).
-	Dims int
 	// Seed drives projection and clustering.
 	Seed int64
 	// BICFraction is the model-selection threshold (default 0.9).
 	BICFraction float64
 	// SampleCap bounds clustering input (0 = all intervals).
 	SampleCap int
-	// MinCoverage filters candidate structures (default 1%).
-	MinCoverage float64
 }
+
+// minCoverage is the execution share below which a cyclic structure is
+// not a candidate boundary source (the paper's 1%, as for COASTS).
+const minCoverage = 0.01
 
 // MethodName is the plan label.
 const MethodName = "vli"
@@ -50,10 +50,6 @@ const MethodName = "vli"
 // procedures throughout the code, not a single site). Returns nil when
 // none qualifies (callers fall back to fixed intervals).
 func ChooseStructures(p *prog.Program, cfg Config) ([]int64, error) {
-	minCov := cfg.MinCoverage
-	if minCov <= 0 {
-		minCov = 0.01
-	}
 	m := emu.New(p, 0)
 	lp := emu.NewLoopProfiler(m)
 	m.Branch = lp.OnBranch
@@ -62,7 +58,7 @@ func ChooseStructures(p *prog.Program, cfg Config) ([]int64, error) {
 	}
 	lp.Finish()
 	var heads []int64
-	for _, s := range lp.Significant(m.Insts, minCov) {
+	for _, s := range lp.Significant(m.Insts, minCoverage) {
 		if s.MeanIter() > float64(cfg.TargetLen)/2 {
 			continue
 		}
@@ -79,11 +75,7 @@ func Profile(p *prog.Program, heads []int64, cfg Config) (*phase.Trace, error) {
 	if cfg.TargetLen == 0 {
 		return nil, fmt.Errorf("vli: TargetLen = 0")
 	}
-	dims := cfg.Dims
-	if dims <= 0 {
-		dims = bbv.DefaultDims
-	}
-	proj, err := bbv.NewProjector(p.NumBlocks(), dims, cfg.Seed)
+	proj, err := bbv.NewProjector(p.NumBlocks(), bbv.DefaultDims, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +117,6 @@ func Select(p *prog.Program, cfg Config) (*sampling.Plan, *phase.Trace, *kmeans.
 	}
 	spCfg := simpoint.Config{
 		Kmax:        cfg.Kmax,
-		Dims:        cfg.Dims,
 		Seed:        cfg.Seed,
 		BICFraction: cfg.BICFraction,
 		SampleCap:   cfg.SampleCap,
