@@ -370,6 +370,17 @@ func BenchmarkKMeansBIC(b *testing.B) {
 	}
 }
 
+// harnessFine and harnessCoarse are the selection policy every Table
+// II, bench and service run uses, at tiny scale and seed 1, so the
+// selection benchmarks time the selections those runs make.
+func harnessFine() simpoint.Config {
+	return experiments.FineConfig(bench.FineInterval(bench.SizeTiny), 1, nil)
+}
+
+func harnessCoarse() coasts.Config {
+	return coasts.Config{Kmax: experiments.CoarseKmax, Seed: 1}
+}
+
 // BenchmarkSimPointSelect measures the full fine-grained pipeline.
 func BenchmarkSimPointSelect(b *testing.B) {
 	spec, err := bench.ByName("lucas")
@@ -377,7 +388,7 @@ func BenchmarkSimPointSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	cfg := simpoint.Config{IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 30, Seed: 1, SampleCap: 2000}
+	cfg := harnessFine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := simpoint.Select(p, cfg); err != nil {
@@ -396,7 +407,7 @@ func BenchmarkCoastsSelect(b *testing.B) {
 	p := spec.MustProgram(bench.SizeTiny)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := coasts.Select(p, coasts.Config{Seed: 1}); err != nil {
+		if _, _, _, err := coasts.Select(p, harnessCoarse()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -409,10 +420,7 @@ func BenchmarkMultiLevelSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	cfg := multilevel.Config{
-		Coarse: coasts.Config{Seed: 1},
-		Fine:   simpoint.Config{IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 30, Seed: 1, SampleCap: 2000},
-	}
+	cfg := multilevel.Config{Coarse: harnessCoarse(), Fine: harnessFine()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := multilevel.Select(p, cfg); err != nil {
@@ -429,10 +437,7 @@ func BenchmarkPlanExecution(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	plan, _, err := multilevel.Select(p, multilevel.Config{
-		Coarse: coasts.Config{Seed: 1},
-		Fine:   simpoint.Config{IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 30, Seed: 1},
-	})
+	plan, _, err := multilevel.Select(p, multilevel.Config{Coarse: harnessCoarse(), Fine: harnessFine()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,10 +463,7 @@ func BenchmarkPlanExecutionWorkers(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	plan, _, err := multilevel.Select(p, multilevel.Config{
-		Coarse: coasts.Config{Seed: 1},
-		Fine:   simpoint.Config{IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 30, Seed: 1},
-	})
+	plan, _, err := multilevel.Select(p, multilevel.Config{Coarse: harnessCoarse(), Fine: harnessFine()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,7 +495,7 @@ func BenchmarkAblationColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	plan, _, _, err := simpoint.Select(p, simpoint.Config{IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 30, Seed: 1})
+	plan, _, _, err := simpoint.Select(p, harnessFine())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -529,7 +531,7 @@ func BenchmarkAblationEarlySP(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	base := simpoint.Config{IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 30, Seed: 1}
+	base := harnessFine()
 	early := base
 	early.EarlySP = true
 	var stdPos, earlyPos float64
@@ -592,7 +594,7 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := spec.MustProgram(bench.SizeTiny)
-	plan, _, _, err := coasts.Select(p, coasts.Config{Seed: 1})
+	plan, _, _, err := coasts.Select(p, harnessCoarse())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -108,6 +108,10 @@ type dataset struct {
 	// sample is the set Lloyd runs on: a deterministic stride sample
 	// of all when SampleCap binds, otherwise all itself.
 	sample *rowSet
+	// streams[r] logs restart r's random stream. Every k replays it
+	// from its start, so the generator is seeded once per call rather
+	// than once per k and restart.
+	streams []*streamLog
 }
 
 func newDataset(points [][]float64, sampleCap int) *dataset {
@@ -130,9 +134,12 @@ func (ds *dataset) cluster(k int, opts Options) *Result {
 	if n := len(ds.sample.points); k > n {
 		k = n
 	}
+	for r := len(ds.streams); r < opts.Restarts; r++ {
+		ds.streams = append(ds.streams, newStreamLog(opts.Seed+int64(r)*7919))
+	}
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
+		rng := rand.New(&replaySource{log: ds.streams[r]})
 		res, skipped := lloyd(ds.sample, k, rng, opts.MaxIters)
 		opts.Metrics.Counter("kmeans.restarts").Inc()
 		opts.Metrics.Counter("kmeans.skipped_iterations").Add(int64(skipped))
@@ -151,6 +158,41 @@ func (ds *dataset) cluster(k int, opts Options) *Result {
 	}
 	best.BIC = bic(ds.all.points, best)
 	return best
+}
+
+// streamLog records the values one seeded generator yields, drawing
+// each only when a reader first reaches it.
+type streamLog struct {
+	src  rand.Source
+	vals []int64
+}
+
+func newStreamLog(seed int64) *streamLog {
+	return &streamLog{src: rand.NewSource(seed)}
+}
+
+// replaySource is a rand.Source that reads a streamLog from its start:
+// a rand.Rand over it draws exactly what one over
+// rand.NewSource(seed) would, since every Rand method the clustering
+// uses (Intn, Float64) reads the source through Int63 alone.
+type replaySource struct {
+	log *streamLog
+	pos int
+}
+
+// Int63 returns the next logged value, extending the log on demand.
+func (s *replaySource) Int63() int64 {
+	if s.pos == len(s.log.vals) {
+		s.log.vals = append(s.log.vals, s.log.src.Int63())
+	}
+	v := s.log.vals[s.pos]
+	s.pos++
+	return v
+}
+
+// Seed restarts the source on a fresh log of seed's stream.
+func (s *replaySource) Seed(seed int64) {
+	s.log, s.pos = newStreamLog(seed), 0
 }
 
 // rowSet indexes the bit-distinct rows of a point set and holds the

@@ -11,6 +11,7 @@ import (
 	"mlpa/internal/obs"
 	"mlpa/internal/pipeline"
 	"mlpa/internal/prog"
+	"mlpa/internal/sampling"
 	"mlpa/internal/staticanalysis"
 )
 
@@ -71,6 +72,20 @@ func newResultCache(max int, reg *obs.Registry) *flightCache[[]byte] {
 		prefix: "serve.cache", wait: "request expired while waiting for an in-flight identical computation",
 	})
 }
+
+// newPlanCache stores selected plans under the plan-identity key, so a
+// plan request, the estimates under every config and multilevel's
+// COASTS level share one selection.
+func newPlanCache(max int, reg *obs.Registry) *flightCache[*sampling.Plan] {
+	return newFlightCache(max, reg, planBytes, flightNames{
+		hit: "serve.plans.reuses", coalesced: "serve.plans.reuses", miss: "serve.plans.selections",
+		prefix: "serve.plans", wait: "waiting for in-flight plan selection",
+	})
+}
+
+// planBytes approximates a plan's footprint: six 8-byte fields per
+// point.
+func planBytes(p *sampling.Plan) int64 { return int64(len(p.Points)) * 48 }
 
 // newCkptCache stores built checkpoint sets under the plan-identity key
 // — program content hash plus the plan-determining request fields, the

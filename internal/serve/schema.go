@@ -14,9 +14,10 @@
 //     onto a single execution. Cache disposition travels out-of-band in
 //     the X-Mlpa-Cache header (miss, coalesced or hit).
 //   - A bounded admission pool caps concurrent pipeline executions
-//     across requests, and estimates restore from portable checkpoint
-//     sets cached per plan, so requests against the same plan reuse
-//     one fast-forward pass across configurations.
+//     across requests. Plans are cached per plan identity and
+//     estimates restore from portable checkpoint sets cached per plan,
+//     so requests against the same plan reuse one selection and one
+//     fast-forward pass across configurations.
 //   - Requests are bounded (body size, program instruction budget) and
 //     time-limited; failures are structured JSON errors with stable
 //     codes, never panics.
@@ -222,12 +223,19 @@ func keyFor(endpoint, programHash string, req Request) cacheKey {
 	case "estimate":
 		k.Method, k.Config, k.Seed, k.Interval = req.Method, req.Config, req.Seed, req.IntervalLen
 	case "ckpt":
-		// Checkpoint sets capture configuration-independent architectural
-		// state, so the config is deliberately absent: every sensitivity
-		// config of the same plan shares one set.
+		// The plan identity. Plans and the checkpoint sets built from
+		// them capture configuration-independent state, so the config
+		// is deliberately absent: every sensitivity config of the same
+		// plan shares one selection and one set.
 		k.Method, k.Seed, k.Interval = req.Method, req.Seed, req.IntervalLen
 	}
 	return k
+}
+
+// planKey is the plan-identity key the plan cache and the
+// checkpoint-set cache share.
+func planKey(programHash string, req Request) string {
+	return keyFor("ckpt", programHash, req).hash()
 }
 
 // ProgramInfo describes the resolved guest program; every response

@@ -31,6 +31,10 @@ const (
 	maxCachedResults = 1024
 	// maxCachedPrograms bounds the program registry.
 	maxCachedPrograms = 64
+	// maxCachedPlans bounds the plan cache. A plan is a few kilobytes
+	// of points, and one entry saves a whole selection: profiling plus
+	// every k-means restart.
+	maxCachedPlans = 1024
 	// maxCachedCkptSets bounds the checkpoint-set cache. One entry holds
 	// a whole plan's portable checkpoints — the fast-forward work every
 	// config evaluation of that plan would otherwise re-pay.
@@ -100,6 +104,7 @@ type Server struct {
 	pool     *parallel.Pool
 	results  *flightCache[[]byte]
 	programs *programCache
+	plans    *flightCache[*sampling.Plan]
 	ckpts    *flightCache[*ckpt.Set]
 
 	gate *gate
@@ -122,6 +127,11 @@ type Server struct {
 	// cache-miss computation. Tests use it to hold computations open
 	// while asserting coalescing and drain behaviour.
 	testHookComputeStart func(endpoint string)
+
+	// testHookSelect, when set, runs at the start of every plan-cache
+	// selection, and a non-nil error fails that selection. Tests use it
+	// to hold a selection open and to inject a failed one.
+	testHookSelect func(method string) error
 }
 
 // New creates a Server with o applied over defaults.
@@ -140,6 +150,7 @@ func New(o Options) *Server {
 		pool:       parallel.NewPool(o.MaxConcurrent, reg),
 		results:    newResultCache(maxCachedResults, reg),
 		programs:   newProgramCache(maxCachedPrograms, o.MaxProgramCode, reg),
+		plans:      newPlanCache(maxCachedPlans, reg),
 		ckpts:      newCkptCache(maxCachedCkptSets, reg),
 		gate:       newGate(),
 		baseCtx:    ctx,
@@ -279,7 +290,7 @@ func (s *Server) compute(endpoint string, e *programEntry, req Request, ckptDisp
 	defer s.pool.Release()
 	switch endpoint {
 	case "plan":
-		return s.computePlan(e, req)
+		return s.computePlan(ctx, e, req)
 	case "estimate":
 		return s.computeEstimate(ctx, e, req, ckptDisp)
 	}
@@ -317,23 +328,41 @@ func (s *Server) computeAnalyze(e *programEntry) ([]byte, *apiError) {
 	return b, nil
 }
 
-// selectFor probes the program and runs the request's method selection,
-// yielding the plan that both /v1/plan and /v1/estimate execute.
-func (s *Server) selectFor(e *programEntry, req Request) (*sampling.Plan, uint64, uint64, *apiError) {
+// selectFor probes the program and returns the request's plan, the one
+// both /v1/plan and /v1/estimate execute, from the plan cache.
+func (s *Server) selectFor(ctx context.Context, e *programEntry, req Request) (*sampling.Plan, uint64, uint64, *apiError) {
 	total, ae := e.measuredLength(s.opts.MaxProgramInsts)
 	if ae != nil {
 		return nil, 0, 0, ae
 	}
 	interval := intervalFor(req, total)
-	plan, err := s.selectPlan(e, req, interval)
+	plan, err := s.cachedPlan(ctx, e, req, interval)
 	if err != nil {
 		return nil, 0, 0, asAPIError(err)
 	}
 	return plan, total, interval, nil
 }
 
-func (s *Server) computePlan(e *programEntry, req Request) ([]byte, *apiError) {
-	plan, total, interval, ae := s.selectFor(e, req)
+// cachedPlan returns the request's plan, selecting it at most once per
+// plan identity (planKey). A plan depends on the program and the
+// selection policy, never on the config, so a plan request and the
+// estimates under every config share one selection. Selection is
+// deterministic and plans are read-only downstream, so the cache can
+// only change wall time.
+func (s *Server) cachedPlan(ctx context.Context, e *programEntry, req Request, interval uint64) (*sampling.Plan, error) {
+	plan, _, err := s.plans.get(ctx, planKey(e.hash, req), func() (*sampling.Plan, error) {
+		if s.testHookSelect != nil {
+			if err := s.testHookSelect(req.Method); err != nil {
+				return nil, err
+			}
+		}
+		return s.selectPlan(ctx, e, req, interval)
+	})
+	return plan, err
+}
+
+func (s *Server) computePlan(ctx context.Context, e *programEntry, req Request) ([]byte, *apiError) {
+	plan, total, interval, ae := s.selectFor(ctx, e, req)
 	if ae != nil {
 		return nil, ae
 	}
@@ -360,7 +389,7 @@ func (s *Server) computePlan(e *programEntry, req Request) ([]byte, *apiError) {
 }
 
 func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Request, ckptDisp *string) ([]byte, *apiError) {
-	plan, _, _, ae := s.selectFor(e, req)
+	plan, _, _, ae := s.selectFor(ctx, e, req)
 	if ae != nil {
 		return nil, ae
 	}
@@ -369,12 +398,11 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 		return nil, badRequest(codeBadField, "%v", err)
 	}
 	// The checkpoint set depends on the plan, never on the config, so
-	// its key is the estimate key with the config dropped: a repeat
-	// estimate under a new config reuses the set and skips fast-forward
-	// entirely. Results are bit-identical either way (the pipeline's
-	// differential harness), so the cache can only change wall time.
-	ckey := keyFor("ckpt", e.hash, req).hash()
-	set, disp, err := s.ckpts.get(ctx, ckey, func() (*ckpt.Set, error) {
+	// it shares the plan's key: a repeat estimate under a new config
+	// reuses the set and skips fast-forward entirely. Results are
+	// bit-identical either way (the pipeline's differential harness),
+	// so the cache can only change wall time.
+	set, disp, err := s.ckpts.get(ctx, planKey(e.hash, req), func() (*ckpt.Set, error) {
 		return pipeline.BuildCheckpointSet(e.prog, plan, s.execOptions(ctx))
 	})
 	if err != nil {
@@ -436,20 +464,29 @@ func intervalFor(req Request, total uint64) uint64 {
 	return iv
 }
 
-func (s *Server) selectPlan(e *programEntry, req Request, interval uint64) (*sampling.Plan, error) {
+// selectPlan runs the request's method selection under the harness's
+// policy at the request's seed.
+func (s *Server) selectPlan(ctx context.Context, e *programEntry, req Request, interval uint64) (*sampling.Plan, error) {
 	p := e.prog
-	// The harness's selection policy at the request's seed.
-	coarse := coasts.Config{Kmax: experiments.CoarseKmax, Seed: req.Seed, Obs: s.rt}
 	fine := experiments.FineConfig(interval, req.Seed, s.rt)
 	switch req.Method {
 	case coasts.MethodName:
-		plan, _, _, err := coasts.Select(p, coarse)
+		plan, _, _, err := coasts.Select(p, coasts.Config{Kmax: experiments.CoarseKmax, Seed: req.Seed, Obs: s.rt})
 		return plan, err
 	case simpoint.MethodName:
 		plan, _, _, err := simpoint.Select(p, fine)
 		return plan, err
 	case multilevel.MethodName:
-		plan, _, err := multilevel.Select(p, multilevel.Config{Coarse: coarse, Fine: fine})
+		// The first level is the program's COASTS plan, shared with
+		// coasts requests through the plan cache, as Table II shares it
+		// (experiments.NewStudy).
+		coarseReq := req
+		coarseReq.Method = coasts.MethodName
+		co, err := s.cachedPlan(ctx, e, coarseReq, interval)
+		if err != nil {
+			return nil, fmt.Errorf("multilevel: first level: %w", err)
+		}
+		plan, _, err := multilevel.Resample(p, co, multilevel.Config{Fine: fine, Obs: s.rt})
 		return plan, err
 	case smarts.MethodName:
 		plan, err := smarts.Select(p, smarts.Config{UnitLen: interval, Period: interval * 25})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -214,7 +215,7 @@ func TestConcurrentDistinctMatchSingleShot(t *testing.T) {
 		if ae != nil {
 			t.Fatal(ae)
 		}
-		plan, _, _, ae := ref.selectFor(entry, req)
+		plan, _, _, ae := ref.selectFor(context.Background(), entry, req)
 		if ae != nil {
 			t.Fatal(ae)
 		}
