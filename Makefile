@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzCkptRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
 	$(GO) test -fuzz=FuzzSchedulerVsReference -fuzztime=$(FUZZTIME) ./internal/cpu/
+	$(GO) test -fuzz=FuzzKMeansVsReference -fuzztime=$(FUZZTIME) ./internal/kmeans/
 
 ## bench: machine-readable perf/accuracy snapshot, written to
 ## bench-out/BENCH_<date>.json so the checked-in baseline is never

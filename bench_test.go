@@ -7,6 +7,7 @@
 package mlpa_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,6 +25,7 @@ import (
 	"mlpa/internal/kmeans"
 	"mlpa/internal/linalg"
 	"mlpa/internal/multilevel"
+	"mlpa/internal/obs"
 	"mlpa/internal/phase"
 	"mlpa/internal/phasepred"
 	"mlpa/internal/pipeline"
@@ -329,6 +331,50 @@ func BenchmarkFunctionalWarming(b *testing.B) {
 		insts += m.Insts
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "M-inst/s")
+}
+
+// BenchmarkForkAndRestart measures what a sampled point costs around
+// its warm spine under configuration B, the larger hierarchy: the spine
+// warms over 64 Ki instructions of tiny gzip, forks into the reused
+// detail context, which runs a 512-instruction lead-in and a
+// 10,000-instruction window, and then restarts cold for the next point.
+// Fork and restart rewrite only the cache sets touched since the last
+// fork or since cold; fork-sets/op and reset-sets/op report how many.
+// The machine is positioned outside the timed region.
+func BenchmarkForkAndRestart(b *testing.B) {
+	spec, err := bench.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := spec.MustProgram(bench.SizeTiny)
+	start := emu.New(p, 0)
+	if _, err := start.RunTo(context.Background(), 100_000); err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	spine := cpu.MustNew(config.SensitivityB())
+	spine.Metrics = reg
+	var fork *cpu.Sim
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := start.Clone()
+		b.StartTimer()
+		if err := spine.Warm(m, 1<<16); err != nil {
+			b.Fatal(err)
+		}
+		if fork, err = spine.ForkInto(fork); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fork.RunWindow(m, 512, 10_000, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := spine.ResetCold(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(reg.Counter("cpu.fork.sets").Value())/float64(b.N), "fork-sets/op")
+	b.ReportMetric(float64(reg.Counter("cpu.reset.sets").Value())/float64(b.N), "reset-sets/op")
 }
 
 // BenchmarkBBVCollection measures fixed-interval profiling (emulation

@@ -304,6 +304,49 @@ func (u *Unit) CopyFrom(src *Unit) error {
 	return nil
 }
 
+// Reset returns u to the state NewUnit leaves: every direction counter
+// weakly taken, no global history, an empty BTB and return-address
+// stack, and zero statistics. It fails only for a direction predictor
+// NewUnit does not build.
+func (u *Unit) Reset() error {
+	if !resetDir(u.Dir) {
+		return fmt.Errorf("bpred: cannot reset a %s predictor", u.Dir.Name())
+	}
+	for i := range u.BTB.tags {
+		u.BTB.tags[i] = -1
+	}
+	clear(u.BTB.targets)
+	clear(u.RAS.stack)
+	u.RAS.top = 0
+	u.stats = Stats{}
+	return nil
+}
+
+// resetDir returns d's counters to weakly taken and its history to
+// empty, and reports whether it knows d's type.
+func resetDir(d DirPredictor) bool {
+	switch d := d.(type) {
+	case *Bimodal:
+		fillWeaklyTaken(d.table)
+	case *GShare:
+		fillWeaklyTaken(d.table)
+		d.history = 0
+	case *Combined:
+		resetDir(d.bim)
+		resetDir(d.gsh)
+		fillWeaklyTaken(d.meta)
+	default:
+		return false
+	}
+	return true
+}
+
+func fillWeaklyTaken(t []counter) {
+	for i := range t {
+		t[i] = 2
+	}
+}
+
 // copyDir copies src's direction-predictor state into dst and reports
 // whether it could: dst must be a predictor of the same type and table
 // sizes.

@@ -240,7 +240,8 @@ func driveHierarchy(h *Hierarchy, seed uint64, n int) []int {
 }
 
 // TestHierarchyCopyFrom: a copy of a warmed hierarchy equals the
-// original — contents, stamps, clocks and statistics — and then answers
+// original — contents, stamps, clocks and statistics (Hierarchy.Equal;
+// touched-set bookkeeping records history, not state) — and then answers
 // a continued access stream exactly as the original does, while driving
 // the copy leaves the original untouched. The subtest is named for LRU,
 // the replacement every cache level uses.
@@ -257,10 +258,10 @@ func TestHierarchyCopyFrom(t *testing.T) {
 		driveHierarchy(src, 1, 5000)
 		driveHierarchy(ref, 1, 5000)
 		driveHierarchy(dst, 99, 300) // stale contents to overwrite
-		if err := dst.CopyFrom(src); err != nil {
+		if _, err := dst.CopyFrom(src); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(dst, src) {
+		if !dst.Equal(src) {
 			t.Fatal("copy differs from its source")
 		}
 		if dst.IL1.next != dst.L2 || dst.DL1.next != dst.L2 || dst.L2.next != dst.Mem {
@@ -271,12 +272,12 @@ func TestHierarchyCopyFrom(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Error("copy answers a continued stream differently from the original")
 		}
-		if !reflect.DeepEqual(dst, ref) {
+		if !dst.Equal(ref) {
 			t.Error("copy's state after the stream differs from the original's")
 		}
 		orig := newH()
 		driveHierarchy(orig, 1, 5000)
-		if !reflect.DeepEqual(src, orig) {
+		if !src.Equal(orig) {
 			t.Error("driving the copy changed the source")
 		}
 	})
@@ -287,7 +288,7 @@ func TestHierarchyCopyFrom(t *testing.T) {
 func TestCopyFromRejectsOtherGeometry(t *testing.T) {
 	a := smallCache(t, 1024, 2, testMem())
 	b := smallCache(t, 2048, 2, testMem())
-	if err := a.CopyFrom(b); err == nil {
+	if _, err := a.CopyFrom(b); err == nil {
 		t.Error("copy between different capacities accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"mlpa/internal/bpred"
 	"mlpa/internal/cache"
 	"mlpa/internal/emu"
+	"mlpa/internal/obs"
 	"mlpa/internal/prog"
 )
 
@@ -92,10 +94,23 @@ func warmedAt(t *testing.T, p *prog.Program, cfg Config, warm uint64) (*emu.Mach
 	return m, s
 }
 
-// sameWarmState reports whether two contexts hold identical caches,
-// branch units and fetch-block registers.
+// sameWarmState reports whether two contexts hold identical warm
+// state: cache lines, LRU stamps, clocks and statistics
+// (cache.Hierarchy.Equal, which leaves out the caches' touched-set
+// bookkeeping: it records how the state was reached, not the state),
+// predictor tables and history, BTB, RAS, branch statistics and the
+// fetch-block register.
 func sameWarmState(a, b *Sim) bool {
-	return reflect.DeepEqual(a.hier, b.hier) && reflect.DeepEqual(a.bu, b.bu) && a.lastFetchBlock == b.lastFetchBlock
+	return a.hier.Equal(b.hier) && reflect.DeepEqual(a.bu, b.bu) && a.lastFetchBlock == b.lastFetchBlock
+}
+
+// sameSim reports whether two contexts hold identical state: their
+// warm state (sameWarmState) and every other field, pipeline and
+// counters included, as reflect.DeepEqual compares them.
+func sameSim(a, b *Sim) bool {
+	ac, bc := *a, *b
+	ac.hier, bc.hier = nil, nil
+	return sameWarmState(a, b) && reflect.DeepEqual(ac, bc)
 }
 
 const (
@@ -145,7 +160,7 @@ func TestForkMatchesFreshContext(t *testing.T) {
 		if got != want {
 			t.Errorf("fork result %+v, fresh context %+v", got, want)
 		}
-		if !reflect.DeepEqual(fork, fresh) {
+		if !sameSim(fork, fresh) {
 			t.Error("fork's state after the window differs from the fresh context's")
 		}
 		if !sameWarmState(spine, before) {
@@ -159,10 +174,9 @@ func TestForkMatchesFreshContext(t *testing.T) {
 // load/store queue, register producers and counters all start over —
 // and leaves the source as it was. There are two sources: a spine
 // warmed over [0, forkWarmA), whose fork runs a window at once, and a
-// never-run context, as when a chunk's later spine start forks one into
-// the previous spine's dead context, whose fork first warms forkWarmB
-// instructions. Either fork's result and state after the window match
-// a new context's with the same history.
+// never-run context, whose fork first warms forkWarmB instructions.
+// Either fork's result and state after the window match a new
+// context's with the same history.
 func TestForkIntoReusedContext(t *testing.T) {
 	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
 		// source returns a machine at instruction warm and a context
@@ -194,7 +208,7 @@ func TestForkIntoReusedContext(t *testing.T) {
 				if fork != used {
 					t.Error("ForkInto allocated although dst fits the configuration")
 				}
-				if !reflect.DeepEqual(src, before) {
+				if !sameSim(src, before) {
 					t.Error("forking changed the source")
 				}
 				fm, fresh := source(c.warm)
@@ -215,7 +229,7 @@ func TestForkIntoReusedContext(t *testing.T) {
 				if res[0] != res[1] {
 					t.Errorf("reused fork result %+v, fresh context %+v", res[0], res[1])
 				}
-				if !reflect.DeepEqual(fork, fresh) {
+				if !sameSim(fork, fresh) {
 					t.Error("reused fork's state after the window differs from the fresh context's")
 				}
 			})
@@ -239,4 +253,91 @@ func TestForkIntoOtherConfig(t *testing.T) {
 	if fork == other || fork.Config() != spine.Config() || !sameWarmState(fork, spine) {
 		t.Error("fork into another configuration's context did not yield a fresh copy of the spine")
 	}
+}
+
+// TestForkAndResetReuseTouchedSets follows one spine and its detail
+// context through the pipeline's pattern: fork and run a window, warm
+// the spine further and fork into the same context again (a paired
+// copy of the touched sets only), then reset the spine in place, warm
+// a new window from elsewhere and fork once more. Every window's
+// result and the fork's state after it match a new context warmed over
+// the same history, the reset spine matches a new context, and the
+// counters count each call.
+func TestForkAndResetReuseTouchedSets(t *testing.T) {
+	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
+		reg := obs.NewRegistry()
+		m, spine := warmedAt(t, p, cfg, forkWarmA)
+		spine.Metrics = reg
+		var fork *Sim
+		// window forks the spine into fork, runs a window of n
+		// instructions on a clone of m, and compares with a new context
+		// warmed over [from, m.Insts).
+		window := func(step string, from, n uint64) {
+			t.Helper()
+			var err error
+			if fork, err = spine.ForkInto(fork); err != nil {
+				t.Fatal(err)
+			}
+			got, err := fork.RunWindow(m.Clone(), forkLead, n, forkTail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fm := emu.New(p, 0)
+			if _, err := fm.RunTo(context.Background(), from); err != nil {
+				t.Fatal(err)
+			}
+			fresh := MustNew(cfg)
+			if err := fresh.Warm(fm, m.Insts-from); err != nil {
+				t.Fatal(err)
+			}
+			fresh.Metrics = reg
+			want, err := fresh.RunWindow(fm, forkLead, n, forkTail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s: fork result %+v, fresh context %+v", step, got, want)
+			}
+			if !sameSim(fork, fresh) {
+				t.Errorf("%s: fork's state after the window differs from the fresh context's", step)
+			}
+		}
+		window("first fork", 0, forkWindow)
+		if err := spine.Warm(m, 300); err != nil {
+			t.Fatal(err)
+		}
+		// A short window leaves the fork's other sets as the paired copy
+		// left them, so the next fork must copy the sets the spine's
+		// reset rewrote.
+		window("paired fork", 0, 64)
+
+		if err := spine.ResetCold(); err != nil {
+			t.Fatal(err)
+		}
+		cold := MustNew(cfg)
+		cold.Metrics = reg
+		if !sameSim(spine, cold) {
+			t.Fatal("reset spine differs from a new context")
+		}
+		from := m.Insts + 5000
+		if _, err := m.RunTo(context.Background(), from); err != nil {
+			t.Fatal(err)
+		}
+		// A short warm leaves most of the sets the reset rewrote
+		// untouched, so the fork must copy them as the reset left them.
+		if err := spine.Warm(m, 300); err != nil {
+			t.Fatal(err)
+		}
+		window("fork after reset", from, forkWindow)
+
+		if n := reg.Counter("cpu.fork.calls").Value(); n != 3 {
+			t.Errorf("cpu.fork.calls = %d, want 3", n)
+		}
+		if n := reg.Counter("cpu.reset.calls").Value(); n != 1 {
+			t.Errorf("cpu.reset.calls = %d, want 1", n)
+		}
+		if reg.Counter("cpu.fork.sets").Value() == 0 || reg.Counter("cpu.reset.sets").Value() == 0 {
+			t.Error("cpu.fork.sets or cpu.reset.sets stayed 0")
+		}
+	})
 }

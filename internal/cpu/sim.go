@@ -42,9 +42,10 @@ type wakeState struct {
 // Sim is one detailed simulation context: pipeline state plus memory
 // system and branch unit. State persists across Run calls so a full
 // program can be simulated in consecutive regions with warm
-// structures. New makes a cold context; ForkInto makes a context that
-// continues a functionally warmed one with an empty pipeline, which is
-// how a sampled simulation point enters detailed mode.
+// structures. New makes a cold context and ResetCold returns one to
+// that state; ForkInto makes a context that continues a functionally
+// warmed one with an empty pipeline, which is how a sampled simulation
+// point enters detailed mode.
 type Sim struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -143,10 +144,14 @@ func New(cfg Config) (*Sim, error) {
 // state: dst's caches, branch unit and fetch-block register become
 // copies of s's, and its pipeline, cycle counter and telemetry are
 // reset to those of a new context, so running the fork is equivalent
-// to running a cpu.New context warmed over the same history as s. s is
-// not modified, and the fork inherits s's Metrics. dst's storage is
-// reused when dst was built for s's configuration; a nil or other-
-// configuration dst is replaced by a new context.
+// to running a cpu.New context warmed over the same history as s. s's
+// architectural state is not modified, and the fork inherits s's
+// Metrics. dst's storage is reused when dst was built for s's
+// configuration; a nil or other-configuration dst is replaced by a new
+// context. Forking into the context s last forked copies only the cache
+// sets either side touched since (cache.Cache.CopyFrom). With Metrics
+// set, each call adds to counters cpu.fork.calls and cpu.fork.sets (the
+// cache sets copied).
 func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
 	if dst == nil || dst.cfg != s.cfg {
 		var err error
@@ -156,7 +161,8 @@ func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
 	} else {
 		dst.resetPipeline()
 	}
-	if err := dst.hier.CopyFrom(s.hier); err != nil {
+	sets, err := dst.hier.CopyFrom(s.hier)
+	if err != nil {
 		return nil, err
 	}
 	if err := dst.bu.CopyFrom(s.bu); err != nil {
@@ -164,7 +170,32 @@ func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
 	}
 	dst.lastFetchBlock = s.lastFetchBlock
 	dst.Metrics = s.Metrics
+	if s.Metrics != nil {
+		s.Metrics.Counter("cpu.fork.calls").Add(1)
+		s.Metrics.Counter("cpu.fork.sets").Add(int64(sets))
+	}
 	return dst, nil
+}
+
+// ResetCold returns s to the state New leaves, in place: an empty
+// pipeline, cold caches and branch unit, and zeroed counters. Only the
+// cache sets used since the caches were cold are rewritten
+// (cache.Cache.ResetCold), so restarting a context that warmed a short
+// window costs that window's footprint, not the hierarchy's size.
+// Metrics is kept; with it set, each call adds to counters
+// cpu.reset.calls and cpu.reset.sets (the cache sets rewritten).
+func (s *Sim) ResetCold() error {
+	s.resetPipeline()
+	sets := s.hier.ResetCold()
+	if err := s.bu.Reset(); err != nil {
+		return err
+	}
+	s.lastFetchBlock = -1
+	if s.Metrics != nil {
+		s.Metrics.Counter("cpu.reset.calls").Add(1)
+		s.Metrics.Counter("cpu.reset.sets").Add(int64(sets))
+	}
+	return nil
 }
 
 // resetPipeline returns every piece of timing-model state to what New

@@ -42,7 +42,9 @@ type Options struct {
 	// kmeans.unconverged (restarts that hit MaxIters) and counter
 	// kmeans.skipped_iterations (Lloyd iterations jumped over once a
 	// restart was found to cycle; they still count in
-	// kmeans.iterations).
+	// kmeans.iterations) and counter kmeans.seed_rounds (k-means++
+	// rounds, one per centroid each restart's seeding adds; a Best call
+	// seeds each restart once, up to Kmax).
 	Metrics *obs.Registry
 }
 
@@ -84,7 +86,10 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("kmeans: k = %d < 1", k)
 	}
 	opts = opts.withDefaults()
-	return newDataset(points, opts.SampleCap).cluster(k, opts), nil
+	ds := newDataset(points, opts.SampleCap)
+	r := ds.cluster(k, opts)
+	opts.Metrics.Counter("kmeans.seed_rounds").Add(int64(ds.rounds))
+	return r, nil
 }
 
 // validate rejects an empty or ragged point set.
@@ -108,10 +113,11 @@ type dataset struct {
 	// sample is the set Lloyd runs on: a deterministic stride sample
 	// of all when SampleCap binds, otherwise all itself.
 	sample *rowSet
-	// streams[r] logs restart r's random stream. Every k replays it
-	// from its start, so the generator is seeded once per call rather
-	// than once per k and restart.
-	streams []*streamLog
+	// seeds[r] is restart r's k-means++ seeding of sample, grown to the
+	// current k. Calls to cluster must not decrease k.
+	seeds []*seeding
+	// rounds counts the seeding rounds run (kmeans.seed_rounds).
+	rounds int
 }
 
 func newDataset(points [][]float64, sampleCap int) *dataset {
@@ -134,13 +140,13 @@ func (ds *dataset) cluster(k int, opts Options) *Result {
 	if n := len(ds.sample.points); k > n {
 		k = n
 	}
-	for r := len(ds.streams); r < opts.Restarts; r++ {
-		ds.streams = append(ds.streams, newStreamLog(opts.Seed+int64(r)*7919))
+	for r := len(ds.seeds); r < opts.Restarts; r++ {
+		ds.seeds = append(ds.seeds, newSeeding(ds.sample, opts.Seed+int64(r)*7919))
 	}
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
-		rng := rand.New(&replaySource{log: ds.streams[r]})
-		res, skipped := lloyd(ds.sample, k, rng, opts.MaxIters)
+		ds.rounds += ds.seeds[r].grow(ds.sample, k)
+		res, skipped := lloyd(ds.sample, ds.seeds[r], k, opts.MaxIters)
 		opts.Metrics.Counter("kmeans.restarts").Inc()
 		opts.Metrics.Counter("kmeans.skipped_iterations").Add(int64(skipped))
 		opts.Metrics.Histogram("kmeans.iterations").Observe(float64(res.Iters))
@@ -160,41 +166,6 @@ func (ds *dataset) cluster(k int, opts Options) *Result {
 	return best
 }
 
-// streamLog records the values one seeded generator yields, drawing
-// each only when a reader first reaches it.
-type streamLog struct {
-	src  rand.Source
-	vals []int64
-}
-
-func newStreamLog(seed int64) *streamLog {
-	return &streamLog{src: rand.NewSource(seed)}
-}
-
-// replaySource is a rand.Source that reads a streamLog from its start:
-// a rand.Rand over it draws exactly what one over
-// rand.NewSource(seed) would, since every Rand method the clustering
-// uses (Intn, Float64) reads the source through Int63 alone.
-type replaySource struct {
-	log *streamLog
-	pos int
-}
-
-// Int63 returns the next logged value, extending the log on demand.
-func (s *replaySource) Int63() int64 {
-	if s.pos == len(s.log.vals) {
-		s.log.vals = append(s.log.vals, s.log.src.Int63())
-	}
-	v := s.log.vals[s.pos]
-	s.pos++
-	return v
-}
-
-// Seed restarts the source on a fresh log of seed's stream.
-func (s *replaySource) Seed(seed int64) {
-	s.log, s.pos = newStreamLog(seed), 0
-}
-
 // rowSet indexes the bit-distinct rows of a point set and holds the
 // scratch the clustering loops reuse. Nearest-centroid and k-means++
 // distances are pure functions of a row's bits and the centroids, so
@@ -206,7 +177,7 @@ type rowSet struct {
 	uniq   []int     // index of each distinct row's first occurrence, in point order
 	of     []int     // of[i] = position in uniq of points[i]'s row
 	near   []int     // per distinct row: nearest centroid
-	dist   []float64 // per distinct row: k-means++ minimum or nearest distance
+	dist   []float64 // per distinct row: distance to a centroid, scratch of one pass
 	snap   []int     // lloyd's cycle-detection snapshot of the assignment vector
 }
 
@@ -299,8 +270,112 @@ func nearestCentroid(p []float64, cents [][]float64) (int, float64) {
 	return bi, bd
 }
 
-// lloyd runs one seeded k-means attempt on rs's rows and returns the
-// result with the number of iterations it jumped over.
+// nearestFrom is nearestCentroid's index, found by a scan that starts
+// from centroid prev as the incumbent. When prev is still the nearest,
+// as it mostly is after Lloyd's first iterations, the bound is tight
+// from the start and every other candidate is abandoned early. The
+// result is the same: the smallest index among the centroids at the
+// minimum distance. Candidates before prev therefore also win a tie
+// with prev, and a prev at a NaN or infinite distance, which bounds
+// nothing, falls back to the plain scan.
+func nearestFrom(p []float64, cents [][]float64, prev int) int {
+	bd := linalg.Dist2(p, cents[prev])
+	if !(bd < math.Inf(1)) {
+		bi, _ := nearestCentroid(p, cents)
+		return bi
+	}
+	bi := prev
+	for c := 0; c < prev; c++ {
+		if dd := linalg.Dist2Bounded(p, cents[c], bd); dd < bd || (dd == bd && bi == prev) {
+			bi, bd = c, dd
+		}
+	}
+	for c := prev + 1; c < len(cents); c++ {
+		if dd := linalg.Dist2Bounded(p, cents[c], bd); dd < bd {
+			bi, bd = c, dd
+		}
+	}
+	return bi
+}
+
+// seeding is one restart's k-means++ seeding of a row set, grown one
+// centroid at a time. The round that picks centroid j reads only the
+// centroids before it and the restart's random stream, so the first k
+// centroids of a seeding grown to Kmax are exactly the seeds a seeding
+// stopped at k picks, and one seeding per restart serves every k of a
+// Best call.
+type seeding struct {
+	rng   *rand.Rand
+	cents [][]float64
+	// dist and near hold, per distinct row, the squared distance to the
+	// nearest centroid so far and that centroid's index. Each round
+	// measures only the newest centroid, with Dist2Bounded pruning
+	// against dist and the strict < update of a scan in index order, so
+	// near is the assignment nearestCentroid makes over the centroids
+	// so far: Lloyd's first assignment at the current k.
+	dist []float64
+	near []int
+}
+
+func newSeeding(rs *rowSet, seed int64) *seeding {
+	sd := &seeding{
+		rng:  rand.New(rand.NewSource(seed)),
+		dist: make([]float64, len(rs.uniq)),
+		near: make([]int, len(rs.uniq)),
+	}
+	for u := range sd.dist {
+		sd.dist[u] = math.Inf(1)
+	}
+	return sd
+}
+
+// grow adds k-means++ centroids until there are k and returns the
+// number of rounds run. The round total and the weighted draw walk
+// every point in order, so every distance, total and random draw is
+// what seeding from scratch for this k computes (TestSeedPlusPlusInvariant).
+func (sd *seeding) grow(rs *rowSet, k int) int {
+	points := rs.points
+	n := len(points)
+	rounds := 0
+	for len(sd.cents) < k {
+		idx := 0
+		if len(sd.cents) == 0 {
+			idx = sd.rng.Intn(n)
+		} else {
+			var total float64
+			for _, u := range rs.of {
+				total += sd.dist[u]
+			}
+			if total == 0 {
+				// All remaining points coincide with existing centroids.
+				idx = sd.rng.Intn(n)
+			} else {
+				target := sd.rng.Float64() * total
+				for i, u := range rs.of {
+					target -= sd.dist[u]
+					if target <= 0 {
+						idx = i
+						break
+					}
+				}
+			}
+		}
+		c := len(sd.cents)
+		newest := append([]float64(nil), points[idx]...)
+		sd.cents = append(sd.cents, newest)
+		for u, i := range rs.uniq {
+			if v := linalg.Dist2Bounded(points[i], newest, sd.dist[u]); v < sd.dist[u] {
+				sd.dist[u], sd.near[u] = v, c
+			}
+		}
+		rounds++
+	}
+	return rounds
+}
+
+// lloyd runs one k-means attempt on rs's rows from the first k
+// centroids of sd, which must have exactly k, and returns the result
+// with the number of iterations it jumped over.
 //
 // Everything after the assignment step (centroid sums, empty-cluster
 // repair) is a pure function of the assignment vector that step
@@ -311,25 +386,45 @@ func nearestCentroid(p []float64, cents [][]float64) (int, float64) {
 // maxIters unconverged iterations exactly as an unjumped run would.
 // Repeats are found Brent-style with one snapshot, refreshed at
 // iterations 0, 1, 3, 7, 15, ..., which catches a cycle of any period.
-func lloyd(rs *rowSet, k int, rng *rand.Rand, maxIters int) (*Result, int) {
+//
+// The first assignment is the seeding's, each later one starts every
+// row's scan from its previous centroid (nearestFrom), and an update
+// recomputes only the clusters whose members changed while the
+// centroids are still plain means (see docs/PERFORMANCE.md, "Exact
+// k-means pruning").
+func lloyd(rs *rowSet, sd *seeding, k, maxIters int) (*Result, int) {
 	points := rs.points
 	n := len(points)
-	cents := seedPlusPlus(rs, k, rng)
+	cents := make([][]float64, k)
+	for c := range cents {
+		cents[c] = append([]float64(nil), sd.cents[c]...)
+	}
+	copy(rs.near, sd.near)
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
 	}
 	sizes := make([]int, k)
+	// means reports that every centroid is the mean of its cluster in
+	// assign, that is, the last update repaired no empty cluster; only
+	// then does moved record the clusters that gained or lost a point.
+	means := false
+	moved := make([]bool, k)
 
 	iters, converged, skipped := maxIters, false, 0
 	snapAt := -1
 	for iter := 0; iter < maxIters; iter++ {
-		for u, i := range rs.uniq {
-			rs.near[u], _ = nearestCentroid(points[i], cents)
+		if iter > 0 {
+			for u, i := range rs.uniq {
+				rs.near[u] = nearestFrom(points[i], cents, rs.near[u])
+			}
 		}
 		changed := false
 		for i, u := range rs.of {
 			if bi := rs.near[u]; assign[i] != bi {
+				if means {
+					moved[assign[i]], moved[bi] = true, true
+				}
 				assign[i] = bi
 				changed = true
 			}
@@ -349,109 +444,100 @@ func lloyd(rs *rowSet, k int, rng *rand.Rand, maxIters int) (*Result, int) {
 			snapAt = iter
 		}
 		// Recompute centroids.
-		for c := range cents {
-			for j := range cents[c] {
-				cents[c][j] = 0
-			}
-			sizes[c] = 0
-		}
-		for i, p := range points {
-			c := assign[i]
+		clear(sizes)
+		for _, c := range assign {
 			sizes[c]++
-			linalg.AXPY(cents[c], 1, p)
 		}
-		for c := range cents {
-			if sizes[c] == 0 {
-				// Empty cluster: re-seed at the point farthest from
-				// its centroid. Two conditions here are part of the
-				// result and pinned by the frozen reference: the
-				// search measures clusters after c against their
-				// still-unscaled sums, and the donor's centroid is
-				// not adjusted for the point it gives up (a donor
-				// after c is later scaled by its decremented size).
-				// The search stays per point because duplicate rows
-				// can sit in different clusters after a repair.
-				far, fd := 0, -1.0
-				for i, p := range points {
-					if dd := linalg.Dist2(p, cents[assign[i]]); dd > fd && sizes[assign[i]] > 1 {
-						far, fd = i, dd
-					}
+		empty := slices.Contains(sizes, 0)
+		if means && !empty {
+			// A cluster with the same members has the same sum in the
+			// same order, so only the moved ones change.
+			for c := range cents {
+				if moved[c] {
+					clear(cents[c])
 				}
-				copy(cents[c], points[far])
-				sizes[assign[far]]--
-				assign[far] = c
-				sizes[c] = 1
-				continue
 			}
-			linalg.Scale(cents[c], 1/float64(sizes[c]))
+			for i, p := range points {
+				if c := assign[i]; moved[c] {
+					linalg.AXPY(cents[c], 1, p)
+				}
+			}
+			for c := range cents {
+				if moved[c] {
+					linalg.Scale(cents[c], 1/float64(sizes[c]))
+				}
+			}
+		} else {
+			means = !empty
+			for c := range cents {
+				clear(cents[c])
+			}
+			for i, p := range points {
+				linalg.AXPY(cents[assign[i]], 1, p)
+			}
+			for c := range cents {
+				if sizes[c] == 0 {
+					// Empty cluster: re-seed at the point farthest from
+					// its centroid. Two conditions here are part of the
+					// result and pinned by the frozen reference: the
+					// search measures clusters after c against their
+					// still-unscaled sums, and the donor's centroid is
+					// not adjusted for the point it gives up (a donor
+					// after c is later scaled by its decremented size).
+					far := rs.farthest(cents, assign, sizes)
+					copy(cents[c], points[far])
+					sizes[assign[far]]--
+					assign[far] = c
+					sizes[c] = 1
+					continue
+				}
+				linalg.Scale(cents[c], 1/float64(sizes[c]))
+			}
 		}
+		clear(moved)
 	}
 
-	// Final sizes and inertia stay per point too: after a repair,
-	// duplicate rows can sit in different clusters.
-	for c := range sizes {
-		sizes[c] = 0
+	// Final sizes and inertia. After a repair, duplicate rows can sit
+	// in different clusters, so a point off its row's nearest cluster
+	// is measured on its own.
+	clear(sizes)
+	for u, i := range rs.uniq {
+		rs.dist[u] = linalg.Dist2(points[i], cents[rs.near[u]])
 	}
 	var inertia float64
-	for i, p := range points {
-		sizes[assign[i]]++
-		inertia += linalg.Dist2(p, cents[assign[i]])
+	for i, u := range rs.of {
+		c := assign[i]
+		sizes[c]++
+		if c == rs.near[u] {
+			inertia += rs.dist[u]
+		} else {
+			inertia += linalg.Dist2(points[i], cents[c])
+		}
 	}
 	return &Result{K: k, Assign: assign, Centroids: cents, Sizes: sizes, Inertia: inertia,
 		Iters: iters, Converged: converged}, skipped
 }
 
-// seedPlusPlus picks k initial centroids by k-means++ sampling.
-//
-// The nearest-centroid distances are maintained incrementally: each
-// distinct row's entry in rs.dist already holds its minimum distance
-// to every previously chosen centroid, so each round only measures
-// against the newest one — O(n·k·d) total instead of the naive
-// O(n·k²·d) rescan, and only over distinct rows — and the comparison
-// against the incumbent minimum uses the same strict < update the
-// rescan applied centroid-by-centroid, with Dist2Bounded pruning
-// against the incumbent. The round total and the weighted draw still
-// walk every point in order. All of this leaves every distance, the
-// round totals, and the rng draw sequence bit-identical to the naive
-// version (TestSeedPlusPlusInvariant).
-func seedPlusPlus(rs *rowSet, k int, rng *rand.Rand) [][]float64 {
-	points := rs.points
-	n := len(points)
-	cents := make([][]float64, 0, k)
-	first := rng.Intn(n)
-	cents = append(cents, append([]float64(nil), points[first]...))
-	dists := rs.dist
-	for u := range dists {
-		dists[u] = math.Inf(1)
+// farthest returns the point an empty-cluster repair moves: the first,
+// in point order, at the greatest distance from its cluster's current
+// centroid among clusters of more than one point, or point 0 when no
+// point qualifies. Only points still in their row's nearest cluster can
+// qualify: the assignment step puts every point there, and a point an
+// earlier repair moved sits alone in the cluster it filled. So the
+// distance is computed once per distinct row.
+func (rs *rowSet) farthest(cents [][]float64, assign, sizes []int) int {
+	for u, i := range rs.uniq {
+		if c := rs.near[u]; sizes[c] > 1 {
+			rs.dist[u] = linalg.Dist2(rs.points[i], cents[c])
+		}
 	}
-	for len(cents) < k {
-		newest := cents[len(cents)-1]
-		for u, i := range rs.uniq {
-			if v := linalg.Dist2Bounded(points[i], newest, dists[u]); v < dists[u] {
-				dists[u] = v
-			}
+	far, fd := 0, -1.0
+	for i, u := range rs.of {
+		if sizes[assign[i]] > 1 && rs.dist[u] > fd {
+			far, fd = i, rs.dist[u]
 		}
-		var total float64
-		for _, u := range rs.of {
-			total += dists[u]
-		}
-		if total == 0 {
-			// All remaining points coincide with existing centroids.
-			cents = append(cents, append([]float64(nil), points[rng.Intn(n)]...))
-			continue
-		}
-		target := rng.Float64() * total
-		idx := 0
-		for i, u := range rs.of {
-			target -= dists[u]
-			if target <= 0 {
-				idx = i
-				break
-			}
-		}
-		cents = append(cents, append([]float64(nil), points[idx]...))
 	}
-	return cents
+	return far
 }
 
 // bic scores a clustering with the Pelleg-Moore spherical-Gaussian
@@ -511,6 +597,7 @@ func Best(points [][]float64, kmax int, opts Options) (*Result, error) {
 		}
 	}
 	opts.Metrics.Histogram("kmeans.chosen_k").Observe(float64(chosen.K))
+	opts.Metrics.Counter("kmeans.seed_rounds").Add(int64(ds.rounds))
 	return chosen, nil
 }
 

@@ -1,6 +1,6 @@
 package kmeans
 
-// Invariance tests for the exact shortcuts in lloyd, seedPlusPlus, and
+// Invariance tests for the exact shortcuts in lloyd, the seeding, and
 // assignAll — partial-distance early exits, one distance computation
 // per bit-distinct row, and the jump over Lloyd repair cycles — which
 // must be invisible: identical assignments, centroid bits, inertia
@@ -147,6 +147,14 @@ func refAssignAll(points [][]float64, r *Result) *Result {
 	return out
 }
 
+// seededLloyd seeds one restart from rand.NewSource(seed) up to k
+// centroids and runs lloyd from that seeding.
+func seededLloyd(rs *rowSet, k int, seed int64, maxIters int) (*Result, int) {
+	sd := newSeeding(rs, seed)
+	sd.grow(rs, k)
+	return lloyd(rs, sd, k, maxIters)
+}
+
 // --- Data generators: BBV-shaped matrices with heavy ties ---
 
 // syntheticBBVs builds n sparse rows in d dimensions clustered around
@@ -232,7 +240,7 @@ func TestLloydPruningInvariant(t *testing.T) {
 				if k > sh.n {
 					continue
 				}
-				got, _ := lloyd(newRowSet(points), k, rand.New(rand.NewSource(seed)), 100)
+				got, _ := seededLloyd(newRowSet(points), k, seed, 100)
 				want := refLloyd(points, k, rand.New(rand.NewSource(seed)), 100)
 				sameResult(t, "lloyd", got, want)
 			}
@@ -259,9 +267,11 @@ func TestSeedPlusPlusInvariant(t *testing.T) {
 				if k > len(pts) {
 					continue
 				}
-				rngA := rand.New(rand.NewSource(seed))
+				rs := newRowSet(pts)
+				sd := newSeeding(rs, seed)
+				sd.grow(rs, k)
 				rngB := rand.New(rand.NewSource(seed))
-				got := seedPlusPlus(newRowSet(pts), k, rngA)
+				got := sd.cents
 				want := refSeedPlusPlus(pts, k, rngB)
 				if len(got) != len(want) {
 					t.Fatalf("centroid count %d != %d", len(got), len(want))
@@ -274,7 +284,7 @@ func TestSeedPlusPlusInvariant(t *testing.T) {
 						}
 					}
 				}
-				if a, b := rngA.Int63(), rngB.Int63(); a != b {
+				if a, b := sd.rng.Int63(), rngB.Int63(); a != b {
 					t.Fatalf("seed %d k %d: rng streams diverged (%d != %d)", seed, k, a, b)
 				}
 			}
@@ -484,7 +494,7 @@ func TestLloydCycleJumpInvariant(t *testing.T) {
 		for _, maxIters := range []int{1, 2, 3, 7, 100} {
 			for _, seed := range []int64{1, -3} {
 				for k := 1; k <= 30 && k <= len(points); k++ {
-					got, sk := lloyd(rs, k, rand.New(rand.NewSource(seed)), maxIters)
+					got, sk := seededLloyd(rs, k, seed, maxIters)
 					want := refLloyd(points, k, rand.New(rand.NewSource(seed)), maxIters)
 					sameResult(t, fmt.Sprintf("%s maxIters=%d seed=%d k=%d", name, maxIters, seed, k), got, want)
 					skipped += sk

@@ -286,30 +286,19 @@ type spine struct {
 	// start is the machine's state at the spine's warm start, captured
 	// only when the chunk's next spine start rewinds to it.
 	start *ckpt.State
-	// cold is a context that never runs, created at the chunk's second
-	// spine start: every spine start after the first forks it into
-	// the previous spine's context instead of allocating a new one.
-	cold *cpu.Sim
 }
 
 // restart gives the spine a cold context for a new warm start. The
-// chunk's first spine allocates it. A later spine forks cold into the
-// previous spine's context, which ran the previous point's window and
-// is dead, so it reuses that context's cache and predictor storage and
-// starts exactly as a new context would.
+// chunk's first spine allocates it. A later spine resets the previous
+// spine's context in place: that context ran the previous point's
+// window and is dead, and the reset rewrites only the cache sets it
+// used (cpu.Sim.ResetCold).
 func (sp *spine) restart(cfg cpu.Config, reg *obs.Registry) error {
-	var err error
-	if sp.warm == nil {
-		sp.warm, err = cpu.New(cfg)
-	} else {
-		if sp.cold == nil {
-			if sp.cold, err = cpu.New(cfg); err != nil {
-				return err
-			}
-		}
-		sp.warm, err = sp.cold.ForkInto(sp.warm)
+	if sp.warm != nil {
+		return sp.warm.ResetCold()
 	}
-	if err != nil {
+	var err error
+	if sp.warm, err = cpu.New(cfg); err != nil {
 		return err
 	}
 	sp.warm.Metrics = reg
@@ -630,8 +619,8 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 //   - Any other point starts a new spine: positionMachine restores the
 //     machine from the checkpoint set or walks it forward to the warm
 //     start, and a cold context then warms the whole window. Only a
-//     chunk's first spine allocates that context; later ones reuse the
-//     previous spine's (spine.restart).
+//     chunk's first spine allocates that context; later ones reset the
+//     previous spine's in place (spine.restart).
 //
 // When the next point will continue the spine, runPoint captures the
 // machine's state at this boundary (all-live) and runs the detailed

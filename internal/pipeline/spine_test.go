@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlpa/internal/bench"
+	"mlpa/internal/cache"
 	"mlpa/internal/ckpt"
 	"mlpa/internal/coasts"
 	"mlpa/internal/config"
@@ -337,6 +338,71 @@ func TestSpineCostModel(t *testing.T) {
 		// the chunk starts at it or runs it after its predecessor.
 		if got := startCost(tasks, i, false) - float64(tasks[i].warmStart) + taskCost(tasks, i, ptLen) - float64(tasks[i].skip) - detail(tasks[i]); got != warmCostFactor*float64(tasks[i].warm) {
 			t.Errorf("point %d: chunk-start warming charge %v, want the whole window %v", i, got, warmCostFactor*float64(tasks[i].warm))
+		}
+	}
+}
+
+// TestForkAndResetCounters: at one worker a spine forks once for each
+// point its successor continues, and restarts once for each later
+// spine start. After a chunk's first fork into its detail context,
+// forks copy only the cache sets either side touched, and restarts
+// rewrite only the sets the spine used, so each rewrites fewer sets
+// than a whole hierarchy holds.
+func TestForkAndResetCounters(t *testing.T) {
+	spec := bench.Suite()[0]
+	p := spec.MustProgram(bench.SizeTiny)
+	plan, _, _, err := simpoint.Select(p, simpoint.Config{
+		IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.BaseA()
+	var hierSets int64
+	for _, c := range []cache.Config{cfg.Caches.IL1, cfg.Caches.DL1, cfg.Caches.L2} {
+		hierSets += c.TotalBytes / (c.BlockBytes * int64(c.Assoc))
+	}
+	for _, opts := range []ExecOptions{
+		{Warmup: math.MaxUint64, DetailLeadIn: 512},
+		{Warmup: bench.FineInterval(bench.SizeTiny) / 2, DetailLeadIn: 256},
+	} {
+		opts.Workers = 1
+		opts.Obs = obs.New(nil)
+		if _, err := ExecutePlan(p, plan, cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		tasks, err := planTasks(plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var forks, restarts int64
+		for pi := range tasks {
+			if pi+1 < len(tasks) && continuesSpine(tasks, pi+1) {
+				forks++
+			}
+			if pi > 0 && !continuesSpine(tasks, pi) {
+				restarts++
+			}
+		}
+		reg := opts.Obs.Metrics()
+		label := fmt.Sprintf("warmup %d", opts.Warmup)
+		for _, c := range []struct {
+			name       string
+			calls, max int64
+		}{
+			{"cpu.fork", forks, forks * hierSets},
+			{"cpu.reset", restarts, restarts * hierSets},
+		} {
+			calls, sets := reg.Counter(c.name+".calls").Value(), reg.Counter(c.name+".sets").Value()
+			if calls != c.calls {
+				t.Errorf("%s: %s.calls = %d, want %d", label, c.name, calls, c.calls)
+			}
+			if c.calls > 1 && sets >= c.max {
+				t.Errorf("%s: %s.sets = %d, want fewer than %d calls × %d sets", label, c.name, sets, calls, hierSets)
+			}
+		}
+		if forks+restarts == 0 {
+			t.Errorf("%s: the plan neither forks nor restarts a spine", label)
 		}
 	}
 }

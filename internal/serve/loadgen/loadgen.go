@@ -24,7 +24,8 @@ type Options struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
 	// Endpoint is the API endpoint to exercise: analyze, plan or
-	// estimate (default plan).
+	// estimate (default plan). Estimate traffic pairs each seed with
+	// configs A and B in the distinct pool.
 	Endpoint string
 	// Clients is the number of concurrent requesters (default 4).
 	Clients int
@@ -112,6 +113,7 @@ type request struct {
 	Size      string `json:"size"`
 	Method    string `json:"method,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
+	Config    string `json:"config,omitempty"`
 }
 
 // Run drives the load and blocks until every request completes or ctx
@@ -131,13 +133,20 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 	bodies := make([][]byte, distinct)
 	for i := range bodies {
+		// Distinct seeds make distinct cache keys for plan and
+		// estimate traffic even on the same benchmark. Estimate traffic
+		// asks for each seed's estimate under both Table I configs, so
+		// the second reuses the plan and checkpoint set of the first.
+		id, cfg := i, ""
+		if o.Endpoint == "estimate" {
+			id, cfg = i/2, [2]string{"A", "B"}[i%2]
+		}
 		b, err := json.Marshal(request{
-			Benchmark: o.Benchmarks[i%len(o.Benchmarks)],
+			Benchmark: o.Benchmarks[id%len(o.Benchmarks)],
 			Size:      o.Size,
 			Method:    o.Method,
-			// Distinct seeds make distinct cache keys for plan and
-			// estimate traffic even on the same benchmark.
-			Seed: o.Seed + int64(i),
+			Seed:      o.Seed + int64(id),
+			Config:    cfg,
 		})
 		if err != nil {
 			return nil, err

@@ -92,3 +92,40 @@ func TestRunAgainstDrainingServer(t *testing.T) {
 		t.Errorf("draining = %d, want 10", rep.Draining)
 	}
 }
+
+// TestEstimateTrafficReusesAcrossConfigs: estimate-only traffic asks
+// for every seed under configs A and B, so the server selects each plan
+// and builds each checkpoint set once and reuses both for the other
+// config.
+func TestEstimateTrafficReusesAcrossConfigs(t *testing.T) {
+	rt := obs.New(nil)
+	s := serve.New(serve.Options{Obs: rt})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	rep, err := Run(context.Background(), Options{
+		BaseURL:     ts.URL,
+		Endpoint:    "estimate",
+		Clients:     2,
+		Requests:    8,
+		DupFraction: 0.5,
+		Benchmarks:  []string{"gzip"},
+		Size:        "tiny",
+		Method:      "smarts",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 8 || rep.Failures != 0 || rep.Distinct != 4 {
+		t.Fatalf("report: %+v, want 8 ok over 4 distinct bodies and no failures", rep)
+	}
+	reg := rt.Metrics()
+	for _, name := range []string{"serve.ckpt.reuses", "serve.plans.reuses"} {
+		if n := reg.Counter(name).Value(); n <= 0 {
+			t.Errorf("%s = %d after estimate-only traffic, want > 0", name, n)
+		}
+	}
+	if n := reg.Counter("serve.ckpt.builds").Value(); n != 2 {
+		t.Errorf("serve.ckpt.builds = %d, want one per seed (2)", n)
+	}
+}
