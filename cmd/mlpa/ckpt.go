@@ -84,8 +84,7 @@ func runCkptInfo(f *flags) error {
 	fmt.Printf("  program   %s (%s, data %d B)\n", set.ProgramName, set.ProgramHash[:12], set.DataSize)
 	fmt.Printf("  plan      %s/%s: %d points over %d insts\n",
 		set.Plan.Benchmark, set.Plan.Method, len(set.Plan.Points), set.Plan.TotalInsts)
-	fmt.Printf("  policy    warmup %d, lead-in %d, run-ahead %d\n",
-		set.Policy.Warmup, set.Policy.DetailLeadIn, set.Policy.RunAhead)
+	fmt.Printf("  policy    warmup %d, lead-in %d\n", set.Policy.Warmup, set.Policy.DetailLeadIn)
 	fmt.Printf("  size      %.1f KiB across %d states\n", float64(set.ApproxBytes())/1024, len(set.States))
 	for _, s := range set.States {
 		pt := set.Plan.Points[s.Index]
@@ -110,8 +109,7 @@ func runCkptExec(f *flags) error {
 		}
 		// Replay under the policy stored in the set's manifest, so a set
 		// built by any producer executes consistently.
-		opts := f.execOptions(pipeline.ExecOptions{Warmup: set.Policy.Warmup,
-			DetailLeadIn: set.Policy.DetailLeadIn, RunAhead: set.Policy.RunAhead})
+		opts := f.execOptions(pipeline.ExecOptions{Warmup: set.Policy.Warmup, DetailLeadIn: set.Policy.DetailLeadIn})
 		opts.Checkpoints = set
 		est, err := pipeline.ExecutePlan(set.Program, set.Plan, cfg, opts)
 		if err != nil {

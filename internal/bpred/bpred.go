@@ -25,143 +25,60 @@ func (c counter) update(taken bool) counter {
 	return c
 }
 
-// DirPredictor predicts conditional-branch direction.
-type DirPredictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc int64) bool
-	// Update trains the predictor with the resolved direction.
-	Update(pc int64, taken bool)
-	// Name identifies the predictor.
-	Name() string
-}
+// historyBits is the length of the combined predictor's global history.
+const historyBits = 12
 
-// Bimodal is a PC-indexed table of 2-bit counters.
-type Bimodal struct {
-	table []counter
-	mask  int64
-}
-
-// NewBimodal creates a bimodal predictor with entries counters
-// (rounded up to a power of two). Counters initialize weakly taken,
-// matching SimpleScalar.
-func NewBimodal(entries int) *Bimodal {
-	n := 1
-	for n < entries {
-		n <<= 1
-	}
-	t := make([]counter, n)
-	for i := range t {
-		t[i] = 2
-	}
-	return &Bimodal{table: t, mask: int64(n - 1)}
-}
-
-// Name implements DirPredictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-// Predict implements DirPredictor.
-func (b *Bimodal) Predict(pc int64) bool { return b.table[pc&b.mask].taken() }
-
-// Update implements DirPredictor.
-func (b *Bimodal) Update(pc int64, taken bool) {
-	i := pc & b.mask
-	b.table[i] = b.table[i].update(taken)
-}
-
-// GShare is a global-history predictor XOR-indexing a counter table.
-type GShare struct {
-	table   []counter
+// dirPredictor predicts conditional-branch direction. bim is a
+// PC-indexed table of 2-bit counters. The combined kind adds gsh, a
+// table indexed by the PC XOR historyBits of global history, and meta,
+// a PC-indexed chooser whose counter at 2 or above picks gsh over bim
+// (SimpleScalar's "comb"); both are nil for the bimodal kind. Every
+// table has the same power-of-two size, mask+1.
+type dirPredictor struct {
+	bim     []counter
+	gsh     []counter
+	meta    []counter
 	mask    int64
 	history int64
-	bits    uint
 }
 
-// NewGShare creates a gshare predictor with entries counters and
-// historyBits of global history.
-func NewGShare(entries int, historyBits uint) *GShare {
-	n := 1
-	for n < entries {
-		n <<= 1
+// predict returns the predicted direction of the branch at pc, then
+// trains with the resolved direction: both components, and the chooser
+// toward whichever component was right when they disagreed.
+func (d *dirPredictor) predict(pc int64, taken bool) bool {
+	bi := pc & d.mask
+	bp := d.bim[bi].taken()
+	d.bim[bi] = d.bim[bi].update(taken)
+	if d.gsh == nil {
+		return bp
 	}
-	t := make([]counter, n)
-	for i := range t {
-		t[i] = 2
+	gi := (pc ^ d.history) & d.mask
+	gp := d.gsh[gi].taken()
+	pred := bp
+	if d.meta[bi].taken() {
+		pred = gp
 	}
-	return &GShare{table: t, mask: int64(n - 1), bits: historyBits}
-}
-
-// Name implements DirPredictor.
-func (g *GShare) Name() string { return "gshare" }
-
-func (g *GShare) index(pc int64) int64 {
-	return (pc ^ g.history) & g.mask
-}
-
-// Predict implements DirPredictor.
-func (g *GShare) Predict(pc int64) bool { return g.table[g.index(pc)].taken() }
-
-// Update implements DirPredictor.
-func (g *GShare) Update(pc int64, taken bool) {
-	i := g.index(pc)
-	g.table[i] = g.table[i].update(taken)
-	g.history <<= 1
-	if taken {
-		g.history |= 1
-	}
-	g.history &= (1 << g.bits) - 1
-}
-
-// Combined is SimpleScalar's "comb" predictor: bimodal and gshare in
-// parallel with a bimodal meta-chooser selecting between them per
-// branch.
-type Combined struct {
-	bim  *Bimodal
-	gsh  *GShare
-	meta []counter // >=2 chooses gshare
-	mask int64
-}
-
-// NewCombined creates a combined predictor; entries sizes all three
-// tables (Table I: 8K BHT entries).
-func NewCombined(entries int) *Combined {
-	n := 1
-	for n < entries {
-		n <<= 1
-	}
-	meta := make([]counter, n)
-	for i := range meta {
-		meta[i] = 2
-	}
-	return &Combined{
-		bim:  NewBimodal(n),
-		gsh:  NewGShare(n, 12),
-		meta: meta,
-		mask: int64(n - 1),
-	}
-}
-
-// Name implements DirPredictor.
-func (c *Combined) Name() string { return "combined" }
-
-// Predict implements DirPredictor.
-func (c *Combined) Predict(pc int64) bool {
-	if c.meta[pc&c.mask].taken() {
-		return c.gsh.Predict(pc)
-	}
-	return c.bim.Predict(pc)
-}
-
-// Update implements DirPredictor: trains both components and moves the
-// chooser toward whichever component was right.
-func (c *Combined) Update(pc int64, taken bool) {
-	bp := c.bim.Predict(pc)
-	gp := c.gsh.Predict(pc)
 	if bp != gp {
-		i := pc & c.mask
-		c.meta[i] = c.meta[i].update(gp == taken)
+		d.meta[bi] = d.meta[bi].update(gp == taken)
 	}
-	c.bim.Update(pc, taken)
-	c.gsh.Update(pc, taken)
+	d.gsh[gi] = d.gsh[gi].update(taken)
+	d.history <<= 1
+	if taken {
+		d.history |= 1
+	}
+	d.history &= 1<<historyBits - 1
+	return pred
+}
+
+// reset returns every counter to weakly taken, as SimpleScalar
+// initializes them, and empties the global history.
+func (d *dirPredictor) reset() {
+	for _, t := range [...][]counter{d.bim, d.gsh, d.meta} {
+		for i := range t {
+			t[i] = 2
+		}
+	}
+	d.history = 0
 }
 
 // BTB is a direct-mapped, tagged branch target buffer.
@@ -253,7 +170,7 @@ func (s Stats) Accuracy() float64 {
 // Unit bundles direction predictor, BTB and RAS into the front-end
 // branch unit used by the detailed simulator.
 type Unit struct {
-	Dir   DirPredictor
+	dir   dirPredictor
 	BTB   *BTB
 	RAS   *RAS
 	stats Stats
@@ -269,19 +186,23 @@ const (
 	KindBimodal  Kind = "bimodal"
 )
 
-// NewUnit builds a branch unit with bhtEntries direction entries, a
-// 512-entry BTB and an 8-deep RAS.
+// NewUnit builds a branch unit with bhtEntries direction entries per
+// table (rounded up to a power of two; Table I: 8K), a 512-entry BTB
+// and an 8-deep RAS.
 func NewUnit(kind Kind, bhtEntries int) (*Unit, error) {
-	var dir DirPredictor
-	switch kind {
-	case KindCombined:
-		dir = NewCombined(bhtEntries)
-	case KindBimodal:
-		dir = NewBimodal(bhtEntries)
-	default:
+	if kind != KindCombined && kind != KindBimodal {
 		return nil, fmt.Errorf("bpred: unknown predictor kind %q (want %q or %q)", kind, KindCombined, KindBimodal)
 	}
-	return &Unit{Dir: dir, BTB: NewBTB(512), RAS: NewRAS(8)}, nil
+	n := 1
+	for n < bhtEntries {
+		n <<= 1
+	}
+	d := dirPredictor{bim: make([]counter, n), mask: int64(n - 1)}
+	if kind == KindCombined {
+		d.gsh, d.meta = make([]counter, n), make([]counter, n)
+	}
+	d.reset()
+	return &Unit{dir: d, BTB: NewBTB(512), RAS: NewRAS(8)}, nil
 }
 
 // CopyFrom overwrites u's predictor state with src's — direction
@@ -290,12 +211,15 @@ func NewUnit(kind Kind, bhtEntries int) (*Unit, error) {
 // on. Both units must come from NewUnit with the same kind and entry
 // count.
 func (u *Unit) CopyFrom(src *Unit) error {
-	if len(u.BTB.tags) != len(src.BTB.tags) || u.RAS.size != src.RAS.size {
-		return fmt.Errorf("bpred: copy between units of different shape (%s, %s)", u.Dir.Name(), src.Dir.Name())
+	d, s := &u.dir, &src.dir
+	if len(d.bim) != len(s.bim) || len(d.gsh) != len(s.gsh) ||
+		len(u.BTB.tags) != len(src.BTB.tags) || u.RAS.size != src.RAS.size {
+		return fmt.Errorf("bpred: copy between units of different kind or size")
 	}
-	if !copyDir(u.Dir, src.Dir) {
-		return fmt.Errorf("bpred: cannot copy a %s predictor into a %s one", src.Dir.Name(), u.Dir.Name())
-	}
+	copy(d.bim, s.bim)
+	copy(d.gsh, s.gsh)
+	copy(d.meta, s.meta)
+	d.history = s.history
 	copy(u.BTB.tags, src.BTB.tags)
 	copy(u.BTB.targets, src.BTB.targets)
 	copy(u.RAS.stack, src.RAS.stack)
@@ -306,12 +230,9 @@ func (u *Unit) CopyFrom(src *Unit) error {
 
 // Reset returns u to the state NewUnit leaves: every direction counter
 // weakly taken, no global history, an empty BTB and return-address
-// stack, and zero statistics. It fails only for a direction predictor
-// NewUnit does not build.
-func (u *Unit) Reset() error {
-	if !resetDir(u.Dir) {
-		return fmt.Errorf("bpred: cannot reset a %s predictor", u.Dir.Name())
-	}
+// stack, and zero statistics.
+func (u *Unit) Reset() {
+	u.dir.reset()
 	for i := range u.BTB.tags {
 		u.BTB.tags[i] = -1
 	}
@@ -319,62 +240,6 @@ func (u *Unit) Reset() error {
 	clear(u.RAS.stack)
 	u.RAS.top = 0
 	u.stats = Stats{}
-	return nil
-}
-
-// resetDir returns d's counters to weakly taken and its history to
-// empty, and reports whether it knows d's type.
-func resetDir(d DirPredictor) bool {
-	switch d := d.(type) {
-	case *Bimodal:
-		fillWeaklyTaken(d.table)
-	case *GShare:
-		fillWeaklyTaken(d.table)
-		d.history = 0
-	case *Combined:
-		resetDir(d.bim)
-		resetDir(d.gsh)
-		fillWeaklyTaken(d.meta)
-	default:
-		return false
-	}
-	return true
-}
-
-func fillWeaklyTaken(t []counter) {
-	for i := range t {
-		t[i] = 2
-	}
-}
-
-// copyDir copies src's direction-predictor state into dst and reports
-// whether it could: dst must be a predictor of the same type and table
-// sizes.
-func copyDir(dst, src DirPredictor) bool {
-	switch d := dst.(type) {
-	case *Bimodal:
-		s, ok := src.(*Bimodal)
-		if !ok || len(d.table) != len(s.table) {
-			return false
-		}
-		copy(d.table, s.table)
-	case *GShare:
-		s, ok := src.(*GShare)
-		if !ok || len(d.table) != len(s.table) || d.bits != s.bits {
-			return false
-		}
-		copy(d.table, s.table)
-		d.history = s.history
-	case *Combined:
-		s, ok := src.(*Combined)
-		if !ok || len(d.meta) != len(s.meta) || !copyDir(d.bim, s.bim) || !copyDir(d.gsh, s.gsh) {
-			return false
-		}
-		copy(d.meta, s.meta)
-	default:
-		return false
-	}
-	return true
 }
 
 // Stats returns prediction statistics.
@@ -389,8 +254,7 @@ func (u *Unit) ResetStats() { u.stats = Stats{} }
 // penalty separately). Returns whether the prediction was correct.
 func (u *Unit) PredictCond(pc int64, taken bool, target int64) bool {
 	u.stats.Lookups++
-	pred := u.Dir.Predict(pc)
-	u.Dir.Update(pc, taken)
+	pred := u.dir.predict(pc, taken)
 	correct := pred == taken
 	if correct && taken {
 		// Direction right; target must come from the BTB.

@@ -1,8 +1,8 @@
 // Package cache models the memory hierarchy of the detailed
 // simulator: set-associative write-back caches with LRU replacement
-// composed into an IL1/DL1 + unified-L2 + main-memory hierarchy, with
-// the hit/miss statistics the paper's Table II reports (L1 and L2 hit
-// rates).
+// composed into an IL1/DL1 + unified-L2 hierarchy over main memory,
+// with the hit/miss statistics the paper's Table II reports (L1 and L2
+// hit rates).
 package cache
 
 import (
@@ -62,20 +62,11 @@ func (s Stats) HitRate() float64 {
 // MissRate returns 1 - HitRate.
 func (s Stats) MissRate() float64 { return 1 - s.HitRate() }
 
-// Level is anything that can service a block access: a cache or main
-// memory.
-type Level interface {
-	// Access services a read or write of the block containing addr and
-	// returns the total latency in cycles.
-	Access(addr int64, write bool) int
-	// Name identifies the level.
-	Name() string
-}
-
 // Cache is one set-associative write-back, write-allocate cache level.
 type Cache struct {
 	cfg      Config
-	next     Level
+	next     *Cache // nil for the last level
+	memLat   int    // a last-level miss's main-memory latency
 	setMask  int64
 	blkShift uint
 	tags     []int64 // sets*assoc; -1 = invalid
@@ -103,13 +94,11 @@ type Cache struct {
 	partner   *Cache
 }
 
-// New builds a cache level backed by next (the next-outer level).
-func New(cfg Config, next Level) (*Cache, error) {
+// New builds a cache level whose misses next (the next-outer level)
+// serves or, when next is nil, main memory in memLatency cycles.
+func New(cfg Config, next *Cache, memLatency int) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if next == nil {
-		return nil, fmt.Errorf("cache %q: nil next level", cfg.Name)
 	}
 	sets := cfg.TotalBytes / (cfg.BlockBytes * int64(cfg.Assoc))
 	shift := uint(0)
@@ -120,6 +109,7 @@ func New(cfg Config, next Level) (*Cache, error) {
 	c := &Cache{
 		cfg:       cfg,
 		next:      next,
+		memLat:    memLatency,
 		setMask:   sets - 1,
 		blkShift:  shift,
 		tags:      make([]int64, n),
@@ -133,18 +123,6 @@ func New(cfg Config, next Level) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// MustNew is New, panicking on configuration errors.
-func MustNew(cfg Config, next Level) *Cache {
-	c, err := New(cfg, next)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Name returns the configured level name.
-func (c *Cache) Name() string { return c.cfg.Name }
 
 // Config returns the level configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -295,7 +273,8 @@ func (c *Cache) Equal(o *Cache) bool {
 }
 
 // Access looks up the block containing addr, filling on miss, and
-// returns the total latency including any next-level latency.
+// returns the total latency including the next level's or main
+// memory's.
 func (c *Cache) Access(addr int64, write bool) int {
 	c.stats.Accesses++
 	c.clock++
@@ -335,48 +314,16 @@ func (c *Cache) Access(addr int64, write bool) int {
 		// default, does not add to the demand-miss latency (the
 		// writeback buffer hides it).
 	}
-	lat := c.cfg.Latency + c.next.Access(addr, false)
+	lat := c.cfg.Latency
+	if c.next != nil {
+		lat += c.next.Access(addr, false)
+	} else {
+		lat += c.memLat
+	}
 	c.tags[victim] = block
 	c.dirty[victim] = write
 	c.stamp[victim] = c.clock
 	return lat
-}
-
-// Memory is the hierarchy terminal with SimpleScalar's two-part
-// latency: First cycles for the first chunk and Next cycles for each
-// following ChunkBytes chunk of the requested block.
-type Memory struct {
-	First      int
-	Next       int
-	ChunkBytes int64
-	BlockBytes int64 // block size transferred per request
-	stats      Stats
-}
-
-// NewMemory builds the main-memory model. blockBytes is the size of
-// the blocks requested by the innermost cache above memory.
-func NewMemory(first, next int, chunkBytes, blockBytes int64) *Memory {
-	if chunkBytes <= 0 {
-		chunkBytes = 8
-	}
-	if blockBytes < chunkBytes {
-		blockBytes = chunkBytes
-	}
-	return &Memory{First: first, Next: next, ChunkBytes: chunkBytes, BlockBytes: blockBytes}
-}
-
-// Name implements Level.
-func (m *Memory) Name() string { return "mem" }
-
-// Stats returns access statistics.
-func (m *Memory) Stats() Stats { return m.stats }
-
-// Access implements Level: every access is a miss to DRAM.
-func (m *Memory) Access(addr int64, write bool) int {
-	m.stats.Accesses++
-	m.stats.Misses++
-	chunks := int(m.BlockBytes / m.ChunkBytes)
-	return m.First + (chunks-1)*m.Next
 }
 
 // Hierarchy bundles the full memory system of one core.
@@ -384,10 +331,11 @@ type Hierarchy struct {
 	IL1 *Cache
 	DL1 *Cache
 	L2  *Cache
-	Mem *Memory
 }
 
-// HierarchyConfig describes a complete memory system.
+// HierarchyConfig describes a complete memory system. Main memory has
+// SimpleScalar's two-part latency: MemFirst cycles for the first 8-byte
+// chunk of a requested L2 block and MemNext for each further one.
 type HierarchyConfig struct {
 	IL1      Config
 	DL1      Config
@@ -398,20 +346,20 @@ type HierarchyConfig struct {
 
 // NewHierarchy builds IL1 and DL1 sharing a unified L2 over memory.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	mem := NewMemory(cfg.MemFirst, cfg.MemNext, 8, cfg.L2.BlockBytes)
-	l2, err := New(cfg.L2, mem)
+	chunks := max(cfg.L2.BlockBytes/8, 1)
+	l2, err := New(cfg.L2, nil, cfg.MemFirst+int(chunks-1)*cfg.MemNext)
 	if err != nil {
 		return nil, err
 	}
-	il1, err := New(cfg.IL1, l2)
+	il1, err := New(cfg.IL1, l2, 0)
 	if err != nil {
 		return nil, err
 	}
-	dl1, err := New(cfg.DL1, l2)
+	dl1, err := New(cfg.DL1, l2, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Hierarchy{IL1: il1, DL1: dl1, L2: l2, Mem: mem}, nil
+	return &Hierarchy{IL1: il1, DL1: dl1, L2: l2}, nil
 }
 
 // CopyFrom overwrites every level of h with the matching level of src
@@ -427,20 +375,17 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) (int, error) {
 		}
 		sets += n
 	}
-	h.Mem.stats = src.Mem.stats
 	return sets, nil
 }
 
 // Equal reports whether every level of h holds the same modelled state
-// as o's (see Cache.Equal) and main memory the same statistics.
+// as o's (see Cache.Equal).
 func (h *Hierarchy) Equal(o *Hierarchy) bool {
-	return h.IL1.Equal(o.IL1) && h.DL1.Equal(o.DL1) && h.L2.Equal(o.L2) && h.Mem.stats == o.Mem.stats
+	return h.IL1.Equal(o.IL1) && h.DL1.Equal(o.DL1) && h.L2.Equal(o.L2)
 }
 
 // ResetCold returns every level of h to the state NewHierarchy leaves
 // (see Cache.ResetCold) and returns the number of sets it rewrote.
 func (h *Hierarchy) ResetCold() int {
-	sets := h.IL1.ResetCold() + h.DL1.ResetCold() + h.L2.ResetCold()
-	h.Mem.stats = Stats{}
-	return sets
+	return h.IL1.ResetCold() + h.DL1.ResetCold() + h.L2.ResetCold()
 }

@@ -6,15 +6,23 @@ import (
 	"testing/quick"
 )
 
-func testMem() *Memory { return NewMemory(150, 10, 8, 32) }
+// testMemLatency is main memory's latency for a 32-byte block: 150
+// cycles for the first 8-byte chunk and 10 for each of the other three.
+const testMemLatency = 150 + 3*10
 
-func smallCache(t *testing.T, bytes int64, assoc int, next Level) *Cache {
+// newTestCache builds a last-level cache over main memory.
+func newTestCache(t *testing.T, cfg Config) *Cache {
 	t.Helper()
-	c, err := New(Config{Name: "t", TotalBytes: bytes, Assoc: assoc, BlockBytes: 32, Latency: 1}, next)
+	c, err := New(cfg, nil, testMemLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+func smallCache(t *testing.T, bytes int64, assoc int) *Cache {
+	t.Helper()
+	return newTestCache(t, Config{Name: "t", TotalBytes: bytes, Assoc: assoc, BlockBytes: 32, Latency: 1})
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -34,13 +42,13 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %q accepted", c.Name)
 		}
 	}
-	if _, err := New(good, nil); err == nil {
-		t.Error("New with nil next accepted")
+	if _, err := New(bad[0], nil, testMemLatency); err == nil {
+		t.Errorf("New accepted config %q", bad[0].Name)
 	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := smallCache(t, 1024, 2, testMem())
+	c := smallCache(t, 1024, 2)
 	lat1 := c.Access(0x100, false)
 	if lat1 <= 1 {
 		t.Errorf("cold access latency %d, want miss latency > 1", lat1)
@@ -56,7 +64,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestSameBlockDifferentWordsHit(t *testing.T) {
-	c := smallCache(t, 1024, 2, testMem())
+	c := smallCache(t, 1024, 2)
 	c.Access(0x100, false)
 	if lat := c.Access(0x118, false); lat != 1 { // same 32B block
 		t.Errorf("same-block access latency %d, want 1", lat)
@@ -69,7 +77,7 @@ func TestSameBlockDifferentWordsHit(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// 2 sets x 2 ways x 32B = 128 B. Blocks mapping to set 0 are
 	// multiples of 64.
-	c := smallCache(t, 128, 2, testMem())
+	c := smallCache(t, 128, 2)
 	c.Access(0*64, false)   // set 0, block A
 	c.Access(1*64+32, true) // set 1
 	c.Access(2*64, false)   // set 0, block B
@@ -84,9 +92,9 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestWritebackCounted(t *testing.T) {
-	c := smallCache(t, 64, 1, testMem()) // 2 sets, direct mapped
-	c.Access(0, true)                    // dirty block in set 0
-	c.Access(64, false)                  // evicts dirty block
+	c := smallCache(t, 64, 1) // 2 sets, direct mapped
+	c.Access(0, true)         // dirty block in set 0
+	c.Access(64, false)       // evicts dirty block
 	if wb := c.Stats().Writebacks; wb != 1 {
 		t.Errorf("writebacks = %d, want 1", wb)
 	}
@@ -98,7 +106,7 @@ func TestWritebackCounted(t *testing.T) {
 }
 
 func TestDirectMappedConflict(t *testing.T) {
-	c := smallCache(t, 64, 1, testMem())
+	c := smallCache(t, 64, 1)
 	// Two blocks mapping to the same set always conflict.
 	for i := 0; i < 10; i++ {
 		c.Access(0, false)
@@ -110,14 +118,27 @@ func TestDirectMappedConflict(t *testing.T) {
 	}
 }
 
+// TestMemoryLatency: a last-level miss adds main memory's two-part
+// latency, 150 cycles for the first 8-byte chunk of the L2 block and 10
+// for each further one (one chunk for a block smaller than 8 bytes).
 func TestMemoryLatency(t *testing.T) {
-	m := testMem()
-	// 32B block in 8B chunks: 150 + 3*10.
-	if lat := m.Access(0, false); lat != 180 {
-		t.Errorf("memory latency = %d, want 180", lat)
-	}
-	if m.Stats().Accesses != 1 || m.Stats().Misses != 1 {
-		t.Errorf("memory stats = %+v", m.Stats())
+	for _, c := range []struct {
+		block int64
+		want  int
+	}{{4, 150}, {8, 150}, {32, 180}, {64, 220}} {
+		h, err := NewHierarchy(HierarchyConfig{
+			IL1:      Config{Name: "il1", TotalBytes: 8 << 10, Assoc: 2, BlockBytes: 32, Latency: 1},
+			DL1:      Config{Name: "dl1", TotalBytes: 16 << 10, Assoc: 4, BlockBytes: 32, Latency: 2},
+			L2:       Config{Name: "ul2", TotalBytes: 1 << 20, Assoc: 4, BlockBytes: c.block, Latency: 20},
+			MemFirst: 150,
+			MemNext:  10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lat := h.L2.Access(0, false); lat != 20+c.want {
+			t.Errorf("%d-byte L2 block: miss latency = %d, want 20 + %d", c.block, lat, c.want)
+		}
 	}
 }
 
@@ -143,12 +164,12 @@ func TestHierarchyComposition(t *testing.T) {
 		t.Errorf("warm DL1 latency = %d, want 2", lat)
 	}
 	// IL1 miss to a block already in shared L2: no memory access.
-	memAccesses := h.Mem.Stats().Accesses
+	l2Misses := h.L2.Stats().Misses
 	lat = h.IL1.Access(0x1000, false)
 	if lat != 1+20 {
 		t.Errorf("IL1 miss/L2 hit latency = %d, want 21", lat)
 	}
-	if h.Mem.Stats().Accesses != memAccesses {
+	if h.L2.Stats().Misses != l2Misses {
 		t.Error("L2 hit still accessed memory")
 	}
 }
@@ -171,7 +192,7 @@ func TestHitRateEdgeCases(t *testing.T) {
 // the first pass, for any access pattern within the working set.
 func TestNoCapacityMissesWithinWorkingSet(t *testing.T) {
 	f := func(pattern []uint8) bool {
-		c := MustNew(Config{Name: "q", TotalBytes: 16 << 10, Assoc: 8, BlockBytes: 32, Latency: 1}, testMem())
+		c := newTestCache(t, Config{Name: "q", TotalBytes: 16 << 10, Assoc: 8, BlockBytes: 32, Latency: 1})
 		// Warm all 256 possible blocks (8 KiB worth).
 		for i := int64(0); i < 256; i++ {
 			c.Access(i*32, false)
@@ -191,7 +212,7 @@ func TestNoCapacityMissesWithinWorkingSet(t *testing.T) {
 // Property: misses never exceed accesses; stats are monotone.
 func TestStatsInvariant(t *testing.T) {
 	f := func(addrs []int64, writes []bool) bool {
-		c := MustNew(Config{Name: "q", TotalBytes: 1 << 10, Assoc: 2, BlockBytes: 32, Latency: 1}, testMem())
+		c := newTestCache(t, Config{Name: "q", TotalBytes: 1 << 10, Assoc: 2, BlockBytes: 32, Latency: 1})
 		for i, a := range addrs {
 			w := i < len(writes) && writes[i]
 			if a < 0 {
@@ -264,7 +285,7 @@ func TestHierarchyCopyFrom(t *testing.T) {
 		if !dst.Equal(src) {
 			t.Fatal("copy differs from its source")
 		}
-		if dst.IL1.next != dst.L2 || dst.DL1.next != dst.L2 || dst.L2.next != dst.Mem {
+		if dst.IL1.next != dst.L2 || dst.DL1.next != dst.L2 || dst.L2.next != nil {
 			t.Fatal("copy took over the source's level links")
 		}
 		got := driveHierarchy(dst, 7, 5000)
@@ -286,8 +307,8 @@ func TestHierarchyCopyFrom(t *testing.T) {
 // TestCopyFromRejectsOtherGeometry: copying between caches of different
 // shape fails instead of truncating.
 func TestCopyFromRejectsOtherGeometry(t *testing.T) {
-	a := smallCache(t, 1024, 2, testMem())
-	b := smallCache(t, 2048, 2, testMem())
+	a := smallCache(t, 1024, 2)
+	b := smallCache(t, 2048, 2)
 	if _, err := a.CopyFrom(b); err == nil {
 		t.Error("copy between different capacities accepted")
 	}

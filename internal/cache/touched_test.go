@@ -33,10 +33,9 @@ func TestTouchedSetCopiesMatchFullCopies(t *testing.T) {
 
 func testTouchedSetCopies(t *testing.T, cfg Config, seed int64) {
 	const pool, steps = 3, 300
-	mem := testMem()
 	live, twin := make([]*Cache, pool), make([]*Cache, pool)
 	for i := range live {
-		live[i], twin[i] = MustNew(cfg, mem), MustNew(cfg, mem)
+		live[i], twin[i] = newTestCache(t, cfg), newTestCache(t, cfg)
 	}
 	sets := int(cfg.TotalBytes / (cfg.BlockBytes * int64(cfg.Assoc)))
 	rng := rand.New(rand.NewSource(seed))
@@ -65,7 +64,7 @@ func testTouchedSetCopies(t *testing.T, cfg Config, seed int64) {
 		case op < 6:
 			i := rng.Intn(pool)
 			live[i].ResetCold()
-			twin[i] = MustNew(cfg, mem)
+			twin[i] = newTestCache(t, cfg)
 			what = fmt.Sprintf("ResetCold of cache %d", i)
 		default:
 			// Mostly the last pair again, in either direction, as a
@@ -110,8 +109,7 @@ func testTouchedSetCopies(t *testing.T, cfg Config, seed int64) {
 // both sides it rewrites exactly the sets they touched, each once.
 func TestPairedCopyCopiesOnlyTouchedSets(t *testing.T) {
 	cfg := touchedConfigs[0]
-	mem := testMem()
-	a, b := MustNew(cfg, mem), MustNew(cfg, mem)
+	a, b := newTestCache(t, cfg), newTestCache(t, cfg)
 	for addr := int64(0); addr < 1<<12; addr += 32 {
 		a.Access(addr, addr%96 == 0)
 	}

@@ -1,10 +1,14 @@
 package ckpt_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mlpa/internal/ckpt"
@@ -203,7 +207,7 @@ func testSet(t *testing.T, p *prog.Program) *ckpt.Set {
 		Assembly:    p.Disassemble(),
 		DataSize:    p.DataSize,
 		Plan:        plan,
-		Policy:      ckpt.Policy{Warmup: 4096, DetailLeadIn: 512, RunAhead: 128},
+		Policy:      ckpt.Policy{Warmup: 4096, DetailLeadIn: 512},
 		Program:     p,
 	}
 	m := emu.New(p, 0)
@@ -259,9 +263,50 @@ func TestSetSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// manifestV1 is the layout of a version 1 manifest, whose policy also
+// records a run-ahead length.
+type manifestV1 struct {
+	Format      string          `json:"format"`
+	Version     int             `json:"version"`
+	ProgramName string          `json:"program_name"`
+	ProgramHash string          `json:"program_hash"`
+	DataSize    int64           `json:"data_size"`
+	Assembly    string          `json:"assembly"`
+	Plan        json.RawMessage `json:"plan"`
+	Policy      struct {
+		Warmup       uint64 `json:"warmup"`
+		DetailLeadIn uint64 `json:"detail_lead_in"`
+		RunAhead     uint64 `json:"run_ahead"`
+	} `json:"policy"`
+	Points         json.RawMessage `json:"points"`
+	ManifestSHA256 string          `json:"manifest_sha256"`
+}
+
+// asVersion1 rewrites a saved manifest as version 1 wrote it: version
+// 1, a zero run_ahead in the policy, and a self-hash that matches.
+func asVersion1(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var man manifestV1
+	if err := json.Unmarshal(body, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Version, man.ManifestSHA256 = 1, ""
+	canon, err := json.MarshalIndent(&man, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(canon)
+	man.ManifestSHA256 = hex.EncodeToString(sum[:])
+	out, err := json.MarshalIndent(&man, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
 // TestSetLoadRejectsTampering: one flipped byte anywhere in the layout
 // — a state file or the manifest — must be rejected with a structured
-// error.
+// error, and so must a set whose manifest is at the previous version.
 func TestSetLoadRejectsTampering(t *testing.T) {
 	p := prog.Examples()[0]
 	set := testSet(t, p)
@@ -303,6 +348,24 @@ func TestSetLoadRejectsTampering(t *testing.T) {
 		t.Cleanup(func() { os.WriteFile(path, data, 0o644) })
 		if err := ckpt.Verify(dir); err == nil {
 			t.Fatal("truncated state file verified successfully")
+		}
+	})
+	t.Run("version-1-manifest", func(t *testing.T) {
+		path := filepath.Join(dir, ckpt.ManifestFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, asVersion1(t, data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { os.WriteFile(path, data, 0o644) })
+		_, err = ckpt.Load(dir)
+		if !errors.Is(err, ckpt.ErrFormat) {
+			t.Fatalf("version 1 manifest: %v, want ErrFormat", err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 1") || !strings.Contains(msg, "version 2") {
+			t.Errorf("version 1 manifest: error %q does not name both versions", msg)
 		}
 	})
 }

@@ -19,7 +19,6 @@ import (
 type Policy struct {
 	Warmup       uint64 `json:"warmup"`
 	DetailLeadIn uint64 `json:"detail_lead_in"`
-	RunAhead     uint64 `json:"run_ahead"`
 }
 
 // Set is a complete checkpoint set for one (program, plan, policy):
@@ -92,6 +91,11 @@ type pointEntry struct {
 
 const manifestFormat = "mlpa-ckpt-set"
 
+// manifestVersion is the manifest's version, separate from the state
+// files' wire-format Version. Version 1 manifests carried a run-ahead
+// length in the policy; Load refuses them by their version.
+const manifestVersion = 2
+
 // Match verifies the set applies to (p, plan, pol): same program
 // content hash, structurally identical plan, identical warm policy,
 // and one state per point. Violations wrap ErrMismatch.
@@ -135,7 +139,7 @@ func (s *Set) Save(dir string) error {
 	}
 	man := manifest{
 		Format:      manifestFormat,
-		Version:     Version,
+		Version:     manifestVersion,
 		ProgramName: s.ProgramName,
 		ProgramHash: s.ProgramHash,
 		DataSize:    s.DataSize,
@@ -208,9 +212,9 @@ func Load(dir string) (*Set, error) {
 	if err := json.Unmarshal(body, &man); err != nil {
 		return nil, fmt.Errorf("%w: manifest: %v", ErrFormat, err)
 	}
-	if man.Format != manifestFormat || man.Version != Version {
+	if man.Format != manifestFormat || man.Version != manifestVersion {
 		return nil, fmt.Errorf("%w: manifest format %q version %d (want %q version %d)",
-			ErrFormat, man.Format, man.Version, manifestFormat, Version)
+			ErrFormat, man.Format, man.Version, manifestFormat, manifestVersion)
 	}
 	want := man.ManifestSHA256
 	man.ManifestSHA256 = ""

@@ -311,9 +311,7 @@ func TestForkAndResetReuseTouchedSets(t *testing.T) {
 		// reset rewrote.
 		window("paired fork", 0, 64)
 
-		if err := spine.ResetCold(); err != nil {
-			t.Fatal(err)
-		}
+		spine.ResetCold()
 		cold := MustNew(cfg)
 		cold.Metrics = reg
 		if !sameSim(spine, cold) {

@@ -184,18 +184,15 @@ func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
 // window costs that window's footprint, not the hierarchy's size.
 // Metrics is kept; with it set, each call adds to counters
 // cpu.reset.calls and cpu.reset.sets (the cache sets rewritten).
-func (s *Sim) ResetCold() error {
+func (s *Sim) ResetCold() {
 	s.resetPipeline()
 	sets := s.hier.ResetCold()
-	if err := s.bu.Reset(); err != nil {
-		return err
-	}
+	s.bu.Reset()
 	s.lastFetchBlock = -1
 	if s.Metrics != nil {
 		s.Metrics.Counter("cpu.reset.calls").Add(1)
 		s.Metrics.Counter("cpu.reset.sets").Add(int64(sets))
 	}
-	return nil
 }
 
 // resetPipeline returns every piece of timing-model state to what New
@@ -272,6 +269,30 @@ func (s *Sim) snap() snapshot {
 	}
 }
 
+// since returns the counts accumulated from snapshot a to b: committed
+// instructions, cycles, each cache level's statistics with the combined
+// L1's, and the branch statistics.
+func (b snapshot) since(a snapshot) Result {
+	res := Result{
+		Insts:  b.insts - a.insts,
+		Cycles: b.cycles - a.cycles,
+		IL1:    diffStats(b.il1, a.il1),
+		DL1:    diffStats(b.dl1, a.dl1),
+		L2:     diffStats(b.l2, a.l2),
+		Branch: bpred.Stats{
+			Lookups:      b.branch.Lookups - a.branch.Lookups,
+			DirMisses:    b.branch.DirMisses - a.branch.DirMisses,
+			TargetMisses: b.branch.TargetMisses - a.branch.TargetMisses,
+		},
+	}
+	res.L1 = cache.Stats{
+		Accesses:   res.IL1.Accesses + res.DL1.Accesses,
+		Misses:     res.IL1.Misses + res.DL1.Misses,
+		Writebacks: res.IL1.Writebacks + res.DL1.Writebacks,
+	}
+	return res
+}
+
 // RunWindow simulates lead+maxInsts+tail committed instructions as one
 // continuous pipeline run but reports the timing result only for the
 // maxInsts instructions after the lead (maxInsts 0 = until halt, in
@@ -279,7 +300,10 @@ func (s *Sim) snap() snapshot {
 // tail (run-ahead) lets the out-of-order window overlap the measured
 // region's trailing latencies with successor work, exactly as a
 // continuous simulation would, instead of charging the full drain to
-// the measured region.
+// the measured region. Plan execution passes a zero tail; the parameter
+// remains only because perfbench's traced replay passes
+// pipeline.PointRecord.Tail, and the change that deletes that replay
+// (ROADMAP.md, item 3) deletes it.
 func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, error) {
 	startInsts := s.committed
 	mid := s.snap()
@@ -401,23 +425,7 @@ func (s *Sim) RunWindow(m *emu.Machine, lead, maxInsts, tail uint64) (Result, er
 		// Run-to-halt, or the program ended inside the window.
 		end = s.snap()
 	}
-	res := Result{
-		Insts:  end.insts - mid.insts,
-		Cycles: end.cycles - mid.cycles,
-		IL1:    diffStats(end.il1, mid.il1),
-		DL1:    diffStats(end.dl1, mid.dl1),
-		L2:     diffStats(end.l2, mid.l2),
-		Branch: bpred.Stats{
-			Lookups:      end.branch.Lookups - mid.branch.Lookups,
-			DirMisses:    end.branch.DirMisses - mid.branch.DirMisses,
-			TargetMisses: end.branch.TargetMisses - mid.branch.TargetMisses,
-		},
-	}
-	res.L1 = cache.Stats{
-		Accesses:   res.IL1.Accesses + res.DL1.Accesses,
-		Misses:     res.IL1.Misses + res.DL1.Misses,
-		Writebacks: res.IL1.Writebacks + res.DL1.Writebacks,
-	}
+	res := end.since(mid)
 	if s.Metrics != nil {
 		windowInsts := s.committed - startInsts
 		elapsed := time.Since(t0)
@@ -666,23 +674,10 @@ func (s *Sim) WarmMeasured(m *emu.Machine, insts uint64) (Result, error) {
 	if err := s.warmRun(m, insts, true); err != nil {
 		return Result{}, err
 	}
-	after := s.snap()
-	res := Result{
-		Insts: m.Insts - startInsts,
-		IL1:   diffStats(after.il1, before.il1),
-		DL1:   diffStats(after.dl1, before.dl1),
-		L2:    diffStats(after.l2, before.l2),
-		Branch: bpred.Stats{
-			Lookups:      after.branch.Lookups - before.branch.Lookups,
-			DirMisses:    after.branch.DirMisses - before.branch.DirMisses,
-			TargetMisses: after.branch.TargetMisses - before.branch.TargetMisses,
-		},
-	}
-	res.L1 = cache.Stats{
-		Accesses:   res.IL1.Accesses + res.DL1.Accesses,
-		Misses:     res.IL1.Misses + res.DL1.Misses,
-		Writebacks: res.IL1.Writebacks + res.DL1.Writebacks,
-	}
+	// Warming commits nothing and advances no cycle, so the machine
+	// counts the instructions.
+	res := s.snap().since(before)
+	res.Insts = m.Insts - startInsts
 	return res, nil
 }
 

@@ -127,40 +127,6 @@ func TestSamplerCumulative(t *testing.T) {
 	if c0["n"] != 2 || c1["n"] != 5 {
 		t.Errorf("cumulative counters = %d, %d, want 2, 5", c0["n"], c1["n"])
 	}
-	if got := s.Last().Counters["n"]; got != 5 {
-		t.Errorf("Last = %d, want 5", got)
-	}
-}
-
-// TestSamplerDelta: in delta mode each record carries only the change
-// since the previous sample, and quiet intervals are suppressed.
-func TestSamplerDelta(t *testing.T) {
-	reg := NewRegistry()
-	sink := &recordingSink{}
-	s := StartSampler(reg, sink, SamplerOptions{Interval: time.Hour, Delta: true})
-
-	reg.Counter("n").Add(2)
-	s.Sample()
-	s.Sample() // nothing changed: suppressed
-	reg.Counter("n").Add(3)
-	s.Stop()
-
-	recs := sink.all()
-	if len(recs) != 2 {
-		t.Fatalf("%d records, want 2 (quiet interval suppressed)", len(recs))
-	}
-	c0 := recs[0]["counters"].(map[string]int64)
-	c1 := recs[1]["counters"].(map[string]int64)
-	if c0["n"] != 2 || c1["n"] != 3 {
-		t.Errorf("delta counters = %d, %d, want 2, 3", c0["n"], c1["n"])
-	}
-	if recs[0]["delta"] != true {
-		t.Error("delta record not marked delta")
-	}
-	// Last stays cumulative even in delta mode.
-	if got := s.Last().Counters["n"]; got != 5 {
-		t.Errorf("Last = %d, want cumulative 5", got)
-	}
 }
 
 func TestSamplerNilSafe(t *testing.T) {
@@ -170,7 +136,6 @@ func TestSamplerNilSafe(t *testing.T) {
 	var s *Sampler
 	s.Sample()
 	s.Stop()
-	_ = s.Last()
 }
 
 // TestSamplerTicker lets the periodic loop run for real, checking that

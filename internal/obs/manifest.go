@@ -9,7 +9,7 @@ import (
 // ManifestSchema is the journal schema version written by this
 // package. Bump it whenever the meaning or shape of journal records
 // changes incompatibly.
-const ManifestSchema = 1
+const ManifestSchema = 2
 
 // Manifest identifies one run: what was executed, under which knobs,
 // by which tool. It is written as the journal's first record so a

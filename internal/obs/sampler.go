@@ -9,30 +9,23 @@ import (
 type SamplerOptions struct {
 	// Interval between samples; zero or negative defaults to 5s.
 	Interval time.Duration
-	// Delta, when true, emits per-interval deltas (counters and
-	// histogram count/sum since the previous sample) instead of
-	// cumulative snapshots.
-	Delta bool
 }
 
-// Sampler periodically snapshots a registry and streams the result to
-// a sink as {"ev":"metrics_sample"} records, so a long run's metrics
-// are observable while it is in flight rather than only at exit. The
-// sampler reads the registry through the same atomic snapshot path as
+// Sampler periodically snapshots a registry and streams the cumulative
+// result to a sink as {"ev":"metrics_sample"} records, so a long run's
+// metrics are observable while it is in flight rather than only at
+// exit. The sampler reads the registry through the same atomic snapshot path as
 // /metrics; it never perturbs instrumented code, only observes it.
 type Sampler struct {
 	reg      *Registry
 	sink     Sink
 	interval time.Duration
-	delta    bool
 
 	stop chan struct{}
 	done chan struct{}
 
-	mu   sync.Mutex
-	seq  int64
-	prev Snapshot
-	last Snapshot
+	mu  sync.Mutex
+	seq int64
 }
 
 // StartSampler begins sampling reg into sink every opt.Interval. It
@@ -49,7 +42,6 @@ func StartSampler(reg *Registry, sink Sink, opt SamplerOptions) *Sampler {
 		reg:      reg,
 		sink:     sink,
 		interval: opt.Interval,
-		delta:    opt.Delta,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -82,41 +74,21 @@ func (s *Sampler) Sample() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := s.reg.Snapshot()
-	s.last = snap
-	out := snap
-	if s.delta {
-		out = snap.DeltaSince(s.prev)
-		s.prev = snap
-	}
-	if out.Empty() {
+	if snap.Empty() {
 		return
 	}
 	s.seq++
 	rec := Record{"ev": "metrics_sample", "seq": s.seq}
-	if s.delta {
-		rec["delta"] = true
+	if len(snap.Counters) > 0 {
+		rec["counters"] = snap.Counters
 	}
-	if len(out.Counters) > 0 {
-		rec["counters"] = out.Counters
+	if len(snap.Gauges) > 0 {
+		rec["gauges"] = snap.Gauges
 	}
-	if len(out.Gauges) > 0 {
-		rec["gauges"] = out.Gauges
-	}
-	if len(out.Histograms) > 0 {
-		rec["histograms"] = out.Histograms
+	if len(snap.Histograms) > 0 {
+		rec["histograms"] = snap.Histograms
 	}
 	s.sink.Emit(rec)
-}
-
-// Last returns the most recent snapshot taken (cumulative, even in
-// delta mode). Nil-safe.
-func (s *Sampler) Last() Snapshot {
-	if s == nil {
-		return Snapshot{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
 }
 
 // Stop halts the periodic loop, emits one final sample, and waits for

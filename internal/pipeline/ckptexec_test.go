@@ -22,7 +22,7 @@ import (
 // replaces fast-forward work (Warmup=MaxUint64 would pin every warm
 // start to instruction zero).
 func ckptExecOpts(workers int) ExecOptions {
-	return ExecOptions{Warmup: 2000, DetailLeadIn: 256, RunAhead: 128, Workers: workers}
+	return ExecOptions{Warmup: 2000, DetailLeadIn: 256, Workers: workers}
 }
 
 // harnessExecOpts is the experiment harness's default warm policy:

@@ -17,7 +17,7 @@ import (
 // starts participate: workers, caches and observability never change
 // what state a point needs.
 func ckptPolicy(opts ExecOptions) ckpt.Policy {
-	return ckpt.Policy{Warmup: opts.Warmup, DetailLeadIn: opts.DetailLeadIn, RunAhead: opts.RunAhead}
+	return ckpt.Policy{Warmup: opts.Warmup, DetailLeadIn: opts.DetailLeadIn}
 }
 
 // BuildCheckpointSet runs one functional pass over the program and

@@ -83,7 +83,6 @@ func TestExecutePlanDeterministicAcrossWorkers(t *testing.T) {
 					est, err := ExecutePlan(p, plan, cfg, ExecOptions{
 						Warmup:       2000,
 						DetailLeadIn: 256,
-						RunAhead:     128,
 						Workers:      workers,
 						Obs:          rt,
 					})

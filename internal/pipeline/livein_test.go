@@ -16,7 +16,7 @@ import (
 // detailed boundary, so a checkpoint restores the live-in-scrubbed
 // state exactly there.
 func boundaryExecOpts(workers int) ExecOptions {
-	return ExecOptions{DetailLeadIn: 256, RunAhead: 128, Workers: workers}
+	return ExecOptions{DetailLeadIn: 256, Workers: workers}
 }
 
 // TestScrubDeadRegsSoundness is the execution-based soundness harness

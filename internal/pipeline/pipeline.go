@@ -57,14 +57,6 @@ type ExecOptions struct {
 	// pipeline ramp would otherwise bias every point's CPI upward.
 	DetailLeadIn uint64
 
-	// RunAhead, when non-zero, continues detailed execution up to this
-	// many instructions past each point with the statistics discarded,
-	// so the point's trailing memory latencies overlap successor work
-	// as they would in continuous simulation instead of draining into
-	// the point's own cycle count. Without it, short scaled points
-	// containing miss bursts absorb a full drain latency apiece.
-	RunAhead uint64
-
 	// Workers selects how many simulation points execute concurrently.
 	// 0 picks GOMAXPROCS; 1 executes sequentially in line on the
 	// calling goroutine (no goroutines are spawned). Every point's
@@ -133,12 +125,18 @@ type PointRecord struct {
 	L2Accesses uint64 `json:"l2_accesses"`
 	L2Hits     uint64 `json:"l2_hits"`
 
-	// Warmup split: how the gap before the point (and the discarded
-	// detailed regions around it) was spent, in instructions.
+	// Warmup split: how the gap before the point and the discarded
+	// detailed lead-in were spent, in instructions.
 	FastForward uint64 `json:"ff"`
 	Warmed      uint64 `json:"warmed"`
 	Lead        uint64 `json:"lead"`
-	Tail        uint64 `json:"tail"`
+
+	// Tail is always zero: no point runs ahead past its region.
+	//
+	// Deprecated: it remains only because perfbench's traced replay
+	// still reads it; the change that moves perfbench onto the
+	// pipeline's own layer counters (ROADMAP.md, item 3) deletes it.
+	Tail uint64 `json:"tail"`
 
 	// Wall-clock split attributable to this point.
 	WallFunctional time.Duration `json:"wall_functional_ns"`
@@ -212,16 +210,14 @@ func FullDetailed(p *prog.Program, cfg cpu.Config) (cpu.Result, time.Duration, e
 }
 
 // pointTask is the precomputed execution budget of one simulation
-// point: the plain fast-forward from the previous point's run-ahead
-// end, the functional-warming window and discarded detailed lead-in
-// before the point, and the discarded run-ahead after it. Tasks are a
-// pure function of (plan, options), so every worker count derives the
-// same schedule.
+// point: the plain fast-forward from the previous point's end, and the
+// functional-warming window and discarded detailed lead-in before the
+// point. Tasks are a pure function of (plan, options), so every worker
+// count derives the same schedule.
 type pointTask struct {
 	skip uint64 // plain fast-forward beyond the previous point's reach
 	warm uint64 // functional warming (may replay earlier points' regions)
 	lead uint64 // discarded detailed lead-in
-	tail uint64 // discarded detailed run-ahead
 	// warmStart is the instruction position warming begins at:
 	// pt.Start - lead - warm.
 	warmStart uint64
@@ -251,24 +247,13 @@ func planTasks(plan *sampling.Plan, opts ExecOptions) ([]pointTask, error) {
 		if warm > pt.Start-lead {
 			warm = pt.Start - lead
 		}
-		// Run-ahead is bounded by the distance to the next point (or
-		// program end), so the machine never advances into a region
-		// another point will measure.
-		tail := opts.RunAhead
-		limit := plan.TotalInsts
-		if pi+1 < len(plan.Points) {
-			limit = plan.Points[pi+1].Start
-		}
-		if avail := limit - pt.End; tail > avail {
-			tail = avail
-		}
 		warmStart := pt.Start - lead - warm
 		var skip uint64
 		if warmStart > cursor {
 			skip = warmStart - cursor
 		}
-		tasks[pi] = pointTask{skip: skip, warm: warm, lead: lead, tail: tail, warmStart: warmStart}
-		cursor = pt.End + tail
+		tasks[pi] = pointTask{skip: skip, warm: warm, lead: lead, warmStart: warmStart}
+		cursor = pt.End
 	}
 	return tasks, nil
 }
@@ -288,23 +273,6 @@ type spine struct {
 	start *ckpt.State
 }
 
-// restart gives the spine a cold context for a new warm start. The
-// chunk's first spine allocates it. A later spine resets the previous
-// spine's context in place: that context ran the previous point's
-// window and is dead, and the reset rewrites only the cache sets it
-// used (cpu.Sim.ResetCold).
-func (sp *spine) restart(cfg cpu.Config, reg *obs.Registry) error {
-	if sp.warm != nil {
-		return sp.warm.ResetCold()
-	}
-	var err error
-	if sp.warm, err = cpu.New(cfg); err != nil {
-		return err
-	}
-	sp.warm.Metrics = reg
-	return nil
-}
-
 // captureAll captures m's complete state (every register, every written
 // page) for point pi, so restoring it rewinds m exactly.
 func captureAll(m *emu.Machine, pi int) (*ckpt.State, error) {
@@ -317,10 +285,10 @@ func captureAll(m *emu.Machine, pi int) (*ckpt.State, error) {
 // pipeline. When keep is set, the boundary state is captured into
 // sp.rewind and the detailed window runs on a fork, so the caller can
 // rewind m and continue warming sp.warm; otherwise sp.warm itself runs
-// the window. m advances through the lead-in, the measured region and
-// run-ahead. t0 is when this point's functional phase (state
-// materialization, fast-forward, rewind or warming) began, so the wall
-// split charges state reconstruction to the point.
+// the window. m advances through the lead-in and the measured region.
+// t0 is when this point's functional phase (state materialization,
+// fast-forward, rewind or warming) began, so the wall split charges
+// state reconstruction to the point.
 func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int, task pointTask, opts ExecOptions, t0 time.Time) (PointRecord, error) {
 	pt := plan.Points[pi]
 	// Record the static live-in set at the boundary — the portable-
@@ -362,7 +330,7 @@ func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int,
 	wallFunc := time.Since(t0)
 
 	t0 = time.Now()
-	res, err := sim.RunWindow(m, task.lead, pt.Len(), task.tail)
+	res, err := sim.RunWindow(m, task.lead, pt.Len(), 0)
 	wallDet := time.Since(t0)
 	if err != nil {
 		return PointRecord{}, fmt.Errorf("pipeline: detailed point %d [%d,%d) in %s/%s: %w",
@@ -389,7 +357,6 @@ func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int,
 		FastForward:    task.skip,
 		Warmed:         task.warm,
 		Lead:           task.lead,
-		Tail:           task.tail,
 		WallFunctional: wallFunc,
 		WallDetailed:   wallDet,
 		LiveIn:         livein,
@@ -545,7 +512,7 @@ func taskCost(tasks []pointTask, i int, ptLen uint64) float64 {
 	t := tasks[i]
 	return float64(t.skip) +
 		warmCostFactor*float64(spineWarm(tasks, i)) +
-		detailCostFactor*float64(t.lead+ptLen+t.tail)
+		detailCostFactor*float64(t.lead+ptLen)
 }
 
 // planPartition derives the cost-aware chunk schedule for a plan: a
@@ -618,9 +585,10 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 //     state warming the whole window from the warm start would leave.
 //   - Any other point starts a new spine: positionMachine restores the
 //     machine from the checkpoint set or walks it forward to the warm
-//     start, and a cold context then warms the whole window. Only a
-//     chunk's first spine allocates that context; later ones reset the
-//     previous spine's in place (spine.restart).
+//     start, and a cold context then warms the whole window. The chunk
+//     allocates that context once; each later spine resets the previous
+//     spine's in place, which rewrites only the cache sets it used
+//     (cpu.Sim.ResetCold).
 //
 // When the next point will continue the spine, runPoint captures the
 // machine's state at this boundary (all-live) and runs the detailed
@@ -642,9 +610,14 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 	stage.AddTotal(int64(len(plan.Points)))
 	return parallel.ForEachOpt(ctx, len(chunks), len(chunks), func(ctx context.Context, k int) error {
 		var (
-			m  *emu.Machine
-			sp spine
+			m   *emu.Machine
+			sp  spine
+			err error
 		)
+		if sp.warm, err = cpu.New(cfg); err != nil {
+			return err
+		}
+		sp.warm.Metrics = reg
 		c := chunks[k]
 		for pi := c.Start; pi < c.End; pi++ {
 			if err := ctx.Err(); err != nil {
@@ -669,8 +642,10 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 						return fmt.Errorf("pipeline: spine-start capture at point %d in %s: %w", pi, plan.Benchmark, err)
 					}
 				}
-				if err := sp.restart(cfg, reg); err != nil {
-					return err
+				if pi > c.Start {
+					// The previous spine ran its last point's window on
+					// this context, which is dead now.
+					sp.warm.ResetCold()
 				}
 			}
 			if warm > 0 {
@@ -710,13 +685,13 @@ func spineWarm(tasks []pointTask, i int) uint64 {
 
 // rewindsToSpineStart reports whether, in a chunk ending before point
 // end, the next spine start after point pi lies behind the machine: a
-// finite warm window reaching back past the run-ahead end of the point
-// before it, which is where that point leaves the machine. Only then
-// does the spine pi starts need its start captured.
+// finite warm window reaching back past the end of the point before
+// it, which is where that point leaves the machine. Only then does the
+// spine pi starts need its start captured.
 func rewindsToSpineStart(plan *sampling.Plan, tasks []pointTask, pi, end int) bool {
 	for j := pi + 1; j < end; j++ {
 		if !continuesSpine(tasks, j) {
-			return tasks[j].warmStart < plan.Points[j-1].End+tasks[j-1].tail
+			return tasks[j].warmStart < plan.Points[j-1].End
 		}
 	}
 	return false
@@ -728,7 +703,7 @@ func rewindsToSpineStart(plan *sampling.Plan, tasks []pointTask, pi, end int) bo
 // restored from the point's state, which is cheaper than any
 // fast-forward. Without one the machine walks forward: a chunk's first
 // point starts a new machine at instruction 0, and a later point
-// continues m from where the previous point's run-ahead left it — or,
+// continues m from where the previous point's window left it — or,
 // when a finite warm window reaches behind that, from start, the
 // chunk's previous spine start. Warm starts never decrease, so start is
 // never ahead of warmStart.
@@ -799,7 +774,6 @@ func journalPoint(rt *obs.Runtime, plan *sampling.Plan, cfgName string, rec Poin
 		"ff":                 rec.FastForward,
 		"warmed":             rec.Warmed,
 		"lead":               rec.Lead,
-		"tail":               rec.Tail,
 		"wall_functional_ns": rec.WallFunctional.Nanoseconds(),
 		"wall_detailed_ns":   rec.WallDetailed.Nanoseconds(),
 	})

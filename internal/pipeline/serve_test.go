@@ -175,7 +175,7 @@ func TestServeAndSamplerDoNotPerturbJournal(t *testing.T) {
 			defer srv.Close()
 			// Sampler to a side channel at an aggressive interval, so it
 			// snapshots mid-run many times.
-			sampler = obs.StartSampler(rt.Metrics(), nullSink{}, obs.SamplerOptions{Interval: time.Millisecond, Delta: true})
+			sampler = obs.StartSampler(rt.Metrics(), nullSink{}, obs.SamplerOptions{Interval: time.Millisecond})
 			stopScrape = make(chan struct{})
 			go func() {
 				for {

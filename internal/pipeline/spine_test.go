@@ -67,7 +67,7 @@ func referenceExecute(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts
 				return nil, err
 			}
 		}
-		res, err := sim.RunWindow(m, task.lead, pt.Len(), task.tail)
+		res, err := sim.RunWindow(m, task.lead, pt.Len(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func referenceExecute(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts
 			L1Hit: res.L1.HitRate(), L2Hit: res.L2.HitRate(),
 			L1Accesses: res.L1.Accesses, L1Hits: res.L1.Hits(),
 			L2Accesses: res.L2.Accesses, L2Hits: res.L2.Hits(),
-			FastForward: task.skip, Warmed: task.warm, Lead: task.lead, Tail: task.tail,
+			FastForward: task.skip, Warmed: task.warm, Lead: task.lead,
 			LiveIn: livein,
 		}
 		est.PointRecords = append(est.PointRecords, rec)
@@ -107,7 +107,7 @@ type spinePolicy struct {
 func spinePolicies(plan *sampling.Plan) []spinePolicy {
 	return []spinePolicy{
 		{"harness", ExecOptions{Warmup: math.MaxUint64, DetailLeadIn: 512}},
-		{"mixed", ExecOptions{Warmup: plan.Points[1].Start, DetailLeadIn: 256, RunAhead: 128}},
+		{"mixed", ExecOptions{Warmup: plan.Points[1].Start, DetailLeadIn: 256}},
 		{"cold", ExecOptions{DetailLeadIn: 256}},
 	}
 }
@@ -254,7 +254,7 @@ func TestWarmInstsCount(t *testing.T) {
 			t.Fatalf("point %d's warm window starts at %d, inside point %d's region; pick a shorter window", i, ws, i-1)
 		}
 		sum += r.Warmed
-		prevEnd = r.End + r.Tail
+		prevEnd = r.End
 	}
 	if got != int64(sum) || sum == 0 {
 		t.Errorf("finite policy: warmed %d instructions, want the sum of Warmed %d", got, sum)
@@ -315,7 +315,7 @@ func TestSpineCostModel(t *testing.T) {
 		{warm: 800, lead: 100, warmStart: 9000},             // continues: increment 500
 	}
 	const ptLen = 10
-	detail := func(t pointTask) float64 { return detailCostFactor * float64(t.lead+ptLen+t.tail) }
+	detail := func(t pointTask) float64 { return detailCostFactor * float64(t.lead+ptLen) }
 	wantCost := []float64{
 		warmCostFactor*1000 + detail(tasks[0]),
 		warmCostFactor*4000 + detail(tasks[1]),

@@ -41,13 +41,9 @@ type Config struct {
 	BICFraction float64
 
 	// EarlySP selects the earliest interval whose distance to the
-	// centroid is within EarlyTolerance x the minimum distance,
+	// centroid is within earlyTolerance x the minimum distance,
 	// instead of the nearest interval.
 	EarlySP bool
-
-	// EarlyTolerance is the distance slack factor for EarlySP
-	// (default 1.3).
-	EarlyTolerance float64
 
 	// SampleCap bounds the number of intervals the clustering stage
 	// examines directly (0 = all); long traces are stride-sampled and
@@ -68,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BICFraction <= 0 {
 		c.BICFraction = 0.9
-	}
-	if c.EarlyTolerance <= 1 {
-		c.EarlyTolerance = 1.3
 	}
 	return c
 }
@@ -125,7 +118,7 @@ func SelectFromTrace(tr *phase.Trace, cfg Config) (*sampling.Plan, *kmeans.Resul
 
 	var reps []int
 	if cfg.EarlySP {
-		reps = earlyReps(tr, km, cfg.EarlyTolerance)
+		reps = earlyReps(tr, km)
 	} else {
 		reps = kmeans.NearestToCentroid(tr.Vectors(), km)
 	}
@@ -190,10 +183,13 @@ func Select(p *prog.Program, cfg Config) (*sampling.Plan, *phase.Trace, *kmeans.
 	return plan, tr, km, nil
 }
 
+// earlyTolerance is EarlySP's distance slack factor.
+const earlyTolerance = 1.3
+
 // earlyReps picks, per cluster, the earliest interval whose distance
-// to the centroid is within tolerance x the minimum distance in that
-// cluster (the EarlySP criterion).
-func earlyReps(tr *phase.Trace, km *kmeans.Result, tolerance float64) []int {
+// to the centroid is within earlyTolerance x the minimum distance in
+// that cluster (the EarlySP criterion).
+func earlyReps(tr *phase.Trace, km *kmeans.Result) []int {
 	minDist := make([]float64, km.K)
 	for c := range minDist {
 		minDist[c] = math.Inf(1)
@@ -213,7 +209,7 @@ func earlyReps(tr *phase.Trace, km *kmeans.Result, tolerance float64) []int {
 		if reps[c] >= 0 {
 			continue // already found the earliest qualifying interval
 		}
-		if linalg.Dist(iv.Vector, km.Centroids[c]) <= minDist[c]*tolerance+1e-15 {
+		if linalg.Dist(iv.Vector, km.Centroids[c]) <= minDist[c]*earlyTolerance+1e-15 {
 			reps[c] = i
 		}
 	}

@@ -96,7 +96,7 @@ func TestEarlySPPicksEarlierPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, _, _, err := Select(p, Config{IntervalLen: 100, Kmax: 8, Seed: 4, EarlySP: true, EarlyTolerance: 3})
+	early, _, _, err := Select(p, Config{IntervalLen: 100, Kmax: 8, Seed: 4, EarlySP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
