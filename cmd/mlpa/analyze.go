@@ -2,11 +2,8 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
-	"mlpa/internal/bench"
 	"mlpa/internal/emu"
 	"mlpa/internal/prog"
 	"mlpa/internal/staticanalysis"
@@ -17,14 +14,13 @@ import (
 // dominator tree, and natural-loop forest for a suite benchmark
 // (-bench) or an assembly file given as a positional argument. With
 // -dataflow it additionally prints the register dataflow solution
-// (per-block live sets, statically-dead writes, the whole-program
-// region summary) and cross-checks the static model against the
-// emulator's predecoded register slots. With -dynamic it also runs the
-// loop profiler and cross-checks every dynamically-observed structure
-// against the static forest, which is the same comparison COASTS
-// journals during boundary collection.
+// (per-block live sets and statically-dead writes) and cross-checks
+// the static model against the emulator's predecoded register slots.
+// With -dynamic it also runs the loop profiler and cross-checks every
+// dynamically-observed structure against the static forest, which is
+// the same comparison COASTS journals during boundary collection.
 func runAnalyze(f *flags) error {
-	p, err := analyzeTarget(f)
+	p, err := loadProgram(f)
 	if err != nil {
 		return err
 	}
@@ -97,29 +93,6 @@ func dataflowReport(p *prog.Program) (string, error) {
 	}
 	sb.WriteString("  predecode cross-check: ok\n")
 	return sb.String(), nil
-}
-
-// analyzeTarget resolves the program to analyze: a positional .s file
-// takes precedence over the -bench suite benchmark.
-func analyzeTarget(f *flags) (*prog.Program, error) {
-	if len(f.args) > 0 {
-		path := f.args[0]
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		return prog.Assemble(name, string(src))
-	}
-	spec, err := bench.ByName(f.benchmark)
-	if err != nil {
-		return nil, err
-	}
-	size, err := bench.ParseSize(f.size)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Program(size)
 }
 
 // analyzeDynamic runs the dynamic loop profiler to completion and

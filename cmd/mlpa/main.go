@@ -16,6 +16,8 @@
 //	mlpa inspect <run.jsonl>        render a recorded run journal
 //	mlpa analyze [-bench name | file.s] static analysis: verifier, CFG, dominators, loops
 //	mlpa analyze -dataflow ...      add liveness: live sets, dead writes, predecode cross-check
+//	mlpa sim [-mode -max -config] [-bench name | file.s]  run one program: functional, detailed or warm
+//	mlpa bbv [-granularity -pca] [-bench name | file.s]  per-interval BBV signatures as CSV
 //	mlpa serve [-addr host:port]    sampling-as-a-service HTTP daemon (docs/SERVICE.md)
 //	mlpa loadtest [-addr -clients -requests -dup -min-hit-rate] load harness for serve
 //	mlpa all                        figures and tables above
@@ -24,15 +26,19 @@
 // -rates simplescalar|measured, -workers N (parallel simulation fan-out
 // across benchmarks and simulation points; 0 = GOMAXPROCS, 1 =
 // sequential; results are bit-identical for every worker count).
+// Commands that run one program (fig1, points, ablation, ckpt save,
+// analyze, sim, bbv) take it from -bench; analyze, sim and bbv also
+// accept an assembly file as the positional argument, which takes
+// precedence.
 //
 // Observability flags (every command): -journal file.jsonl records a
 // structured run journal (manifest, stage spans, per-point records,
 // estimates, deviations) that `mlpa inspect` renders; -metrics file
-// dumps the metrics registry as JSON on exit; -v logs stage progress
-// to stderr; -serve addr exposes the run live over HTTP (/metrics in
-// Prometheus text or JSON, /progress per-stage completion, and the
-// pprof mux under /debug/pprof/) without perturbing results; -sample
-// 5s streams periodic metrics_sample records to the journal;
+// dumps the metrics registry as JSON on exit (- for stderr); -v logs
+// stage progress to stderr; -serve addr exposes the run live over HTTP
+// (/metrics in Prometheus text or JSON, /progress per-stage completion,
+// and the pprof mux under /debug/pprof/) without perturbing results;
+// -sample 5s streams periodic metrics_sample records to the journal;
 // -cpuprofile/-memprofile write runtime profiles. See
 // docs/OBSERVABILITY.md.
 package main
@@ -43,6 +49,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -53,6 +60,7 @@ import (
 	"mlpa/internal/experiments"
 	"mlpa/internal/obs"
 	"mlpa/internal/pipeline"
+	"mlpa/internal/prog"
 	"mlpa/internal/report"
 	"mlpa/internal/sampling"
 	"mlpa/internal/stats"
@@ -77,6 +85,12 @@ type flags struct {
 	dynamic    bool
 	dataflow   bool
 	workers    int
+
+	// sim and bbv surface (see cmd/mlpa/sim.go and cmd/mlpa/bbv.go).
+	mode        string
+	maxInsts    uint64
+	granularity string
+	pca         int
 
 	// Observability surface.
 	journal    string
@@ -123,16 +137,20 @@ func parseFlags(cmd string, args []string) (*flags, error) {
 	fs.StringVar(&f.size, "size", "small", "suite scale: tiny, small or ref")
 	fs.Int64Var(&f.seed, "seed", 1, "random seed for projection and clustering")
 	fs.StringVar(&f.benchmarks, "benchmarks", "", "comma-separated benchmark subset (default: all)")
-	fs.StringVar(&f.configs, "config", "A,B", "Table I configurations for table2")
-	fs.StringVar(&f.benchmark, "bench", "lucas", "benchmark for fig1/points")
+	fs.StringVar(&f.configs, "config", "A,B", "Table I configurations for table2, bench, ckpt exec and sim")
+	fs.StringVar(&f.benchmark, "bench", "lucas", "benchmark for fig1, points, ablation, ckpt save, analyze, sim and bbv")
 	fs.StringVar(&f.rates, "rates", "simplescalar", "time model: simplescalar or measured")
 	fs.StringVar(&f.method, "method", "multilevel", "sampling method for ckpt save and loadtest: coasts, simpoint or multilevel")
 	fs.StringVar(&f.dir, "dir", "", "checkpoint set directory (ckpt); output directory for BENCH_<date>.json (bench)")
 	fs.BoolVar(&f.dynamic, "dynamic", false, "analyze: also profile dynamically and cross-check against the static forest")
 	fs.BoolVar(&f.dataflow, "dataflow", false, "analyze: print per-block live sets, statically-dead writes and the predecode cross-check")
 	fs.IntVar(&f.workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
+	fs.StringVar(&f.mode, "mode", "detailed", "sim: functional, detailed, or warm (cache/branch stats without timing)")
+	fs.Uint64Var(&f.maxInsts, "max", 0, "sim: instruction budget (0 = run to completion)")
+	fs.StringVar(&f.granularity, "granularity", "fine", "bbv: fine (fixed-length) or coarse (loop iterations)")
+	fs.IntVar(&f.pca, "pca", 0, "bbv: emit only the first N principal components (0 = raw signature)")
 	fs.StringVar(&f.journal, "journal", "", "write a JSONL run journal to this file (see `mlpa inspect`)")
-	fs.StringVar(&f.metrics, "metrics", "", "write a JSON metrics-registry snapshot to this file on exit")
+	fs.StringVar(&f.metrics, "metrics", "", "write a JSON metrics-registry snapshot to this file on exit (- for stderr)")
 	fs.BoolVar(&f.verbose, "v", false, "log stage progress to stderr")
 	fs.StringVar(&f.serveAddr, "serve", "", "serve live telemetry (/metrics, /progress, /debug/pprof/) on this address (e.g. localhost:8080)")
 	fs.DurationVar(&f.sample, "sample", 0, "stream periodic metrics_sample records to the journal (or stderr without -journal) at this interval")
@@ -170,11 +188,7 @@ func (f *flags) options() (experiments.Options, error) {
 	case "", "simplescalar":
 		o.TimeModel = sampling.SimpleScalarRates
 	case "measured":
-		spec, err := bench.ByName("gzip")
-		if err != nil {
-			return o, err
-		}
-		p, err := spec.Program(size)
+		p, err := bench.Program("gzip", size)
 		if err != nil {
 			return o, err
 		}
@@ -191,6 +205,30 @@ func (f *flags) options() (experiments.Options, error) {
 	return o, nil
 }
 
+// loadProgram resolves the one program analyze, sim and bbv run: an
+// assembly file given as the positional argument takes precedence over
+// the -bench suite benchmark at -size. Flag parsing stops at that file,
+// so anything after it is refused rather than silently ignored.
+func loadProgram(f *flags) (*prog.Program, error) {
+	if len(f.args) > 1 {
+		return nil, fmt.Errorf("unexpected arguments after %s: %q (flags go before the file)", f.args[0], f.args[1:])
+	}
+	if len(f.args) > 0 {
+		path := f.args[0]
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		return prog.Assemble(name, string(src))
+	}
+	size, err := bench.ParseSize(f.size)
+	if err != nil {
+		return nil, err
+	}
+	return bench.Program(f.benchmark, size)
+}
+
 func (f *flags) cpuConfigs() ([]cpu.Config, error) {
 	var out []cpu.Config
 	for _, name := range strings.Split(f.configs, ",") {
@@ -205,7 +243,7 @@ func (f *flags) cpuConfigs() ([]cpu.Config, error) {
 
 func run(args []string) (err error) {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: mlpa <fig1|fig3|fig4|table2|table3|points|motivation|ablation|ckpt|bench|inspect|analyze|serve|loadtest|all> [flags]")
+		return fmt.Errorf("usage: mlpa <fig1|fig3|fig4|table2|table3|points|motivation|ablation|ckpt|bench|inspect|analyze|sim|bbv|serve|loadtest|all> [flags]")
 	}
 	cmd := args[0]
 	fargs := args[1:]
@@ -264,6 +302,10 @@ func run(args []string) (err error) {
 		return runBench(f)
 	case "analyze":
 		return runAnalyze(f)
+	case "sim":
+		return runSim(f)
+	case "bbv":
+		return runBBV(f)
 	case "serve":
 		return runServe(f)
 	case "loadtest":

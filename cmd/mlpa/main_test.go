@@ -16,18 +16,24 @@ import (
 // a benchmark subset, writing to the real stdout (discarded by `go
 // test` unless -v).
 
-func TestMain(m *testing.M) {
-	// Silence subcommand output during tests. Set MLPA_TEST_STDOUT=1 to
-	// keep it (and the test framework's own failure output) visible.
-	old := os.Stdout
-	if os.Getenv("MLPA_TEST_STDOUT") == "" {
-		if devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0); err == nil {
-			os.Stdout = devnull
-		}
+// captureOutput runs fn with *stream (os.Stdout or os.Stderr)
+// redirected to a temporary file and returns what fn wrote there.
+func captureOutput(t *testing.T, stream **os.File, fn func() error) (string, error) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	code := m.Run()
-	os.Stdout = old
-	os.Exit(code)
+	defer out.Close()
+	saved := *stream
+	*stream = out
+	ferr := fn()
+	*stream = saved
+	text, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text), ferr
 }
 
 func TestRunUsage(t *testing.T) {
@@ -94,21 +100,10 @@ func TestRunMeasuredRates(t *testing.T) {
 // executed plan — five projection dimensions, three methods cold and
 // warmed, and one systematic-sampling plan.
 func TestRunAblation(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.jsonl")
-	out, err := os.Create(filepath.Join(dir, "stdout.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	stdout := os.Stdout
-	os.Stdout = out
-	err = run([]string{"ablation", "-size", "tiny", "-bench", "gzip", "-journal", journal})
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := os.ReadFile(out.Name())
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	text, err := captureOutput(t, &os.Stdout, func() error {
+		return run([]string{"ablation", "-size", "tiny", "-bench", "gzip", "-journal", journal})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +117,7 @@ func TestRunAblation(t *testing.T) {
 		"Ablation: variable-length intervals vs fixed SimPoint",
 		"Ablation: SMARTS-style systematic sampling vs COASTS and SimPoint on gzip",
 	} {
-		if !strings.Contains(string(text), title) {
+		if !strings.Contains(text, title) {
 			t.Errorf("output lacks the table %q", title)
 		}
 	}
@@ -236,6 +231,31 @@ func TestRunJournalAndInspect(t *testing.T) {
 	}
 	if err := run([]string{"inspect", filepath.Join(dir, "missing.jsonl")}); err == nil {
 		t.Error("inspect of a missing file succeeded")
+	}
+}
+
+// TestConfigHashCoversResultFlags: argument lists that differ only in
+// a flag that picks the program or changes a sim/bbv result carry
+// different journal config hashes.
+func TestConfigHashCoversResultFlags(t *testing.T) {
+	hash := func(args ...string) string {
+		t.Helper()
+		f, err := parseFlags("ablation", append([]string{"-size", "tiny"}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return configHash(f)
+	}
+	for _, pair := range [][2][]string{
+		{{"-bench", "gzip"}, {"-bench", "swim"}},
+		{{"-mode", "functional"}, {"-mode", "warm"}},
+		{{"-max", "0"}, {"-max", "1000"}},
+		{{"-granularity", "fine"}, {"-granularity", "coarse"}},
+		{{"-pca", "0"}, {"-pca", "2"}},
+	} {
+		if hash(pair[0]...) == hash(pair[1]...) {
+			t.Errorf("%v and %v share a config hash", pair[0], pair[1])
+		}
 	}
 }
 

@@ -14,6 +14,17 @@ import (
 	"mlpa/internal/obs"
 )
 
+// configHash fingerprints every flag that changes a command's results,
+// so two journals are comparable iff their hashes match. A flag the
+// command ignores is hashed too, which only makes the match stricter.
+func configHash(f *flags) string {
+	return obs.ConfigHash(map[string]any{
+		"size": f.size, "seed": f.seed, "benchmarks": f.benchmarks, "bench": f.benchmark,
+		"configs": f.configs, "rates": f.rates, "method": f.method,
+		"mode": f.mode, "max": f.maxInsts, "granularity": f.granularity, "pca": f.pca,
+	})
+}
+
 // setupObs builds the observability runtime the flags describe, stores
 // it on f, and returns a teardown function that flushes everything
 // (metrics snapshot, heap profile, journal file) when the command
@@ -38,20 +49,15 @@ func setupObs(f *flags, cmd string) (func() error, error) {
 		f.rt.SetLogger(os.Stderr)
 	}
 	f.rt.EmitManifest(obs.Manifest{
-		Tool:      "mlpa",
-		Command:   cmd,
-		Benchmark: f.benchmarks,
-		Method:    f.method,
-		Size:      f.size,
-		Seed:      f.seed,
-		Configs:   strings.Split(f.configs, ","),
-		// The hash fingerprints every knob that changes results, so two
-		// journals are comparable iff their hashes match.
-		ConfigHash: obs.ConfigHash(map[string]any{
-			"size": f.size, "seed": f.seed, "benchmarks": f.benchmarks,
-			"configs": f.configs, "rates": f.rates, "method": f.method,
-		}),
-		Args: os.Args[1:],
+		Tool:       "mlpa",
+		Command:    cmd,
+		Benchmark:  f.benchmarks,
+		Method:     f.method,
+		Size:       f.size,
+		Seed:       f.seed,
+		Configs:    strings.Split(f.configs, ","),
+		ConfigHash: configHash(f),
+		Args:       os.Args[1:],
 	})
 
 	// Live telemetry: -serve exposes /metrics, /progress and the pprof
@@ -117,7 +123,9 @@ func setupObs(f *flags, cmd string) (func() error, error) {
 				keep(mf.Close())
 			}
 		}
-		if f.metrics != "" {
+		if f.metrics == "-" {
+			keep(f.rt.Metrics().WriteJSON(os.Stderr))
+		} else if f.metrics != "" {
 			mf, err := os.Create(f.metrics)
 			if err != nil {
 				keep(fmt.Errorf("metrics: %w", err))

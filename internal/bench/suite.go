@@ -310,6 +310,16 @@ func ByName(name string) (*Spec, error) {
 	return nil, fmt.Errorf("bench: unknown benchmark %q", name)
 }
 
+// Program generates (and caches) the executable of the suite
+// benchmark name at a size.
+func Program(name string, size Size) (*prog.Program, error) {
+	s, err := ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.Program(size)
+}
+
 // Names returns the suite benchmark names in order.
 func Names() []string {
 	suite := Suite()

@@ -94,6 +94,12 @@ func TestProgramCaching(t *testing.T) {
 	if p1 == p3 {
 		t.Error("different sizes share a program")
 	}
+	if p, err := Program("gzip", SizeTiny); err != nil || p != p1 {
+		t.Errorf("Program(gzip) = %p, %v; want the spec's cached %p", p, err, p1)
+	}
+	if _, err := Program("bogus", SizeTiny); err == nil {
+		t.Error("Program(bogus) succeeded")
+	}
 }
 
 func TestOuterLoopDiscovered(t *testing.T) {

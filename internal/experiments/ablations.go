@@ -35,11 +35,7 @@ type GranularityRow struct {
 // fine interval.
 func GranularitySweep(o Options, benchmark string, multipliers []float64) ([]GranularityRow, error) {
 	o = o.withDefaults()
-	spec, err := bench.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.Program(o.Size)
+	p, err := bench.Program(benchmark, o.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +77,7 @@ type KmaxRow struct {
 // default of 3.
 func CoarseKmaxSweep(o Options, benchmark string, kmaxes []int) ([]KmaxRow, error) {
 	o = o.withDefaults()
-	spec, err := bench.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.Program(o.Size)
+	p, err := bench.Program(benchmark, o.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -124,11 +116,7 @@ type ThresholdRow struct {
 // default.
 func ThresholdSweep(o Options, benchmark string, multipliers []float64) ([]ThresholdRow, error) {
 	o = o.withDefaults()
-	spec, err := bench.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.Program(o.Size)
+	p, err := bench.Program(benchmark, o.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +167,7 @@ type DimRow struct {
 // CPI deviation on one benchmark under configuration A.
 func ProjectionDimSweep(o Options, benchmark string, dims []int) ([]DimRow, error) {
 	o = o.withDefaults()
-	spec, err := bench.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.Program(o.Size)
+	p, err := bench.Program(benchmark, o.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +205,7 @@ type ColdStartRow struct {
 // transients that the warming policy removes.
 func ColdStartAblation(o Options, benchmark string) ([]ColdStartRow, error) {
 	o = o.withDefaults()
-	spec, err := bench.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.Program(o.Size)
+	p, err := bench.Program(benchmark, o.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +262,7 @@ func VLIComparison(o Options, benchmarks []string) ([]VLIRow, error) {
 	o = o.withDefaults()
 	var out []VLIRow
 	for _, name := range benchmarks {
-		spec, err := bench.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := spec.Program(o.Size)
+		p, err := bench.Program(name, o.Size)
 		if err != nil {
 			return nil, err
 		}
@@ -344,11 +320,7 @@ func EarlySPComparison(o Options, benchmarks []string) ([]EarlySPRow, error) {
 	o = o.withDefaults()
 	var out []EarlySPRow
 	for _, name := range benchmarks {
-		spec, err := bench.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := spec.Program(o.Size)
+		p, err := bench.Program(name, o.Size)
 		if err != nil {
 			return nil, err
 		}
@@ -399,11 +371,7 @@ func StatisticalSamplingComparison(o Options, benchmarks []string) ([]StatSampli
 	o = o.withDefaults()
 	var out []StatSamplingRow
 	for _, name := range benchmarks {
-		spec, err := bench.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := spec.Program(o.Size)
+		p, err := bench.Program(name, o.Size)
 		if err != nil {
 			return nil, err
 		}

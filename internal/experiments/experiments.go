@@ -432,11 +432,7 @@ type Fig1Result struct {
 // selected simulation points marked.
 func Fig1(o Options, benchmark string) (*Fig1Result, error) {
 	o = o.withDefaults()
-	spec, err := bench.ByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.Program(o.Size)
+	p, err := bench.Program(benchmark, o.Size)
 	if err != nil {
 		return nil, err
 	}

@@ -9,69 +9,38 @@ import (
 	"strings"
 )
 
-// Exporter encodes one metrics snapshot onto a writer. Exporters are
-// stateless and safe for concurrent use; both implementations emit
-// deterministically ordered output (sorted metric names), so identical
-// snapshots encode to identical bytes.
-type Exporter interface {
-	// Export writes the encoded snapshot.
-	Export(w io.Writer, s Snapshot) error
-	// ContentType is the MIME type of the encoding, for HTTP export.
-	ContentType() string
-}
+// The two snapshot encodings, /metrics's Prometheus text and the JSON
+// of the -metrics file and /metrics?format=json, emit deterministically
+// ordered output (sorted metric names), so identical snapshots encode
+// to identical bytes.
 
-// JSONExporter encodes snapshots as JSON (the -metrics file format).
-type JSONExporter struct {
-	// Indent, when true, pretty-prints with two-space indentation.
-	Indent bool
-}
-
-// Export implements Exporter.
-func (e JSONExporter) Export(w io.Writer, s Snapshot) error {
+// writeJSON encodes a snapshot as JSON with two-space indentation.
+func writeJSON(w io.Writer, s Snapshot) error {
 	enc := json.NewEncoder(w)
-	if e.Indent {
-		enc.SetIndent("", "  ")
-	}
+	enc.SetIndent("", "  ")
 	return enc.Encode(s)
 }
 
-// ContentType implements Exporter.
-func (e JSONExporter) ContentType() string { return "application/json" }
-
-// PromExporter encodes snapshots in the Prometheus text exposition
+// writeProm encodes a snapshot in the Prometheus text exposition
 // format (version 0.0.4): counters and gauges as single samples,
 // histograms as summaries with p50/p90/p99 quantile samples plus _sum
-// and _count. Metric names are prefixed with Namespace and sanitized
-// (every character outside [a-zA-Z0-9_] becomes '_').
-type PromExporter struct {
-	// Namespace prefixes every metric name; empty means "mlpa".
-	Namespace string
-}
-
-// ContentType implements Exporter.
-func (e PromExporter) ContentType() string { return "text/plain; version=0.0.4" }
-
-// Export implements Exporter.
-func (e PromExporter) Export(w io.Writer, s Snapshot) error {
-	ns := e.Namespace
-	if ns == "" {
-		ns = "mlpa"
-	}
+// and _count, under promName's names.
+func writeProm(w io.Writer, s Snapshot) error {
 	for _, name := range sortedKeys(s.Counters) {
-		pn := promName(ns, name)
+		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedKeys(s.Gauges) {
-		pn := promName(ns, name)
+		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(s.Gauges[name])); err != nil {
 			return err
 		}
 	}
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
-		pn := promName(ns, name)
+		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {
 			return err
 		}
@@ -90,12 +59,12 @@ func (e PromExporter) Export(w io.Writer, s Snapshot) error {
 	return nil
 }
 
-// promName prefixes and sanitizes a registry metric name.
-func promName(ns, name string) string {
+// promName maps a registry metric name into the mlpa_ namespace: every
+// character outside [a-zA-Z0-9_] becomes '_'.
+func promName(name string) string {
 	var b strings.Builder
-	b.Grow(len(ns) + 1 + len(name))
-	b.WriteString(ns)
-	b.WriteByte('_')
+	b.Grow(len("mlpa_") + len(name))
+	b.WriteString("mlpa_")
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		switch {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -47,7 +48,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // keys, two-space indent, quantile fields present.
 func TestJSONExporterGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (JSONExporter{Indent: true}).Export(&buf, goldenSnapshot()); err != nil {
+	if err := writeJSON(&buf, goldenSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "snapshot.json.golden", buf.Bytes())
@@ -57,7 +58,7 @@ func TestJSONExporterGolden(t *testing.T) {
 // byte-for-byte: TYPE lines, sanitized names, summary quantiles.
 func TestPromExporterGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (PromExporter{}).Export(&buf, goldenSnapshot()); err != nil {
+	if err := writeProm(&buf, goldenSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "snapshot.prom.golden", buf.Bytes())
@@ -68,16 +69,16 @@ func TestPromExporterGolden(t *testing.T) {
 // determinism contract rest on.
 func TestExportersDeterministic(t *testing.T) {
 	s := goldenSnapshot()
-	for _, exp := range []Exporter{JSONExporter{}, JSONExporter{Indent: true}, PromExporter{}, PromExporter{Namespace: "x"}} {
+	for name, write := range map[string]func(io.Writer, Snapshot) error{"json": writeJSON, "prom": writeProm} {
 		var a, b bytes.Buffer
-		if err := exp.Export(&a, s); err != nil {
+		if err := write(&a, s); err != nil {
 			t.Fatal(err)
 		}
-		if err := exp.Export(&b, s); err != nil {
+		if err := write(&b, s); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%T: two exports of one snapshot differ", exp)
+			t.Errorf("%s: two exports of one snapshot differ", name)
 		}
 	}
 }
@@ -88,7 +89,7 @@ func TestPromName(t *testing.T) {
 		{"plan/exec wall", "mlpa_plan_exec_wall"},
 		{"a.b-c", "mlpa_a_b_c"},
 	} {
-		if got := promName("mlpa", tc.in); got != tc.want {
+		if got := promName(tc.in); got != tc.want {
 			t.Errorf("promName(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}

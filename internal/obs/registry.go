@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"sync"
@@ -265,9 +264,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // WriteJSON writes the current snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return writeJSON(w, r.Snapshot())
 }
 
 // DeltaSince returns the change from prev to s: counters are

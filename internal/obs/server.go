@@ -35,12 +35,13 @@ func Mount(mux *http.ServeMux, rt *Runtime) {
 			snap, deltaPrev = snap.DeltaSince(deltaPrev), snap
 			deltaMu.Unlock()
 		}
-		var exp Exporter = PromExporter{}
+		write := writeProm
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		if r.URL.Query().Get("format") == "json" {
-			exp = JSONExporter{Indent: true}
+			write = writeJSON
+			w.Header().Set("Content-Type", "application/json")
 		}
-		w.Header().Set("Content-Type", exp.ContentType())
-		if err := exp.Export(w, snap); err != nil {
+		if err := write(w, snap); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -1,17 +1,18 @@
-// Package dataflow implements register dataflow analysis of guest
-// programs on top of the staticanalysis CFG: per-block gen/kill bitset
-// summaries over both register files (plus memory-touch flags), a
-// generic forward/backward worklist solver, liveness (backward), and
-// region summaries for checkpoint-grade live-in sets.
+// Package dataflow implements register liveness of guest programs on
+// top of the staticanalysis CFG: per-block gen/kill bitset summaries
+// over both register files (plus memory-touch flags), a backward
+// worklist fixpoint at block boundaries, its per-instruction refinement
+// (LiveInAt, the checkpoint-grade live-in sets) and the statically-dead
+// writes it implies.
 //
 // The per-instruction effects deliberately model the *machine's*
 // semantics rather than the assembler's operand syntax: the emulator
 // folds both register namespaces onto 32-entry files (reads go through
 // r&31) and discards writes whose destination names the wrong file
-// (setInt drops R0 and FP-named destinations, setFP drops non-FP
-// names), so for example `add f3, r1, r2` reads r1/r2 and writes
-// nothing, while `fadd f1, r5, r6` reads FP slots 5 and 6. Liveness
-// computed from isa.Inst.Dests/Sources alone would be unsound for such
+// (wi drops R0 and FP-named destinations, wf drops non-FP names), so
+// for example `add f3, r1, r2` reads r1/r2 and writes nothing, while
+// `fadd f1, r5, r6` reads FP slots 5 and 6. Liveness computed from
+// isa.Inst.Dests/Sources alone would be unsound for such
 // cross-namespace operands; EffectOf mirrors emu.Machine.Step exactly,
 // and emu's differential validator cross-checks it against the
 // predecoded register slots instruction by instruction.
@@ -121,20 +122,20 @@ type Effect struct {
 	Store bool
 }
 
-// intUse is a read through the integer file (emu geti): the cell is
+// intUse is a read through the integer file (emu ri): the cell is
 // r&31, and cell 0 reads as the constant 0 — not a use.
 func intUse(r isa.Reg) RegSet {
 	return (1 << (uint(r) & 31)) &^ 1
 }
 
-// fpUse is a read through the FP file (emu getf): always cell r&31 of
-// the FP file; every FP cell is writable, so every read is a use.
+// fpUse is a read through the FP file: always cell r&31 of the FP
+// file; every FP cell is writable, so every read is a use.
 func fpUse(r isa.Reg) RegSet {
 	return 1 << (32 | (uint(r) & 31))
 }
 
-// intDef is a write through the integer file (emu setInt): discarded
-// for R0 and for FP-named destinations.
+// intDef is a write through the integer file (emu wi): discarded for
+// R0 and for FP-named destinations.
 func intDef(r isa.Reg) RegSet {
 	if r == isa.RZero || r.IsFP() {
 		return 0
@@ -142,8 +143,8 @@ func intDef(r isa.Reg) RegSet {
 	return 1 << (uint(r) & 31)
 }
 
-// fpDef is a write through the FP file (emu setFP): discarded unless
-// the destination names an FP register.
+// fpDef is a write through the FP file (emu wf): discarded unless the
+// destination names an FP register.
 func fpDef(r isa.Reg) RegSet {
 	if !r.IsFP() {
 		return 0

@@ -2,39 +2,68 @@ package dataflow
 
 import "sort"
 
-// liveFact is the liveness lattice element: a set of register cells
-// plus the may-read-memory bit. Memory has uses (loads) but no kill —
-// the abstraction treats data memory as a single cell stores cannot
-// fully overwrite — so its transfer is generate-only.
-type liveFact struct {
-	regs RegSet
-	mem  bool
-}
-
-// solveLiveness runs the backward liveness fixpoint over the CFG. The
-// boundary (blocks with no successors: halt blocks and jr blocks with
-// no matching jal) is the empty set — nothing is live out of the
-// program. Jal/jr call linkage is part of the CFG as a path superset
-// of real executions, which keeps the may-analysis sound.
+// solveLiveness runs the backward liveness fixpoint over the CFG with
+// a worklist. Facts flow against CFG edges: a block's live-out is the
+// union of its successors' live-ins, and its live-in is
+// Gen ∪ (live-out ∖ Kill). Memory rides alongside as one may-read bit
+// with uses (loads) but no kill — the abstraction treats data memory
+// as a single cell stores cannot fully overwrite. Blocks with no
+// successors (halt blocks and jr blocks with no matching jal) have an
+// empty live-out: nothing is live out of the program. Jal/jr call
+// linkage is part of the CFG as a path superset of real executions,
+// which keeps the may-analysis sound.
+//
+// Blocks are seeded in reverse of reverse postorder, which makes
+// acyclic regions converge in one pass; unreachable blocks are seeded
+// first so every block receives a solution. The worklist is a
+// deterministic FIFO, so the solution — already unique as the least
+// fixpoint — is also reproduced by an identical visit sequence on every
+// run.
 func (d *Dataflow) solveLiveness() {
-	ins, outs := Solve(d.CFG,
-		func(int) liveFact { return liveFact{} },
-		func(acc, x liveFact) liveFact {
-			return liveFact{acc.regs | x.regs, acc.mem || x.mem}
-		},
-		func(b int, out liveFact) liveFact {
-			return liveFact{d.Gen[b] | (out.regs &^ d.Kill[b]), d.Loads[b] || out.mem}
-		},
-		func(a, b liveFact) bool { return a == b },
-	)
-	n := d.CFG.NumBlocks()
+	g := d.CFG
+	n := g.NumBlocks()
 	d.LiveIn = make([]RegSet, n)
 	d.LiveOut = make([]RegSet, n)
 	d.MemLiveIn = make([]bool, n)
 	d.MemLiveOut = make([]bool, n)
-	for b := 0; b < n; b++ {
-		d.LiveIn[b], d.MemLiveIn[b] = ins[b].regs, ins[b].mem
-		d.LiveOut[b], d.MemLiveOut[b] = outs[b].regs, outs[b].mem
+
+	queue := make([]int, 0, n)
+	queued := make([]bool, n)
+	rpo := g.RPO()
+	for _, b := range rpo {
+		queued[b] = true
+	}
+	for b := n - 1; b >= 0; b-- {
+		if !queued[b] { // unreachable: absent from the RPO
+			queued[b] = true
+			queue = append(queue, b)
+		}
+	}
+	for i := len(rpo) - 1; i >= 0; i-- {
+		queue = append(queue, rpo[i])
+	}
+	for len(queue) > 0 {
+		b := queue[0]
+		queue = queue[1:]
+		queued[b] = false
+		var out RegSet
+		mem := false
+		for _, s := range g.Succs[b] {
+			out |= d.LiveIn[s]
+			mem = mem || d.MemLiveIn[s]
+		}
+		d.LiveOut[b], d.MemLiveOut[b] = out, mem
+		in, memIn := d.Gen[b]|(out&^d.Kill[b]), d.Loads[b] || mem
+		if in == d.LiveIn[b] && memIn == d.MemLiveIn[b] {
+			continue
+		}
+		d.LiveIn[b], d.MemLiveIn[b] = in, memIn
+		for _, p := range g.Preds[b] {
+			if !queued[p] {
+				queued[p] = true
+				queue = append(queue, p)
+			}
+		}
 	}
 }
 
