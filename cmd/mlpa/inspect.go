@@ -82,6 +82,9 @@ func printManifest(path string, m obs.Record, total int) {
 		return
 	}
 	fmt.Printf("  tool %s, command %q, schema %d\n", jstr(m, "tool"), jstr(m, "command"), int(jnum(m, "schema")))
+	if b := jstr(m, "benchmark"); b != "" {
+		fmt.Printf("  benchmark %s\n", b)
+	}
 	if s := jstr(m, "size"); s != "" {
 		fmt.Printf("  size %s, seed %d\n", s, int64(jnum(m, "seed")))
 	}

@@ -219,14 +219,19 @@ func loadProgram(f *flags) (*prog.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		return prog.Assemble(name, string(src))
+		return prog.Assemble(programName(path), string(src))
 	}
 	size, err := bench.ParseSize(f.size)
 	if err != nil {
 		return nil, err
 	}
 	return bench.Program(f.benchmark, size)
+}
+
+// programName names the program an assembly file holds after the
+// file, without its directory or extension.
+func programName(path string) string {
+	return strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 }
 
 func (f *flags) cpuConfigs() ([]cpu.Config, error) {
@@ -265,7 +270,7 @@ func run(args []string) (err error) {
 		// inspect only reads an existing journal; no run to observe.
 		return runInspect(f)
 	}
-	cleanup, err := setupObs(f, cmd)
+	cleanup, err := setupObs(f, cmd, manifestBenchmark(f, cmd, ckptSub))
 	if err != nil {
 		return err
 	}

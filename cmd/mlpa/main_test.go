@@ -223,14 +223,77 @@ func TestRunJournalAndInspect(t *testing.T) {
 		t.Errorf("metrics snapshot missing pipeline/emu counters: %v", snap.Counters)
 	}
 
-	if err := run([]string{"inspect", journal}); err != nil {
+	text, err := captureOutput(t, &os.Stdout, func() error { return run([]string{"inspect", journal}) })
+	if err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
+	if !strings.Contains(text, "\n  benchmark gzip\n") {
+		t.Errorf("inspect of the table2 journal names no benchmark:\n%s", text)
+	}
+
+	// A single-program command's manifest names its -bench program.
+	simJournal := filepath.Join(dir, "sim.jsonl")
+	if _, err := captureOutput(t, &os.Stdout, func() error {
+		return run([]string{"sim", "-bench", "gzip", "-size", "tiny", "-mode", "functional",
+			"-max", "1000", "-journal", simJournal})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	jf, err = os.Open(simJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err = obs.ReadJournal(jf)
+	jf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0]["ev"] != "manifest" || recs[0]["benchmark"] != "gzip" {
+		t.Errorf("sim journal's first record does not name gzip: %v", recs[:min(1, len(recs))])
+	}
+	text, err = captureOutput(t, &os.Stdout, func() error { return run([]string{"inspect", simJournal}) })
+	if err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if !strings.Contains(text, "\n  benchmark gzip\n") {
+		t.Errorf("inspect of the sim journal names no benchmark:\n%s", text)
+	}
+
 	if err := run([]string{"inspect"}); err == nil {
 		t.Error("inspect without a journal path succeeded")
 	}
 	if err := run([]string{"inspect", filepath.Join(dir, "missing.jsonl")}); err == nil {
 		t.Error("inspect of a missing file succeeded")
+	}
+}
+
+// TestManifestBenchmark: every command's journal manifest names the
+// program it runs, from the positional file, -bench or -benchmarks.
+func TestManifestBenchmark(t *testing.T) {
+	for _, tc := range []struct {
+		cmd, sub string
+		args     []string
+		want     string
+	}{
+		{"analyze", "", []string{"-bench", "art", "dir/foo.s"}, "foo"},
+		{"sim", "", []string{"prog.asm"}, "prog"},
+		{"bbv", "", []string{"-bench", "art"}, "art"},
+		{"sim", "", []string{"-bench", "gzip"}, "gzip"},
+		{"fig1", "", []string{"-bench", "mcf"}, "mcf"},
+		{"points", "", []string{"-bench", "swim"}, "swim"},
+		{"ablation", "", []string{"-bench", "gcc", "-benchmarks", "gzip"}, "gcc"},
+		{"ckpt", "save", []string{"-bench", "vpr", "-benchmarks", "gzip"}, "vpr"},
+		{"ckpt", "info", []string{"-bench", "vpr", "-benchmarks", "gzip"}, "gzip"},
+		{"table2", "", []string{"-bench", "art", "-benchmarks", "gzip,swim"}, "gzip,swim"},
+		{"table2", "", nil, ""},
+	} {
+		f, err := parseFlags(tc.cmd, tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := manifestBenchmark(f, tc.cmd, tc.sub); got != tc.want {
+			t.Errorf("manifestBenchmark(%s %s %q) = %q, want %q", tc.cmd, tc.sub, tc.args, got, tc.want)
+		}
 	}
 }
 

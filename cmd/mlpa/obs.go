@@ -25,11 +25,31 @@ func configHash(f *flags) string {
 	})
 }
 
+// manifestBenchmark names the program or programs cmd runs: for
+// analyze, sim and bbv the positional assembly file's program, else
+// -bench for the commands that run one program, else -benchmarks.
+func manifestBenchmark(f *flags, cmd, ckptSub string) string {
+	switch cmd {
+	case "analyze", "sim", "bbv":
+		if len(f.args) > 0 {
+			return programName(f.args[0])
+		}
+		return f.benchmark
+	case "fig1", "points", "ablation":
+		return f.benchmark
+	case "ckpt":
+		if ckptSub == "save" {
+			return f.benchmark
+		}
+	}
+	return f.benchmarks
+}
+
 // setupObs builds the observability runtime the flags describe, stores
 // it on f, and returns a teardown function that flushes everything
 // (metrics snapshot, heap profile, journal file) when the command
-// finishes.
-func setupObs(f *flags, cmd string) (func() error, error) {
+// finishes. benchmark is the manifest's program name.
+func setupObs(f *flags, cmd, benchmark string) (func() error, error) {
 	var journalFile *os.File
 	var sink *obs.JSONLSink
 	if f.journal != "" {
@@ -51,7 +71,7 @@ func setupObs(f *flags, cmd string) (func() error, error) {
 	f.rt.EmitManifest(obs.Manifest{
 		Tool:       "mlpa",
 		Command:    cmd,
-		Benchmark:  f.benchmarks,
+		Benchmark:  benchmark,
 		Method:     f.method,
 		Size:       f.size,
 		Seed:       f.seed,

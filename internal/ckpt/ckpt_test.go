@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mlpa/internal/bench"
 	"mlpa/internal/ckpt"
 	"mlpa/internal/emu"
 	"mlpa/internal/isa"
@@ -398,5 +399,21 @@ func TestSetMatchRejectsMismatches(t *testing.T) {
 	li.PC++
 	if _, err := ckpt.Capture(m, 0, li); !errors.Is(err, ckpt.ErrMismatch) {
 		t.Fatalf("live-in at pc %d for a machine at pc %d: %v, want ErrMismatch", li.PC, m.PC, err)
+	}
+}
+
+var hashSink string
+
+// BenchmarkProgramHash times the program identity Set.Match checks on
+// every checkpoint-backed plan execution: a SHA-256 over the whole
+// disassembly of a small-scale suite program.
+func BenchmarkProgramHash(b *testing.B) {
+	p, err := bench.Program("art", bench.SizeSmall)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = ckpt.ProgramHash(p)
 	}
 }

@@ -27,9 +27,6 @@ type Config struct {
 	// Kmax bounds coarse-grained phase count (paper default 3).
 	Kmax int
 
-	// Dims is the projected BBV dimensionality (default 15).
-	Dims int
-
 	// Seed drives projection and clustering determinism.
 	Seed int64
 
@@ -41,9 +38,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Kmax <= 0 {
 		c.Kmax = 3
-	}
-	if c.Dims <= 0 {
-		c.Dims = bbv.DefaultDims
 	}
 	return c
 }
@@ -166,7 +160,7 @@ func Profile(p *prog.Program, b *Boundary, cfg Config) (*phase.Trace, error) {
 	cfg = cfg.withDefaults()
 	span := cfg.Obs.StartSpan("coasts.profile", obs.KV("benchmark", p.Name))
 	defer span.End()
-	proj, err := bbv.NewProjector(p.NumBlocks(), cfg.Dims, cfg.Seed)
+	proj, err := bbv.NewProjector(p.NumBlocks(), bbv.DefaultDims, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -205,33 +199,8 @@ func SelectFromTrace(tr *phase.Trace, cfg Config) (*sampling.Plan, *kmeans.Resul
 	span.SetAttr("cluster_sizes", append([]int(nil), km.Sizes...))
 	reps := kmeans.EarliestInCluster(km)
 
-	clusterInsts := make([]uint64, km.K)
-	for i, iv := range tr.Intervals {
-		clusterInsts[km.Assign[i]] += iv.Len()
-	}
-
-	plan := &sampling.Plan{
-		Benchmark:  tr.Benchmark,
-		Method:     MethodName,
-		TotalInsts: tr.TotalInsts,
-	}
-	for c, rep := range reps {
-		if rep < 0 {
-			continue
-		}
-		iv := tr.Intervals[rep]
-		plan.Points = append(plan.Points, sampling.Point{
-			Start:    iv.Start,
-			End:      iv.End,
-			Weight:   float64(clusterInsts[c]) / float64(tr.TotalInsts),
-			Level:    1,
-			Interval: rep,
-			Parent:   -1,
-		})
-	}
-	plan.Sort()
-	plan.NormalizeWeights()
-	if err := plan.Validate(); err != nil {
+	plan, err := tr.Plan(MethodName, km.Assign, reps)
+	if err != nil {
 		return nil, nil, err
 	}
 	cfg.Obs.Emit("selection", map[string]any{

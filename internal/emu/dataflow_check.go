@@ -99,24 +99,6 @@ func slotEffect(d dinst) (eff dataflow.Effect, ok bool) {
 	}
 }
 
-// destFile reports which register file an opcode writes its
-// destination through: 'i' (integer slots), 'f' (FP slots), or 0 for
-// opcodes with no destination.
-func destFile(op isa.Op) byte {
-	switch op {
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,
-		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpSlt,
-		isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpShli, isa.OpShri, isa.OpSlti,
-		isa.OpLui, isa.OpLd, isa.OpCvtFI, isa.OpFcmpLt, isa.OpFcmpEq, isa.OpJal:
-		return 'i'
-	case isa.OpFld, isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv,
-		isa.OpFneg, isa.OpFmov, isa.OpCvtIF:
-		return 'f'
-	}
-	return 0
-}
-
 // CrossCheckDataflow verifies, for every instruction of p, that the
 // static dataflow model (dataflow.EffectOf) agrees with the emulator's
 // predecoded register slots: identical use/def sets and memory flags,
@@ -149,10 +131,10 @@ func CrossCheckDataflow(p *prog.Program) error {
 		// requires a syntactic destination.
 		if rd, hasDest := in.Dests(); hasDest && want.Def == 0 {
 			var sunk bool
-			switch destFile(in.Op) {
-			case 'i':
+			switch in.Op.FileOf(isa.FieldRd) {
+			case isa.IntFile:
 				sunk = d.rd == intSink
-			case 'f':
+			case isa.FPFile:
 				sunk = d.fd == fpSink
 			}
 			if !sunk {

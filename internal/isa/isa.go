@@ -9,7 +9,10 @@
 // flow and memory behaviour, not a full commercial ISA.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // NumIntRegs and NumFPRegs are the architectural register-file sizes
 // (32 integer, 32 floating point, per Table I of the paper).
@@ -43,11 +46,14 @@ func F(i int) Reg { return FPBase + Reg(i) }
 func (r Reg) IsFP() bool { return r >= FPBase }
 
 // String renders the register in assembly syntax (r0..r31, f0..f31).
-func (r Reg) String() string {
+func (r Reg) String() string { return string(r.appendName(nil)) }
+
+// appendName appends the register's assembly name to b.
+func (r Reg) appendName(b []byte) []byte {
 	if r.IsFP() {
-		return fmt.Sprintf("f%d", int(r-FPBase))
+		return strconv.AppendUint(append(b, 'f'), uint64(r-FPBase), 10)
 	}
-	return fmt.Sprintf("r%d", int(r))
+	return strconv.AppendUint(append(b, 'r'), uint64(r), 10)
 }
 
 // Op is an operation code.
@@ -134,52 +140,111 @@ const (
 	NumClasses
 )
 
+// Field names the Inst field an assembly operand fills.
+type Field uint8
+
+// Operand fields. A register in Rd is written; registers in Rs1, Rs2
+// and the base of Mem are read.
+const (
+	FieldRd   Field = iota + 1 // Rd, a register
+	FieldRs1                   // Rs1, a register
+	FieldRs2                   // Rs2, a register
+	FieldImm                   // Imm, an integer
+	FieldMem                   // Imm(Rs1): displacement and base register
+	FieldTarg                  // Targ, a branch target
+)
+
+// RegFile is the register file through which the machine reads or
+// writes a register operand.
+type RegFile uint8
+
+// Register files. Operands that are not registers have NoRegFile.
+const (
+	NoRegFile RegFile = iota
+	IntFile
+	FPFile
+)
+
+// Operand is one assembly operand of an opcode: the field it fills
+// and, for a register, its file.
+type Operand struct {
+	Field Field
+	File  RegFile
+}
+
+var (
+	rdI  = Operand{FieldRd, IntFile}
+	rdF  = Operand{FieldRd, FPFile}
+	rs1I = Operand{FieldRs1, IntFile}
+	rs1F = Operand{FieldRs1, FPFile}
+	rs2I = Operand{FieldRs2, IntFile}
+	rs2F = Operand{FieldRs2, FPFile}
+	imm  = Operand{Field: FieldImm}
+	mem  = Operand{FieldMem, IntFile}
+	targ = Operand{Field: FieldTarg}
+
+	intRRR = []Operand{rdI, rs1I, rs2I}
+	intRRI = []Operand{rdI, rs1I, imm}
+	fpRRR  = []Operand{rdF, rs1F, rs2F}
+	fpRR   = []Operand{rdF, rs1F}
+	fpCmp  = []Operand{rdI, rs1F, rs2F}
+	cond   = []Operand{rs1I, rs2I, targ}
+)
+
+// opInfo is the one definition of each opcode: its mnemonic, its
+// functional-unit class, its execution latency in cycles on that unit
+// (SimpleScalar's defaults; memory operations pay the cache latency
+// separately) and its operands in assembly order. Disassembly,
+// assembly, register sources and destinations, the dataflow effects
+// and the control-flow predicates are all derived from it.
 var opInfo = [NumOps]struct {
-	name  string
-	class Class
+	name     string
+	class    Class
+	latency  uint8
+	operands []Operand
 }{
-	OpNop:    {"nop", ClassNop},
-	OpAdd:    {"add", ClassIntALU},
-	OpSub:    {"sub", ClassIntALU},
-	OpMul:    {"mul", ClassIntMul},
-	OpDiv:    {"div", ClassIntMul},
-	OpRem:    {"rem", ClassIntMul},
-	OpAnd:    {"and", ClassIntALU},
-	OpOr:     {"or", ClassIntALU},
-	OpXor:    {"xor", ClassIntALU},
-	OpShl:    {"shl", ClassIntALU},
-	OpShr:    {"shr", ClassIntALU},
-	OpSlt:    {"slt", ClassIntALU},
-	OpAddi:   {"addi", ClassIntALU},
-	OpAndi:   {"andi", ClassIntALU},
-	OpOri:    {"ori", ClassIntALU},
-	OpXori:   {"xori", ClassIntALU},
-	OpShli:   {"shli", ClassIntALU},
-	OpShri:   {"shri", ClassIntALU},
-	OpSlti:   {"slti", ClassIntALU},
-	OpLui:    {"lui", ClassIntALU},
-	OpLd:     {"ld", ClassLoad},
-	OpSt:     {"st", ClassStore},
-	OpFld:    {"fld", ClassLoad},
-	OpFst:    {"fst", ClassStore},
-	OpFadd:   {"fadd", ClassFPAdd},
-	OpFsub:   {"fsub", ClassFPAdd},
-	OpFmul:   {"fmul", ClassFPMul},
-	OpFdiv:   {"fdiv", ClassFPMul},
-	OpFneg:   {"fneg", ClassFPAdd},
-	OpFmov:   {"fmov", ClassFPAdd},
-	OpCvtIF:  {"cvtif", ClassFPAdd},
-	OpCvtFI:  {"cvtfi", ClassFPAdd},
-	OpFcmpLt: {"fcmplt", ClassFPAdd},
-	OpFcmpEq: {"fcmpeq", ClassFPAdd},
-	OpBeq:    {"beq", ClassBranch},
-	OpBne:    {"bne", ClassBranch},
-	OpBlt:    {"blt", ClassBranch},
-	OpBge:    {"bge", ClassBranch},
-	OpJmp:    {"jmp", ClassBranch},
-	OpJal:    {"jal", ClassBranch},
-	OpJr:     {"jr", ClassBranch},
-	OpHalt:   {"halt", ClassNop},
+	OpNop:    {"nop", ClassNop, 1, nil},
+	OpAdd:    {"add", ClassIntALU, 1, intRRR},
+	OpSub:    {"sub", ClassIntALU, 1, intRRR},
+	OpMul:    {"mul", ClassIntMul, 3, intRRR},
+	OpDiv:    {"div", ClassIntMul, 12, intRRR},
+	OpRem:    {"rem", ClassIntMul, 12, intRRR},
+	OpAnd:    {"and", ClassIntALU, 1, intRRR},
+	OpOr:     {"or", ClassIntALU, 1, intRRR},
+	OpXor:    {"xor", ClassIntALU, 1, intRRR},
+	OpShl:    {"shl", ClassIntALU, 1, intRRR},
+	OpShr:    {"shr", ClassIntALU, 1, intRRR},
+	OpSlt:    {"slt", ClassIntALU, 1, intRRR},
+	OpAddi:   {"addi", ClassIntALU, 1, intRRI},
+	OpAndi:   {"andi", ClassIntALU, 1, intRRI},
+	OpOri:    {"ori", ClassIntALU, 1, intRRI},
+	OpXori:   {"xori", ClassIntALU, 1, intRRI},
+	OpShli:   {"shli", ClassIntALU, 1, intRRI},
+	OpShri:   {"shri", ClassIntALU, 1, intRRI},
+	OpSlti:   {"slti", ClassIntALU, 1, intRRI},
+	OpLui:    {"lui", ClassIntALU, 1, []Operand{rdI, imm}},
+	OpLd:     {"ld", ClassLoad, 1, []Operand{rdI, mem}},
+	OpSt:     {"st", ClassStore, 1, []Operand{rs2I, mem}},
+	OpFld:    {"fld", ClassLoad, 1, []Operand{rdF, mem}},
+	OpFst:    {"fst", ClassStore, 1, []Operand{rs2F, mem}},
+	OpFadd:   {"fadd", ClassFPAdd, 2, fpRRR},
+	OpFsub:   {"fsub", ClassFPAdd, 2, fpRRR},
+	OpFmul:   {"fmul", ClassFPMul, 4, fpRRR},
+	OpFdiv:   {"fdiv", ClassFPMul, 12, fpRRR},
+	OpFneg:   {"fneg", ClassFPAdd, 2, fpRR},
+	OpFmov:   {"fmov", ClassFPAdd, 2, fpRR},
+	OpCvtIF:  {"cvtif", ClassFPAdd, 2, []Operand{rdF, rs1I}},
+	OpCvtFI:  {"cvtfi", ClassFPAdd, 2, []Operand{rdI, rs1F}},
+	OpFcmpLt: {"fcmplt", ClassFPAdd, 2, fpCmp},
+	OpFcmpEq: {"fcmpeq", ClassFPAdd, 2, fpCmp},
+	OpBeq:    {"beq", ClassBranch, 1, cond},
+	OpBne:    {"bne", ClassBranch, 1, cond},
+	OpBlt:    {"blt", ClassBranch, 1, cond},
+	OpBge:    {"bge", ClassBranch, 1, cond},
+	OpJmp:    {"jmp", ClassBranch, 1, []Operand{targ}},
+	OpJal:    {"jal", ClassBranch, 1, []Operand{rdI, targ}},
+	OpJr:     {"jr", ClassBranch, 1, []Operand{rs1I}},
+	OpHalt:   {"halt", ClassNop, 1, nil},
 }
 
 // String returns the assembly mnemonic of the opcode.
@@ -198,19 +263,58 @@ func (o Op) Class() Class {
 	return ClassNop
 }
 
+// Latency returns the execution latency in cycles of the opcode on its
+// functional unit.
+func (o Op) Latency() int {
+	if int(o) < NumOps {
+		return int(opInfo[o].latency)
+	}
+	return 1
+}
+
+// Operands returns the opcode's operands in assembly order. An
+// undefined opcode reads as three integer registers (rd, rs1, rs2).
+// The caller must not modify the returned slice.
+func (o Op) Operands() []Operand {
+	if int(o) < NumOps {
+		return opInfo[o].operands
+	}
+	return intRRR
+}
+
+// FileOf returns the file through which o reads or writes the register
+// in field f (FieldRd, FieldRs1 or FieldRs2; a Mem operand reads Rs1),
+// or NoRegFile when o uses no register there.
+func (o Op) FileOf(f Field) RegFile {
+	for _, x := range o.Operands() {
+		if x.Field == f || (x.Field == FieldMem && f == FieldRs1) {
+			return x.File
+		}
+	}
+	return NoRegFile
+}
+
+// HasTarget reports whether the opcode carries a direct target in
+// Targ.
+func (o Op) HasTarget() bool {
+	for _, x := range o.Operands() {
+		if x.Field == FieldTarg {
+			return true
+		}
+	}
+	return false
+}
+
 // Valid reports whether o is a defined opcode.
 func (o Op) Valid() bool { return int(o) < NumOps }
 
 // IsBranch reports whether the opcode redirects control flow.
 func (o Op) IsBranch() bool { return o.Class() == ClassBranch }
 
-// IsCondBranch reports whether the opcode is a conditional branch.
+// IsCondBranch reports whether the opcode is a conditional branch: a
+// direct transfer that reads registers.
 func (o Op) IsCondBranch() bool {
-	switch o {
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return true
-	}
-	return false
+	return o.HasTarget() && o.FileOf(FieldRs1) != NoRegFile
 }
 
 // IsMem reports whether the opcode accesses data memory.
@@ -250,91 +354,49 @@ const InstBytes = 8
 // Dests returns the destination register, if any, and whether one
 // exists. R0 never counts as a destination.
 func (in *Inst) Dests() (Reg, bool) {
-	switch in.Op {
-	case OpNop, OpHalt, OpSt, OpFst, OpBeq, OpBne, OpBlt, OpBge, OpJmp, OpJr:
-		return 0, false
-	}
-	if in.Rd == RZero {
+	if in.Rd == RZero || in.Op.FileOf(FieldRd) == NoRegFile {
 		return 0, false
 	}
 	return in.Rd, true
 }
 
-// Sources appends the source registers of the instruction to dst and
-// returns the extended slice. R0 is excluded (it has no producer).
+// Sources appends the source registers of the instruction to dst, Rs1
+// before Rs2, and returns the extended slice. R0 is excluded (it has
+// no producer).
 func (in *Inst) Sources(dst []Reg) []Reg {
-	add := func(r Reg) {
-		if r != RZero {
-			dst = append(dst, r)
-		}
+	if in.Rs1 != RZero && in.Op.FileOf(FieldRs1) != NoRegFile {
+		dst = append(dst, in.Rs1)
 	}
-	switch in.Op {
-	case OpNop, OpHalt, OpJmp, OpJal, OpLui:
-		// no register sources
-	case OpAddi, OpAndi, OpOri, OpXori, OpShli, OpShri, OpSlti, OpLd, OpFld, OpJr:
-		add(in.Rs1)
-	case OpSt, OpFst:
-		add(in.Rs1)
-		add(in.Rs2)
-	case OpFneg, OpFmov, OpCvtIF, OpCvtFI:
-		add(in.Rs1)
-	default:
-		add(in.Rs1)
-		add(in.Rs2)
+	if in.Rs2 != RZero && in.Op.FileOf(FieldRs2) != NoRegFile {
+		dst = append(dst, in.Rs2)
 	}
 	return dst
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction: the mnemonic, then its operands
+// in assembly order.
 func (in Inst) String() string {
-	switch in.Op {
-	case OpNop, OpHalt:
-		return in.Op.String()
-	case OpJmp:
-		return fmt.Sprintf("jmp %d", in.Targ)
-	case OpJal:
-		return fmt.Sprintf("jal %s, %d", in.Rd, in.Targ)
-	case OpJr:
-		return fmt.Sprintf("jr %s", in.Rs1)
-	case OpBeq, OpBne, OpBlt, OpBge:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, in.Rs1, in.Rs2, in.Targ)
-	case OpLd, OpFld:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Rd, in.Imm, in.Rs1)
-	case OpSt, OpFst:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Rs2, in.Imm, in.Rs1)
-	case OpAddi, OpAndi, OpOri, OpXori, OpShli, OpShri, OpSlti:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, in.Rd, in.Rs1, in.Imm)
-	case OpLui:
-		return fmt.Sprintf("%s %s, %d", in.Op, in.Rd, in.Imm)
-	case OpFneg, OpFmov, OpCvtIF, OpCvtFI:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Rd, in.Rs1)
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Rd, in.Rs1, in.Rs2)
-	}
-}
-
-// Latency returns the execution latency in cycles of the opcode on its
-// functional unit, mirroring SimpleScalar's defaults.
-func (o Op) Latency() int {
-	switch o.Class() {
-	case ClassIntALU:
-		return 1
-	case ClassIntMul:
-		if o == OpMul {
-			return 3
+	var buf [48]byte
+	b := append(buf[:0], in.Op.String()...)
+	sep := " "
+	for _, x := range in.Op.Operands() {
+		b = append(b, sep...)
+		sep = ", "
+		switch x.Field {
+		case FieldRd:
+			b = in.Rd.appendName(b)
+		case FieldRs1:
+			b = in.Rs1.appendName(b)
+		case FieldRs2:
+			b = in.Rs2.appendName(b)
+		case FieldImm:
+			b = strconv.AppendInt(b, in.Imm, 10)
+		case FieldMem:
+			b = append(strconv.AppendInt(b, in.Imm, 10), '(')
+			b = append(in.Rs1.appendName(b), ')')
+		case FieldTarg:
+			b = strconv.AppendInt(b, in.Targ, 10)
 		}
-		return 12 // div/rem
-	case ClassLoad, ClassStore:
-		return 1 // address generation; cache latency added separately
-	case ClassFPAdd:
-		return 2
-	case ClassFPMul:
-		if o == OpFmul {
-			return 4
-		}
-		return 12 // fdiv
-	case ClassBranch:
-		return 1
 	}
-	return 1
+	return string(b)
 }

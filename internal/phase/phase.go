@@ -13,6 +13,7 @@ import (
 	"mlpa/internal/bbv"
 	"mlpa/internal/emu"
 	"mlpa/internal/prog"
+	"mlpa/internal/sampling"
 )
 
 // Kind distinguishes interval granularities.
@@ -92,6 +93,44 @@ func (t *Trace) Position(i int) float64 {
 		return 0
 	}
 	return float64(t.Intervals[i].End-1) / float64(t.TotalInsts)
+}
+
+// Plan turns a clustering of the trace into a validated level-1
+// sampling plan: assign[i] is interval i's cluster and reps[c] the
+// interval representing cluster c (-1 for an empty cluster). Each
+// point is weighted by its cluster's instruction share, which equal
+// intervals make an interval-count share while a final partial
+// interval is weighted honestly.
+func (t *Trace) Plan(method string, assign, reps []int) (*sampling.Plan, error) {
+	clusterInsts := make([]uint64, len(reps))
+	for i, iv := range t.Intervals {
+		clusterInsts[assign[i]] += iv.Len()
+	}
+	plan := &sampling.Plan{
+		Benchmark:  t.Benchmark,
+		Method:     method,
+		TotalInsts: t.TotalInsts,
+	}
+	for c, rep := range reps {
+		if rep < 0 {
+			continue // empty cluster
+		}
+		iv := t.Intervals[rep]
+		plan.Points = append(plan.Points, sampling.Point{
+			Start:    iv.Start,
+			End:      iv.End,
+			Weight:   float64(clusterInsts[c]) / float64(t.TotalInsts),
+			Level:    1,
+			Interval: rep,
+			Parent:   -1,
+		})
+	}
+	plan.Sort()
+	plan.NormalizeWeights()
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	return plan, nil
 }
 
 // runBound is the safety bound for profiled executions.

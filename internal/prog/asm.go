@@ -90,8 +90,7 @@ func Assemble(name, src string) (*Program, error) {
 		switch {
 		case labelRef != "":
 			fixes = append(fixes, pending{pc: int64(len(code)), label: labelRef, line: lineNum})
-		case op == isa.OpJmp || op == isa.OpJal ||
-			op == isa.OpBeq || op == isa.OpBne || op == isa.OpBlt || op == isa.OpBge:
+		case op.HasTarget():
 			fixes = append(fixes, pending{pc: int64(len(code)), line: lineNum})
 		}
 		code = append(code, in)
@@ -181,11 +180,12 @@ func parseImm(s string) (int64, error) {
 	return v, nil
 }
 
-// parseMem parses "disp(reg)" memory operand syntax.
+// parseMem parses "disp(reg)" memory operand syntax; nothing may
+// follow the closing parenthesis.
 func parseMem(s string) (base isa.Reg, disp int64, err error) {
 	open := strings.IndexByte(s, '(')
 	close := strings.IndexByte(s, ')')
-	if open < 0 || close < open {
+	if open < 0 || close < open || close != len(s)-1 {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
 	}
 	if d := strings.TrimSpace(s[:open]); d != "" {
@@ -209,84 +209,33 @@ func parseTarget(s string) (abs int64, labelRef string, err error) {
 	return 0, s, nil
 }
 
+// parseOperands parses an instruction's operands in the assembly order
+// of op's opcode-table row.
 func parseOperands(op isa.Op, ops []string) (in isa.Inst, labelRef string, err error) {
 	in.Op = op
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s expects %d operands, got %d", op, n, len(ops))
-		}
-		return nil
+	want := op.Operands()
+	if len(ops) != len(want) {
+		return in, "", fmt.Errorf("%s expects %d operands, got %d", op, len(want), len(ops))
 	}
-	switch op {
-	case isa.OpNop, isa.OpHalt:
-		err = need(0)
-	case isa.OpJmp:
-		if err = need(1); err == nil {
-			in.Targ, labelRef, err = parseTarget(ops[0])
+	for i, x := range want {
+		s := ops[i]
+		switch x.Field {
+		case isa.FieldRd:
+			in.Rd, err = parseReg(s)
+		case isa.FieldRs1:
+			in.Rs1, err = parseReg(s)
+		case isa.FieldRs2:
+			in.Rs2, err = parseReg(s)
+		case isa.FieldImm:
+			in.Imm, err = parseImm(s)
+		case isa.FieldMem:
+			in.Rs1, in.Imm, err = parseMem(s)
+		case isa.FieldTarg:
+			in.Targ, labelRef, err = parseTarget(s)
 		}
-	case isa.OpJal:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseReg(ops[0]); err == nil {
-				in.Targ, labelRef, err = parseTarget(ops[1])
-			}
-		}
-	case isa.OpJr:
-		if err = need(1); err == nil {
-			in.Rs1, err = parseReg(ops[0])
-		}
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		if err = need(3); err == nil {
-			if in.Rs1, err = parseReg(ops[0]); err == nil {
-				if in.Rs2, err = parseReg(ops[1]); err == nil {
-					in.Targ, labelRef, err = parseTarget(ops[2])
-				}
-			}
-		}
-	case isa.OpLd, isa.OpFld:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseReg(ops[0]); err == nil {
-				in.Rs1, in.Imm, err = memOperand(ops[1])
-			}
-		}
-	case isa.OpSt, isa.OpFst:
-		if err = need(2); err == nil {
-			if in.Rs2, err = parseReg(ops[0]); err == nil {
-				in.Rs1, in.Imm, err = memOperand(ops[1])
-			}
-		}
-	case isa.OpLui:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseReg(ops[0]); err == nil {
-				in.Imm, err = parseImm(ops[1])
-			}
-		}
-	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpShli, isa.OpShri, isa.OpSlti:
-		if err = need(3); err == nil {
-			if in.Rd, err = parseReg(ops[0]); err == nil {
-				if in.Rs1, err = parseReg(ops[1]); err == nil {
-					in.Imm, err = parseImm(ops[2])
-				}
-			}
-		}
-	case isa.OpFneg, isa.OpFmov, isa.OpCvtIF, isa.OpCvtFI:
-		if err = need(2); err == nil {
-			if in.Rd, err = parseReg(ops[0]); err == nil {
-				in.Rs1, err = parseReg(ops[1])
-			}
-		}
-	default: // three-register forms
-		if err = need(3); err == nil {
-			if in.Rd, err = parseReg(ops[0]); err == nil {
-				if in.Rs1, err = parseReg(ops[1]); err == nil {
-					in.Rs2, err = parseReg(ops[2])
-				}
-			}
+		if err != nil {
+			return in, labelRef, err
 		}
 	}
-	return in, labelRef, err
-}
-
-func memOperand(s string) (base isa.Reg, disp int64, err error) {
-	base, disp, err = parseMem(s)
-	return
+	return in, labelRef, nil
 }

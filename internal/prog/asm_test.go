@@ -115,6 +115,8 @@ func TestAssembleErrors(t *testing.T) {
 		{"duplicate label", "x:\nnop\nx:\nhalt", "duplicate label"},
 		{"bad immediate", "addi r1, r0, abc\nhalt", "immediate"},
 		{"bad memory operand", "ld r1, r2\nhalt", "memory operand"},
+		{"text after memory operand", "ld r1, 8(r2)junk\nhalt", `bad memory operand "8(r2)junk"`},
+		{"second memory operand", "ld r1, 8(r2)(r3)\nhalt", `bad memory operand "8(r2)(r3)"`},
 		{"no halt", "nop", "no halt"},
 		{"absolute target past end", "nop\njmp 50\nhalt", "target 50 outside code [0,3)"},
 		{"negative absolute target", "beq r1, r0, -2\nhalt", "target -2 outside"},

@@ -2,6 +2,8 @@ package prog
 
 import (
 	"testing"
+
+	"mlpa/internal/isa"
 )
 
 // FuzzAssembleRoundTrip: any source the assembler accepts must
@@ -12,6 +14,19 @@ import (
 func FuzzAssembleRoundTrip(f *testing.F) {
 	for _, p := range Examples() {
 		f.Add(p.Name, p.Disassemble())
+	}
+	// One line per opcode, its registers in the files the opcode table
+	// names and its target the halt after it.
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		reg := func(field isa.Field, n int) isa.Reg {
+			if op.FileOf(field) == isa.FPFile {
+				return isa.F(n)
+			}
+			return isa.Reg(n)
+		}
+		in := isa.Inst{Op: op, Rd: reg(isa.FieldRd, 1), Rs1: reg(isa.FieldRs1, 2),
+			Rs2: reg(isa.FieldRs2, 3), Imm: -8, Targ: 1}
+		f.Add(op.String(), in.String()+"\nhalt\n")
 	}
 	f.Add("tiny", "start:\n  li r1, 3\n  halt\n")
 	f.Add("empty", "")

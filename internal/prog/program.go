@@ -73,10 +73,8 @@ func (p *Program) Validate() error {
 		if in.Op == isa.OpHalt {
 			haveHalt = true
 		}
-		if in.Op.IsBranch() && in.Op != isa.OpJr {
-			if in.Targ < 0 || in.Targ >= n {
-				return fmt.Errorf("prog %q: instruction %d (%s): target %d out of range [0,%d)", p.Name, i, in, in.Targ, n)
-			}
+		if in.Op.HasTarget() && (in.Targ < 0 || in.Targ >= n) {
+			return fmt.Errorf("prog %q: instruction %d (%s): target %d out of range [0,%d)", p.Name, i, in, in.Targ, n)
 		}
 	}
 	if !haveHalt {
@@ -138,7 +136,7 @@ func (p *Program) computeBlocks() {
 		if !in.Op.IsBranch() {
 			continue
 		}
-		if in.Op != isa.OpJr && in.Targ >= 0 && in.Targ < n {
+		if in.Op.HasTarget() && in.Targ >= 0 && in.Targ < n {
 			leaders[in.Targ] = true
 		}
 		if int64(i)+1 < n {

@@ -123,40 +123,12 @@ func SelectFromTrace(tr *phase.Trace, cfg Config) (*sampling.Plan, *kmeans.Resul
 		reps = kmeans.NearestToCentroid(tr.Vectors(), km)
 	}
 
-	// Cluster weights by instruction share (equal-length intervals
-	// make this SimPoint's interval-count share, but the final partial
-	// interval is weighted honestly).
-	clusterInsts := make([]uint64, km.K)
-	for i, iv := range tr.Intervals {
-		clusterInsts[km.Assign[i]] += iv.Len()
-	}
-
 	method := MethodName
 	if cfg.EarlySP {
 		method = MethodNameEarly
 	}
-	plan := &sampling.Plan{
-		Benchmark:  tr.Benchmark,
-		Method:     method,
-		TotalInsts: tr.TotalInsts,
-	}
-	for c, rep := range reps {
-		if rep < 0 {
-			continue // empty cluster
-		}
-		iv := tr.Intervals[rep]
-		plan.Points = append(plan.Points, sampling.Point{
-			Start:    iv.Start,
-			End:      iv.End,
-			Weight:   float64(clusterInsts[c]) / float64(tr.TotalInsts),
-			Level:    1,
-			Interval: rep,
-			Parent:   -1,
-		})
-	}
-	plan.Sort()
-	plan.NormalizeWeights()
-	if err := plan.Validate(); err != nil {
+	plan, err := tr.Plan(method, km.Assign, reps)
+	if err != nil {
 		return nil, nil, err
 	}
 	cfg.Obs.Emit("selection", map[string]any{

@@ -122,78 +122,47 @@ type Effect struct {
 	Store bool
 }
 
-// intUse is a read through the integer file (emu ri): the cell is
-// r&31, and cell 0 reads as the constant 0 — not a use.
-func intUse(r isa.Reg) RegSet {
-	return (1 << (uint(r) & 31)) &^ 1
-}
-
-// fpUse is a read through the FP file: always cell r&31 of the FP
+// use is the read of register r through file f. Through the integer
+// file (emu ri) the cell is r&31, and cell 0 reads as the constant 0 —
+// not a use. Through the FP file it is always cell r&31 of the FP
 // file; every FP cell is writable, so every read is a use.
-func fpUse(r isa.Reg) RegSet {
-	return 1 << (32 | (uint(r) & 31))
-}
-
-// intDef is a write through the integer file (emu wi): discarded for
-// R0 and for FP-named destinations.
-func intDef(r isa.Reg) RegSet {
-	if r == isa.RZero || r.IsFP() {
-		return 0
+func use(f isa.RegFile, r isa.Reg) RegSet {
+	switch f {
+	case isa.IntFile:
+		return (1 << (uint(r) & 31)) &^ 1
+	case isa.FPFile:
+		return 1 << (32 | (uint(r) & 31))
 	}
-	return 1 << (uint(r) & 31)
+	return 0
 }
 
-// fpDef is a write through the FP file (emu wf): discarded unless the
-// destination names an FP register.
-func fpDef(r isa.Reg) RegSet {
-	if !r.IsFP() {
-		return 0
+// def is the write of register r through file f: through the integer
+// file (emu wi) it is discarded for R0 and for FP-named destinations,
+// through the FP file (emu wf) unless r names an FP register.
+func def(f isa.RegFile, r isa.Reg) RegSet {
+	switch {
+	case f == isa.IntFile && r != isa.RZero && !r.IsFP():
+		return 1 << (uint(r) & 31)
+	case f == isa.FPFile && r.IsFP():
+		return 1 << (32 | (uint(r) & 31))
 	}
-	return 1 << (32 | (uint(r) & 31))
+	return 0
 }
 
-// EffectOf computes the effect of one instruction. Invalid opcodes
-// (which the emulator refuses to execute) are treated as reading
-// everything and writing nothing, the conservative choice for a
-// backward may-analysis.
+// EffectOf computes the effect of one instruction, reading each
+// register operand through the file the opcode table names for it.
+// Invalid opcodes (which the emulator refuses to execute) are treated
+// as reading everything and writing nothing, the conservative choice
+// for a backward may-analysis.
 func EffectOf(in isa.Inst) Effect {
-	switch in.Op {
-	case isa.OpNop, isa.OpHalt, isa.OpJmp:
-		return Effect{}
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,
-		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpSlt:
-		return Effect{Use: intUse(in.Rs1) | intUse(in.Rs2), Def: intDef(in.Rd)}
-	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori,
-		isa.OpShli, isa.OpShri, isa.OpSlti:
-		return Effect{Use: intUse(in.Rs1), Def: intDef(in.Rd)}
-	case isa.OpLui:
-		return Effect{Def: intDef(in.Rd)}
-	case isa.OpLd:
-		return Effect{Use: intUse(in.Rs1), Def: intDef(in.Rd), Load: true}
-	case isa.OpSt:
-		return Effect{Use: intUse(in.Rs1) | intUse(in.Rs2), Store: true}
-	case isa.OpFld:
-		return Effect{Use: intUse(in.Rs1), Def: fpDef(in.Rd), Load: true}
-	case isa.OpFst:
-		return Effect{Use: intUse(in.Rs1) | fpUse(in.Rs2), Store: true}
-	case isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv:
-		return Effect{Use: fpUse(in.Rs1) | fpUse(in.Rs2), Def: fpDef(in.Rd)}
-	case isa.OpFneg, isa.OpFmov:
-		return Effect{Use: fpUse(in.Rs1), Def: fpDef(in.Rd)}
-	case isa.OpCvtIF:
-		return Effect{Use: intUse(in.Rs1), Def: fpDef(in.Rd)}
-	case isa.OpCvtFI:
-		return Effect{Use: fpUse(in.Rs1), Def: intDef(in.Rd)}
-	case isa.OpFcmpLt, isa.OpFcmpEq:
-		return Effect{Use: fpUse(in.Rs1) | fpUse(in.Rs2), Def: intDef(in.Rd)}
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		return Effect{Use: intUse(in.Rs1) | intUse(in.Rs2)}
-	case isa.OpJal:
-		return Effect{Def: intDef(in.Rd)}
-	case isa.OpJr:
-		return Effect{Use: intUse(in.Rs1)}
-	default:
+	if !in.Op.Valid() {
 		return Effect{Use: AllRegs, Load: true}
+	}
+	return Effect{
+		Use:   use(in.Op.FileOf(isa.FieldRs1), in.Rs1) | use(in.Op.FileOf(isa.FieldRs2), in.Rs2),
+		Def:   def(in.Op.FileOf(isa.FieldRd), in.Rd),
+		Load:  in.Op.IsLoad(),
+		Store: in.Op.IsStore(),
 	}
 }
 

@@ -131,10 +131,8 @@ func Verify(p *prog.Program) *Report {
 			r.add(p, labels, RuleInvalidOpcode, pc, "undefined opcode %d", uint8(in.Op))
 			continue
 		}
-		if in.Op.IsBranch() && in.Op != isa.OpJr {
-			if in.Targ < 0 || in.Targ >= n {
-				r.add(p, labels, RuleBadTarget, pc, "target %d outside code [0,%d)", in.Targ, n)
-			}
+		if in.Op.HasTarget() && (in.Targ < 0 || in.Targ >= n) {
+			r.add(p, labels, RuleBadTarget, pc, "target %d outside code [0,%d)", in.Targ, n)
 		}
 	}
 
