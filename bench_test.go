@@ -335,8 +335,8 @@ func BenchmarkFunctionalWarming(b *testing.B) {
 
 // BenchmarkForkAndRestart measures what a sampled point costs around
 // its warm spine under configuration B, the larger hierarchy: the spine
-// warms over 64 Ki instructions of tiny gzip, forks into the reused
-// detail context, which runs a 512-instruction lead-in and a
+// warms over 64 Ki instructions of tiny gzip, forks into the detail
+// context it keeps, which runs a 512-instruction lead-in and a
 // 10,000-instruction window, and then restarts cold for the next point.
 // Fork and restart rewrite only the cache sets touched since the last
 // fork or since cold; fork-sets/op and reset-sets/op report how many.
@@ -354,7 +354,6 @@ func BenchmarkForkAndRestart(b *testing.B) {
 	reg := obs.NewRegistry()
 	spine := cpu.MustNew(config.SensitivityB())
 	spine.Metrics = reg
-	var fork *cpu.Sim
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -363,7 +362,8 @@ func BenchmarkForkAndRestart(b *testing.B) {
 		if err := spine.Warm(m, 1<<16); err != nil {
 			b.Fatal(err)
 		}
-		if fork, err = spine.ForkInto(fork); err != nil {
+		fork, err := spine.Fork()
+		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := fork.RunWindow(m, 512, 10_000, 0); err != nil {
@@ -652,6 +652,37 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		ckptOpts := opts
 		ckptOpts.Checkpoints = set
 		if _, err := pipeline.ExecutePlan(p, plan, config.BaseA(), ckptOpts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimateMiss has the shape of a service estimate miss whose
+// plan and checkpoint set are cached: checkpoint-backed execution of
+// tiny gzip's COASTS plan under configuration B, the larger hierarchy,
+// at the service's policy and one worker, run back to back.
+// -benchmem's B/op and allocs/op show whether a call still builds a
+// cache hierarchy (2.3 MB under B) instead of reusing the detailed
+// contexts an earlier call released.
+func BenchmarkEstimateMiss(b *testing.B) {
+	spec, err := bench.ByName("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := spec.MustProgram(bench.SizeTiny)
+	plan, _, _, err := coasts.Select(p, harnessCoarse())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := experiments.CheckpointExec()
+	opts.Workers = 1
+	if opts.Checkpoints, err = pipeline.BuildCheckpointSet(p, plan, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.ExecutePlan(p, plan, config.SensitivityB(), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

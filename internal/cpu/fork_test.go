@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mlpa/internal/bpred"
@@ -106,11 +107,15 @@ func sameWarmState(a, b *Sim) bool {
 
 // sameSim reports whether two contexts hold identical state: their
 // warm state (sameWarmState) and every other field, pipeline and
-// counters included, as reflect.DeepEqual compares them.
+// counters included, as reflect.DeepEqual compares them. The detail
+// fork a context keeps is storage for Fork, not state of its own, and
+// an emptied load/store queue equals one never filled.
 func sameSim(a, b *Sim) bool {
 	ac, bc := *a, *b
 	ac.hier, bc.hier = nil, nil
-	return sameWarmState(a, b) && reflect.DeepEqual(ac, bc)
+	ac.fork, bc.fork = nil, nil
+	ac.memq, bc.memq = nil, nil
+	return sameWarmState(a, b) && slices.Equal(a.memq, b.memq) && reflect.DeepEqual(ac, bc)
 }
 
 const (
@@ -144,7 +149,7 @@ func TestForkMatchesFreshContext(t *testing.T) {
 	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
 		m, spine := warmedAt(t, p, cfg, forkWarmA)
 		_, before := warmedAt(t, p, cfg, forkWarmA)
-		fork, err := spine.ForkInto(nil)
+		fork, err := spine.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,14 +174,14 @@ func TestForkMatchesFreshContext(t *testing.T) {
 	})
 }
 
-// TestForkIntoReusedContext: forking into a context that already ran a
-// window reuses its storage and leaves no pipeline state behind — ROB,
-// load/store queue, register producers and counters all start over —
-// and leaves the source as it was. There are two sources: a spine
-// warmed over [0, forkWarmA), whose fork runs a window at once, and a
-// never-run context, whose fork first warms forkWarmB instructions.
-// Either fork's result and state after the window match a new
-// context's with the same history.
+// TestForkIntoReusedContext: forking again after the fork ran a window
+// of its own reuses the fork's storage and leaves no pipeline state
+// behind — ROB, load/store queue, register producers and counters all
+// start over — and leaves the source as it was. There are two sources:
+// a spine warmed over [0, forkWarmA), whose fork runs a window at once,
+// and a never-run context, whose fork first warms forkWarmB
+// instructions. Either fork's result and state after the window match a
+// new context's with the same history.
 func TestForkIntoReusedContext(t *testing.T) {
 	forEachForkConfig(t, func(t *testing.T, p *prog.Program, cfg Config) {
 		// source returns a machine at instruction warm and a context
@@ -197,16 +202,19 @@ func TestForkIntoReusedContext(t *testing.T) {
 			t.Run(c.name, func(t *testing.T) {
 				m, src := source(c.warm)
 				_, before := source(c.warm)
-				used := MustNew(cfg)
+				used, err := src.Fork()
+				if err != nil {
+					t.Fatal(err)
+				}
 				if _, err := used.RunWindow(emu.New(p, 0), 0, forkWindow, 0); err != nil {
 					t.Fatal(err)
 				}
-				fork, err := src.ForkInto(used)
+				fork, err := src.Fork()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if fork != used {
-					t.Error("ForkInto allocated although dst fits the configuration")
+					t.Error("Fork allocated although the source already has a fork")
 				}
 				if !sameSim(src, before) {
 					t.Error("forking changed the source")
@@ -237,24 +245,6 @@ func TestForkIntoReusedContext(t *testing.T) {
 	})
 }
 
-// TestForkIntoOtherConfig: a dst built for another configuration is
-// replaced, never partially overwritten.
-func TestForkIntoOtherConfig(t *testing.T) {
-	p, err := prog.Assemble("fork", forkProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, spine := warmedAt(t, p, forkConfig(bpred.KindCombined, 1024), forkWarmA)
-	other := MustNew(forkConfig(bpred.KindBimodal, 2))
-	fork, err := spine.ForkInto(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fork == other || fork.Config() != spine.Config() || !sameWarmState(fork, spine) {
-		t.Error("fork into another configuration's context did not yield a fresh copy of the spine")
-	}
-}
-
 // TestForkAndResetReuseTouchedSets follows one spine and its detail
 // context through the pipeline's pattern: fork and run a window, warm
 // the spine further and fork into the same context again (a paired
@@ -268,14 +258,13 @@ func TestForkAndResetReuseTouchedSets(t *testing.T) {
 		reg := obs.NewRegistry()
 		m, spine := warmedAt(t, p, cfg, forkWarmA)
 		spine.Metrics = reg
-		var fork *Sim
-		// window forks the spine into fork, runs a window of n
-		// instructions on a clone of m, and compares with a new context
-		// warmed over [from, m.Insts).
+		// window forks the spine, runs a window of n instructions on a
+		// clone of m, and compares with a new context warmed over
+		// [from, m.Insts).
 		window := func(step string, from, n uint64) {
 			t.Helper()
-			var err error
-			if fork, err = spine.ForkInto(fork); err != nil {
+			fork, err := spine.Fork()
+			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := fork.RunWindow(m.Clone(), forkLead, n, forkTail)

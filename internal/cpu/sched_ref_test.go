@@ -83,7 +83,7 @@ type refSim struct {
 // fetch-block register).
 func newRefSim(t testing.TB, s *Sim) *refSim {
 	t.Helper()
-	f, err := s.ForkInto(nil)
+	f, err := s.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}

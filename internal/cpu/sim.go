@@ -42,14 +42,18 @@ type wakeState struct {
 // Sim is one detailed simulation context: pipeline state plus memory
 // system and branch unit. State persists across Run calls so a full
 // program can be simulated in consecutive regions with warm
-// structures. New makes a cold context and ResetCold returns one to
-// that state; ForkInto makes a context that continues a functionally
+// structures. New and Acquire make a cold context and ResetCold returns
+// one to that state; Fork makes a context that continues a functionally
 // warmed one with an empty pipeline, which is how a sampled simulation
 // point enters detailed mode.
 type Sim struct {
 	cfg  Config
 	hier *cache.Hierarchy
 	bu   *bpred.Unit
+
+	// fork is the detail context Fork copies this one into, built on
+	// the first Fork and reused by every later one.
+	fork *Sim
 
 	rob      []robEntry
 	robHead  int
@@ -140,41 +144,46 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// ForkInto returns a detailed context that continues from s's warmed
-// state: dst's caches, branch unit and fetch-block register become
-// copies of s's, and its pipeline, cycle counter and telemetry are
-// reset to those of a new context, so running the fork is equivalent
-// to running a cpu.New context warmed over the same history as s. s's
+// Fork returns s's detail fork, a context that continues from s's
+// warmed state: its caches, branch unit and fetch-block register become
+// copies of s's, and its pipeline, cycle counter and telemetry are reset
+// to those of a new context, so running the fork is equivalent to
+// running a cpu.New context warmed over the same history as s. s's
 // architectural state is not modified, and the fork inherits s's
-// Metrics. dst's storage is reused when dst was built for s's
-// configuration; a nil or other-configuration dst is replaced by a new
-// context. Forking into the context s last forked copies only the cache
-// sets either side touched since (cache.Cache.CopyFrom). With Metrics
-// set, each call adds to counters cpu.fork.calls and cpu.fork.sets (the
-// cache sets copied).
-func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
-	if dst == nil || dst.cfg != s.cfg {
+// Metrics. s owns the fork: the first call builds it with New, and each
+// later call overwrites it in place, copying only the cache sets either
+// side touched since the previous call (cache.Cache.CopyFrom), so a fork
+// stays valid until s's next Fork. With Metrics set, each call adds to
+// counters cpu.fork.calls and cpu.fork.sets (the cache sets copied), and
+// the call that builds the fork adds one to cpu.contexts.built.
+func (s *Sim) Fork() (*Sim, error) {
+	f := s.fork
+	if f == nil {
 		var err error
-		if dst, err = New(s.cfg); err != nil {
+		if f, err = New(s.cfg); err != nil {
 			return nil, err
 		}
+		s.fork = f
+		if s.Metrics != nil {
+			s.Metrics.Counter("cpu.contexts.built").Add(1)
+		}
 	} else {
-		dst.resetPipeline()
+		f.resetPipeline()
 	}
-	sets, err := dst.hier.CopyFrom(s.hier)
+	sets, err := f.hier.CopyFrom(s.hier)
 	if err != nil {
 		return nil, err
 	}
-	if err := dst.bu.CopyFrom(s.bu); err != nil {
+	if err := f.bu.CopyFrom(s.bu); err != nil {
 		return nil, err
 	}
-	dst.lastFetchBlock = s.lastFetchBlock
-	dst.Metrics = s.Metrics
+	f.lastFetchBlock = s.lastFetchBlock
+	f.Metrics = s.Metrics
 	if s.Metrics != nil {
 		s.Metrics.Counter("cpu.fork.calls").Add(1)
 		s.Metrics.Counter("cpu.fork.sets").Add(int64(sets))
 	}
-	return dst, nil
+	return f, nil
 }
 
 // ResetCold returns s to the state New leaves, in place: an empty
@@ -182,8 +191,9 @@ func (s *Sim) ForkInto(dst *Sim) (*Sim, error) {
 // cache sets used since the caches were cold are rewritten
 // (cache.Cache.ResetCold), so restarting a context that warmed a short
 // window costs that window's footprint, not the hierarchy's size.
-// Metrics is kept; with it set, each call adds to counters
-// cpu.reset.calls and cpu.reset.sets (the cache sets rewritten).
+// Metrics and the fork are kept; with Metrics set, each call adds to
+// counters cpu.reset.calls and cpu.reset.sets (the cache sets
+// rewritten).
 func (s *Sim) ResetCold() {
 	s.resetPipeline()
 	sets := s.hier.ResetCold()

@@ -197,10 +197,11 @@ func FullDetailed(p *prog.Program, cfg cpu.Config) (cpu.Result, time.Duration, e
 		return cpu.Result{}, 0, fmt.Errorf("pipeline: preflight for %s: %w", p.Name, err)
 	}
 	m := emu.New(p, 0)
-	s, err := cpu.New(cfg)
+	s, err := cpu.Acquire(cfg, nil)
 	if err != nil {
 		return cpu.Result{}, 0, err
 	}
+	defer cpu.Release(s)
 	t0 := time.Now()
 	res, err := s.Run(m, 0)
 	if err != nil {
@@ -261,11 +262,9 @@ func planTasks(plan *sampling.Plan, opts ExecOptions) ([]pointTask, error) {
 // spine is a chunk's continuously warmed state (see executePoints).
 type spine struct {
 	// warm holds the cache and predictor history from the current warm
-	// start to the machine's boundary.
+	// start to the machine's boundary. Points that must leave it intact
+	// run their detailed window on its fork (cpu.Sim.Fork).
 	warm *cpu.Sim
-	// fork is the chunk's reused detail context for points that must
-	// leave warm intact.
-	fork *cpu.Sim
 	// rewind is the machine's state at the last captured boundary.
 	rewind *ckpt.State
 	// start is the machine's state at the spine's warm start, captured
@@ -314,10 +313,9 @@ func runPoint(m *emu.Machine, sp *spine, keep bool, plan *sampling.Plan, pi int,
 	}
 	sim := sp.warm
 	if keep {
-		if sp.fork, err = sp.warm.ForkInto(sp.fork); err != nil {
+		if sim, err = sp.warm.Fork(); err != nil {
 			return PointRecord{}, err
 		}
-		sim = sp.fork
 	}
 	if selfWarm {
 		if err := sim.WarmCode(m, pt.Len()); err != nil {
@@ -586,15 +584,18 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 //   - Any other point starts a new spine: positionMachine restores the
 //     machine from the checkpoint set or walks it forward to the warm
 //     start, and a cold context then warms the whole window. The chunk
-//     allocates that context once; each later spine resets the previous
-//     spine's in place, which rewrites only the cache sets it used
-//     (cpu.Sim.ResetCold).
+//     acquires that context from the process-wide store (cpu.Acquire),
+//     which reuses an idle context of the configuration, reset in place,
+//     and builds one only when it holds none; each later spine resets
+//     the previous spine's in place. Either reset rewrites only the
+//     cache sets the context used (cpu.Sim.ResetCold). The chunk
+//     releases the context when it ends.
 //
 // When the next point will continue the spine, runPoint captures the
 // machine's state at this boundary (all-live) and runs the detailed
-// window on a fork of the spine,
-// the chunk's one reused detail context; otherwise the window runs on
-// the spine itself, which ends there. A point that self-warms its code
+// window on the spine's fork, one detail context that the spine keeps
+// across points, chunks and runs; otherwise the window runs on the
+// spine itself, which ends there. A point that self-warms its code
 // dry-runs its region on the machine and rewinds through the same
 // capture. Restores cost O(touched pages) because machine memory is
 // paged. Chunks are contiguous and cost-balanced, and
@@ -614,10 +615,10 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 			sp  spine
 			err error
 		)
-		if sp.warm, err = cpu.New(cfg); err != nil {
+		if sp.warm, err = cpu.Acquire(cfg, reg); err != nil {
 			return err
 		}
-		sp.warm.Metrics = reg
+		defer cpu.Release(sp.warm)
 		c := chunks[k]
 		for pi := c.Start; pi < c.End; pi++ {
 			if err := ctx.Err(); err != nil {
@@ -827,10 +828,11 @@ func MeasuredRates(p *prog.Program, cfg cpu.Config, probeInsts uint64) (sampling
 	fdur := time.Since(t0)
 
 	m2 := emu.New(p, 0)
-	sim, err := cpu.New(cfg)
+	sim, err := cpu.Acquire(cfg, nil)
 	if err != nil {
 		return sampling.TimeModel{}, err
 	}
+	defer cpu.Release(sim)
 	t0 = time.Now()
 	res, err := sim.Run(m2, probeInsts)
 	if err != nil {

@@ -58,8 +58,8 @@ type BasicBlock struct {
 // Len returns the number of instructions in the block.
 func (b BasicBlock) Len() int64 { return b.End - b.Start }
 
-// Validate checks structural invariants: branch targets in range, a
-// halt instruction reachable, labels consistent.
+// Validate checks structural invariants: register operands and branch
+// targets in range, a halt instruction reachable, labels consistent.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("prog %q: empty program", p.Name)
@@ -69,6 +69,9 @@ func (p *Program) Validate() error {
 	for i, in := range p.Code {
 		if !in.Op.Valid() {
 			return fmt.Errorf("prog %q: instruction %d: invalid opcode", p.Name, i)
+		}
+		if r, ok := badRegister(in); ok {
+			return fmt.Errorf("prog %q: instruction %d (%s): register %d out of range [0,%d)", p.Name, i, in, r, numRegs)
 		}
 		if in.Op == isa.OpHalt {
 			haveHalt = true
@@ -86,6 +89,30 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// numRegs is the size of the unified register namespace: integer
+// registers, then floating-point ones from isa.FPBase.
+const numRegs = isa.FPBase + isa.NumFPRegs
+
+// badRegister returns the first of in's register operands, as the
+// opcode table lists them, that names no register.
+func badRegister(in isa.Inst) (isa.Reg, bool) {
+	for _, x := range in.Op.Operands() {
+		r := in.Rs1 // FieldRs1, and the base register of FieldMem
+		switch {
+		case x.File == isa.NoRegFile:
+			continue
+		case x.Field == isa.FieldRd:
+			r = in.Rd
+		case x.Field == isa.FieldRs2:
+			r = in.Rs2
+		}
+		if r >= numRegs {
+			return r, true
+		}
+	}
+	return 0, false
 }
 
 // BasicBlocks returns the basic-block decomposition, computing and

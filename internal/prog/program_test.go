@@ -121,6 +121,41 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRegisterRange: a register operand at 64 or above names
+// no register, so Build refuses it in every register operand of every
+// opcode, and accepts 63 (f31) there. The static verifier indexes
+// 64-entry per-register tables with these operands.
+func TestValidateRegisterRange(t *testing.T) {
+	for op := isa.Op(0); op.Valid(); op++ {
+		for _, x := range op.Operands() {
+			if x.File == isa.NoRegFile {
+				continue
+			}
+			for _, r := range []isa.Reg{63, 64, 70, 255} {
+				in := isa.Inst{Op: op}
+				switch x.Field {
+				case isa.FieldRd:
+					in.Rd = r
+				case isa.FieldRs2:
+					in.Rs2 = r
+				default:
+					in.Rs1 = r
+				}
+				b := NewBuilder("regs")
+				b.Emit(in)
+				b.Halt()
+				_, err := b.Build()
+				if r < 64 && err != nil {
+					t.Errorf("%s with register %d in field %d: %v", op, r, x.Field, err)
+				}
+				if r >= 64 && (err == nil || !strings.Contains(err.Error(), "out of range")) {
+					t.Errorf("%s with register %d in field %d: err %v, want out of range", op, r, x.Field, err)
+				}
+			}
+		}
+	}
+}
+
 func TestBasicBlocks(t *testing.T) {
 	p := simpleLoopProgram(t)
 	blocks := p.BasicBlocks()
